@@ -223,6 +223,12 @@ def group_prox(v, weights, lam, step):
     run an accelerated proximal gradient on the smooth quadratic part,
     whose prox step clips negatives before the sorted-L1 prox; the inner
     loop runs to an infinity-norm tolerance of 1e-10.
+
+    Raises
+    ------
+    NumericalError
+        When the unequal-weight inner loop has not settled within its
+        iteration cap.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(getattr(weights, "values", weights), dtype=float)
@@ -243,17 +249,21 @@ def group_prox(v, weights, lam, step):
     u = w * v
     z = u.copy()
     theta = 1.0
-    for _ in range(20000):
+    max_iter = 20000
+    for _ in range(max_iter):
         grad = (z / w - v) / w
         u_new = prox_sorted_l1(np.maximum(z - inner * grad, 0.0), inner * step * lamv)
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         z = u_new + (theta_new * (1.0 / theta - 1.0)) * (u_new - u)
-        done = float(np.max(np.abs(u_new - u))) <= 1e-10
+        change = float(np.max(np.abs(u_new - u)))
         u = u_new
         theta = theta_new
-        if done:
-            break
-    return u / w
+        if change <= 1e-10:
+            return u / w
+    raise NumericalError(
+        f"group prox did not settle in {max_iter} iterations "
+        f"(last infinity-norm step {change:.3g})"
+    )
 
 
 def _block_norms(vec, offsets):

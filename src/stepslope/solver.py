@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError
 from .sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
@@ -75,31 +76,59 @@ class SupportMetrics(NamedTuple):
     power: float
 
 
-def operator_norm_sq(X, tol=1e-6, max_iter=500):
-    """Largest squared singular value of X by power iteration.
+def operator_norm_sq(X, tol=1e-6, max_iter=300):
+    """Largest squared singular value of X by Lanczos on its smaller Gram matrix.
 
-    The start vector is all-ones plus a small ramp, which keeps the
-    iteration deterministic while avoiding exact alignment with a
+    The iteration runs on X Xᵀ when X has no more rows than columns and on
+    XᵀX otherwise, reorthogonalizing each new direction against the whole
+    stored basis.  The start vector is all-ones plus a small ramp, which
+    keeps the iteration deterministic while avoiding exact alignment with a
     non-dominant eigenspace (the all-ones vector is an eigenvector of
-    equicorrelation-style operators).  Stops when successive Rayleigh
-    quotients agree to relative tol.
+    equicorrelation-style operators).  Each diagonal entry is the Rayleigh
+    quotient (q·Aq)/(q·q), so an operator that fixes the start vector, such
+    as the identity, gives its eigenvalue exactly after one step.
+
+    Stops when the residual bound beta_k*|s_k| of the top Ritz value (s_k
+    is the last entry of its eigenvector of the tridiagonal matrix) is
+    within relative tol, and returns the Ritz value plus that bound, so the
+    estimate errs on the side of a shorter step.  max_iter caps the number
+    of Lanczos steps, which never exceeds the smaller dimension of X.
+
+    Raises
+    ------
+    NumericalError
+        When the cap is reached before the bound meets tol.
     """
     X = np.asarray(X, dtype=float)
-    m = X.shape[1]
-    v = np.ones(m) + np.arange(m) * (1e-3 / max(m - 1, 1))
-    est = 0.0
-    for _ in range(max_iter):
-        xv = X @ v
-        est_new = float(xv @ xv) / float(v @ v)
-        w = X.T @ xv
-        nw = math.sqrt(float(w @ w))
-        if nw == 0.0:
-            return est_new
-        v = w / nw
-        if abs(est_new - est) <= tol * max(est_new, 1e-300):
-            return est_new
-        est = est_new
-    return est
+    n, m = X.shape
+    d = min(n, m)
+    gram = (lambda v: X @ (X.T @ v)) if n <= m else (lambda v: X.T @ (X @ v))
+    q = np.ones(d) + np.arange(d) * (1e-3 / max(d - 1, 1))
+    q /= math.sqrt(float(q @ q))
+    basis = np.empty((0, d))
+    alphas, betas = [], []
+    bound = math.inf
+    for k in range(min(max_iter, d)):
+        basis = np.vstack((basis, q))
+        w = gram(q)
+        alpha = float(q @ w) / float(q @ q)
+        alphas.append(alpha)
+        w -= alpha * q
+        w -= basis.T @ (basis @ w)
+        beta = math.sqrt(float(w @ w))
+        top, vec = scipy.linalg.eigh_tridiagonal(
+            alphas, betas, select="i", select_range=(k, k)
+        )
+        theta = float(top[0])
+        bound = beta * abs(float(vec[-1, 0]))
+        if bound <= tol * theta:
+            return theta + bound
+        betas.append(beta)
+        q = w / beta
+    raise NumericalError(
+        f"operator norm estimate did not reach relative tol {tol:.3g} in "
+        f"{min(max_iter, d)} Lanczos steps (residual bound {bound:.3g})"
+    )
 
 
 def _weights_for(lam, m):

@@ -1,7 +1,11 @@
 """Group partition, standardization, block prox, and the group solver."""
+import itertools
+
 import numpy as np
 import pytest
 
+from stepslope import groups
+from stepslope.errors import NumericalError
 from stepslope.groups import (
     GroupPartition,
     group_prox,
@@ -129,6 +133,17 @@ def test_group_prox_matches_grid_oracle_unequal_weights():
         ref = group_prox_grid(v, w, lam, step)
         assert objective(got) <= objective(ref) + 1e-6
         assert np.max(np.abs(got - ref)) < 5e-2
+
+
+def test_group_prox_raises_when_inner_loop_cannot_settle(monkeypatch):
+    flip = itertools.cycle((0.0, 1.0))
+    monkeypatch.setattr(
+        groups, "prox_sorted_l1", lambda x, lam: np.full_like(x, next(flip))
+    )
+    v = np.array([2.0, 1.0])
+    w = np.array([1.0, 2.0])
+    with pytest.raises(NumericalError, match=r"did not settle .*step 1\b"):
+        group_prox(v, w, np.array([1.0, 0.5]), step=0.5)
 
 
 def test_group_prox_validation():

@@ -1,7 +1,9 @@
 """Feature-level solver: exactness on orthogonal designs, duality, references."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from stepslope.errors import NumericalError
 from stepslope.schedules import bh_schedule, kfwer_schedule
 from stepslope.solver import (
     DesignMatrix,
@@ -146,6 +148,42 @@ def test_operator_norm_sq_equicorrelation_dominant_eigenvalue():
     W = np.full((n, n), (b - a) / n)
     W[np.diag_indices(n)] += a
     assert operator_norm_sq(W, tol=1e-12) == pytest.approx(1.0 / lo, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "shape", [(40, 15), (15, 40), (1, 30), (30, 1), "rank-deficient"]
+)
+def test_operator_norm_sq_shapes_match_numpy(shape):
+    rng = np.random.default_rng(12)
+    if shape == "rank-deficient":
+        X = rng.normal(size=(40, 5)) @ rng.normal(size=(5, 60))
+    else:
+        X = rng.normal(size=shape)
+    want = np.linalg.norm(X, 2) ** 2
+    assert operator_norm_sq(X, tol=1e-12) == pytest.approx(want, rel=1e-10)
+
+
+def test_operator_norm_sq_zero_matrix_is_zero():
+    assert operator_norm_sq(np.zeros((6, 9))) == 0.0
+
+
+def test_operator_norm_sq_converges_on_large_gaussian():
+    # a 500-step power iteration does not converge on this shape
+    X = np.random.default_rng(13).normal(size=(2000, 4000)) / np.sqrt(2000)
+    top = scipy.sparse.linalg.svds(X, k=1, v0=np.ones(2000), return_singular_vectors=False)
+    assert operator_norm_sq(X) == pytest.approx(float(top[0]) ** 2, rel=1e-5)
+
+
+def test_operator_norm_sq_raises_at_step_cap():
+    X = np.random.default_rng(14).normal(size=(200, 400))
+    with pytest.raises(NumericalError, match="Lanczos steps"):
+        operator_norm_sq(X, max_iter=3)
+
+
+def test_operator_norm_sq_is_deterministic():
+    X = np.random.default_rng(15).normal(size=(120, 70))
+    first = operator_norm_sq(X)
+    assert operator_norm_sq(X) == first
 
 
 def test_design_matrix_validation():
