@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .solver import DesignMatrix, operator_norm_sq, support_metrics
-from .sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
+from .solver import DesignMatrix, _fista, support_metrics
+from .sorted_l1 import prox_sorted_l1
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,9 @@ class GroupFitResult(NamedTuple):
     final_gap: float
     objective: float
     converged: bool
+    restarts: int = 0
+    backoffs: int = 0
+    matvecs: int = 0
 
 
 def group_prox(v, weights, lam, step):
@@ -283,10 +286,10 @@ def solve_group_slope(
     """Solve the group sorted-L1 problem on the standardized design.
 
     Minimizes 0.5*||y - X~ c||^2 + sigma * J_lam(weights * block_norms(c))
-    by FISTA with the exact block prox, then maps c back to feature
+    by the feature solver's FISTA loop with the exact block prox and block
+    norms in place of coordinate magnitudes, then maps c back to feature
     coefficients through minimum-norm solves against each group's QR
-    factor.  Termination mirrors the feature solver with block norms in
-    place of coordinate magnitudes.
+    factor.
 
     Parameters
     ----------
@@ -302,92 +305,26 @@ def solve_group_slope(
     """
     X_raw = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, float)
     sp = standardized if standardized is not None else standardize(X_raw, partition)
-    Xt = sp.x_tilde
-    n = Xt.shape[0]
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"response has shape {y.shape}, expected ({n},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response contains non-finite values")
     t_groups = len(partition)
     lamv = np.asarray(getattr(lam, "values", lam), dtype=float)
     if lamv.shape != (t_groups,):
         raise ValueError(f"schedule has length {lamv.size}, expected {t_groups}")
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
     wts = partition.weights
     offsets = sp.offsets
     ranks = np.asarray(sp.ranks)
 
-    L = operator_norm_sq(Xt)
-    t = 1.0 / L if L > 0.0 else 1.0
-    cum_w = np.cumsum(sigma * lamv)
-    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
-
-    dim = Xt.shape[1]
-    a = np.zeros(dim)
-    c = np.zeros(dim)
-    theta = 1.0
-    obj = 0.5 * float(y @ y)
-    rise = 1e-12 * max(1.0, abs(obj))
-    infeas = math.inf
-    rel_gap = math.inf
-    converged = False
-    it = 0
-
-    def prox_point(point):
-        z = point
+    def prox(z, step):
         gz = _block_norms(z, offsets)
-        gstar = group_prox(gz, wts, lamv, t * sigma)
+        gstar = group_prox(gz, wts, lamv, step)
         scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
         return z * np.repeat(scale, ranks)
 
-    def objective_at(cv):
-        r = y - Xt @ cv
-        pen = sorted_l1_norm(wts * _block_norms(cv, offsets), lamv)
-        return r, 0.5 * float(r @ r) + sigma * pen
-
-    while it < max_iter:
-        it += 1
-        grad = Xt.T @ (Xt @ a - y)
-        c_new = prox_point(a - t * grad)
-        r, obj_new = objective_at(c_new)
-        if obj_new > obj + rise:
-            theta = 1.0
-            grad = Xt.T @ (Xt @ c - y)
-            c_new = prox_point(c - t * grad)
-            r, obj_new = objective_at(c_new)
-            if obj_new > obj + rise:
-                L *= 1.0001
-                t = 1.0 / L
-                a = c
-                continue
-        if not math.isfinite(obj_new):
-            raise NumericalError("objective became non-finite during iteration")
-
-        h = _block_norms(Xt.T @ r, offsets) / wts
-        infeas = dual_infeasibility(h / sigma, lamv)
-        cum_h = np.cumsum(np.sort(h)[::-1])
-        if bool(np.all(cum_h <= cum_w + feas_slack)):
-            s = 1.0
-        else:
-            pos = cum_h > 0.0
-            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
-        u = s * r
-        dual = float(u @ y) - 0.5 * float(u @ u)
-        rel_gap = max(obj_new - dual, 0.0) / max(obj_new, 1e-300)
-
-        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
-        a = c_new + (theta_new * (1.0 / theta - 1.0)) * (c_new - c)
-        c = c_new
-        obj = obj_new
-        rise = 1e-12 * max(1.0, abs(obj))
-        theta = theta_new
-        if infeas <= tol and rel_gap <= tol:
-            converged = True
-            break
-
+    c, stats = _fista(
+        sp.x_tilde, y, lamv, sigma, tol, max_iter,
+        prox=prox,
+        primal=lambda cv: wts * _block_norms(cv, offsets),
+        dual=lambda g: _block_norms(g, offsets) / wts,
+    )
     norms = _block_norms(c, offsets)
     beta = np.zeros(partition.num_features)
     for gi, g in enumerate(partition.groups):
@@ -396,15 +333,7 @@ def solve_group_slope(
             coef, *_ = np.linalg.lstsq(sp.r_factors[gi], blk, rcond=None)
             beta[list(g)] = coef
     selected = {int(i) for i in np.flatnonzero(norms)}
-    return GroupFitResult(
-        beta=beta,
-        group_norms=norms,
-        selected_groups=selected,
-        iterations=it,
-        final_gap=float(max(infeas, rel_gap)),
-        objective=obj,
-        converged=converged,
-    )
+    return GroupFitResult(beta, norms, selected, *stats)
 
 
 def group_support_metrics(fit, truth, k, gamma):

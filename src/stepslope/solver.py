@@ -5,7 +5,7 @@ from the extrapolated point, the exact sorted-L1 prox, and Nesterov
 momentum, restarted whenever the objective would rise so the reported
 objective sequence is non-increasing.  Termination is certified by dual
 feasibility of the gradient together with a primal-dual gap built from the
-scaled residual.
+scaled residual.  The group solver runs the same loop with a block prox.
 """
 
 import math
@@ -58,12 +58,18 @@ class DesignMatrix:
 
 
 class FitResult(NamedTuple):
+    """A feature fit; restarts, backoffs and matvecs are the loop's counters
+    (see _fista) and default to 0 for results built by hand."""
+
     beta: np.ndarray
     support: set
     iterations: int
     final_gap: float
     objective: float
     converged: bool
+    restarts: int = 0
+    backoffs: int = 0
+    matvecs: int = 0
 
 
 class SupportMetrics(NamedTuple):
@@ -145,6 +151,114 @@ def slope_objective(design, y, beta, lam, sigma=1.0):
     return 0.5 * float(r @ r) + sigma * sorted_l1_norm(beta, lam)
 
 
+def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
+    """FISTA with restarts on 0.5*||y - X b||^2 + sigma * J_w(primal(b)).
+
+    prox(point, step) is the prox of step * J_w(primal(.)) at point;
+    primal(b) gives the magnitudes the penalty sorts, and dual(g) the
+    magnitudes whose sorted prefix sums certify dual feasibility of a
+    gradient g = X^T (y - X b).
+
+    The gradient at the accepted point, g_b, is carried from the
+    certificate step, and the momentum point's gradient is the same linear
+    combination of g and g_b as the point is of b_new and b, so an accepted
+    iteration costs two matvecs: X @ b_new and X^T r, both from scratch.
+
+    Returns
+    -------
+    (b, stats)
+        b is the last prox output; stats holds, in FitResult order,
+        iterations, final_gap, objective, converged, restarts, backoffs and
+        matvecs.  restarts counts every plain step retried from the last
+        accepted point, backoffs every step-size shrink, and matvecs every
+        product with X or X^T outside the step-size estimate.
+    """
+    n, m = X.shape
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"response has shape {y.shape}, expected ({n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("response contains non-finite values")
+    sigma = float(sigma)
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+
+    L = operator_norm_sq(X)
+    t = 1.0 / L if L > 0.0 else 1.0
+    cum_w = np.cumsum(sigma * w)
+    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
+
+    b = np.zeros(m)
+    g_b = X.T @ y
+    a, g_a = b, g_b
+    theta = 1.0
+    obj = 0.5 * float(y @ y)
+    rise = 1e-12 * max(1.0, abs(obj))
+    infeas = rel_gap = math.inf
+    converged = False
+    it = restarts = backoffs = 0
+    matvecs = 1
+
+    def step_from(point, g_point):
+        nonlocal matvecs
+        matvecs += 1
+        b_new = prox(point + t * g_point, t * sigma)
+        r = y - X @ b_new
+        return b_new, r, 0.5 * float(r @ r) + sigma * sorted_l1_norm(primal(b_new), w)
+
+    while it < max_iter:
+        it += 1
+        b_new, r, obj_new = step_from(a, g_a)
+        if obj_new > obj + rise:
+            # momentum overshoot: plain prox step from the last accepted point
+            theta = 1.0
+            restarts += 1
+            b_new, r, obj_new = step_from(b, g_b)
+            if obj_new > obj + rise:
+                # even the plain step rose, which needs t above 2/||X||^2:
+                # the norm estimate was too low, so shrink the step
+                backoffs += 1
+                L *= 1.0001
+                t = 1.0 / L
+                a, g_a = b, g_b
+                continue
+        if not math.isfinite(obj_new):
+            raise NumericalError("objective became non-finite during iteration")
+
+        g = X.T @ r
+        matvecs += 1
+        h = dual(g)
+        infeas = dual_infeasibility(h / sigma, w)
+        cum_h = np.cumsum(np.sort(h)[::-1])
+        if bool(np.all(cum_h <= cum_w + feas_slack)):
+            s = 1.0
+        else:
+            pos = cum_h > 0.0
+            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
+        u = s * r
+        dual_obj = float(u @ y) - 0.5 * float(u @ u)
+        rel_gap = max(obj_new - dual_obj, 0.0) / max(obj_new, 1e-300)
+
+        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
+        mom = theta_new * (1.0 / theta - 1.0)
+        a = b_new + mom * (b_new - b)
+        g_a = g + mom * (g - g_b)
+        b, g_b = b_new, g
+        obj = obj_new
+        rise = 1e-12 * max(1.0, abs(obj))
+        theta = theta_new
+        if infeas <= tol and rel_gap <= tol:
+            converged = True
+            break
+
+    final_gap = float(max(infeas, rel_gap))
+    return b, (it, final_gap, obj, converged, restarts, backoffs, matvecs)
+
+
 def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     """Solve the sorted-L1 penalized least-squares problem.
 
@@ -172,91 +286,14 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     if not isinstance(design, DesignMatrix):
         design = DesignMatrix(design)
     X = design.entries
-    n, m = X.shape
-    y = np.asarray(y, dtype=float)
-    if y.shape != (n,):
-        raise ValueError(f"response has shape {y.shape}, expected ({n},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response contains non-finite values")
-    w = _weights_for(lam, m)
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-
-    L = operator_norm_sq(X)
-    t = 1.0 / L if L > 0.0 else 1.0
-    shrink = (t * sigma) * w
-    cum_w = np.cumsum(sigma * w)
-    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
-
-    a = np.zeros(m)
-    b = np.zeros(m)
-    theta = 1.0
-    obj = 0.5 * float(y @ y)
-    rise = 1e-12 * max(1.0, abs(obj))
-    infeas = math.inf
-    rel_gap = math.inf
-    converged = False
-    it = 0
-
-    while it < max_iter:
-        it += 1
-        grad = X.T @ (X @ a - y)
-        b_new = prox_sorted_l1(a - t * grad, shrink)
-        r = y - X @ b_new
-        obj_new = 0.5 * float(r @ r) + sigma * sorted_l1_norm(b_new, w)
-        if obj_new > obj + rise:
-            # momentum overshoot: plain prox step from the last accepted point
-            theta = 1.0
-            grad = X.T @ (X @ b - y)
-            b_new = prox_sorted_l1(b - t * grad, shrink)
-            r = y - X @ b_new
-            obj_new = 0.5 * float(r @ r) + sigma * sorted_l1_norm(b_new, w)
-            if obj_new > obj + rise:
-                # the norm estimate was a shade optimistic; shrink the step
-                L *= 1.0001
-                t = 1.0 / L
-                shrink = (t * sigma) * w
-                a = b
-                continue
-        if not math.isfinite(obj_new):
-            raise NumericalError("objective became non-finite during iteration")
-
-        g = X.T @ r
-        infeas = dual_infeasibility(g / sigma, w)
-        cum_g = np.cumsum(np.sort(np.abs(g))[::-1])
-        if bool(np.all(cum_g <= cum_w + feas_slack)):
-            s = 1.0
-        else:
-            pos = cum_g > 0.0
-            s = min(1.0, float(np.min(cum_w[pos] / cum_g[pos])))
-        u = s * r
-        dual = float(u @ y) - 0.5 * float(u @ u)
-        rel_gap = max(obj_new - dual, 0.0) / max(obj_new, 1e-300)
-
-        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
-        a = b_new + (theta_new * (1.0 / theta - 1.0)) * (b_new - b)
-        b = b_new
-        obj = obj_new
-        rise = 1e-12 * max(1.0, abs(obj))
-        theta = theta_new
-        if infeas <= tol and rel_gap <= tol:
-            converged = True
-            break
-
-    support = {int(i) for i in np.flatnonzero(b)}
-    return FitResult(
-        beta=b,
-        support=support,
-        iterations=it,
-        final_gap=float(max(infeas, rel_gap)),
-        objective=obj,
-        converged=converged,
+    w = _weights_for(lam, X.shape[1])
+    b, stats = _fista(
+        X, y, w, sigma, tol, max_iter,
+        prox=lambda v, step: prox_sorted_l1(v, step * w),
+        primal=np.abs,
+        dual=np.abs,
     )
+    return FitResult(b, {int(i) for i in np.flatnonzero(b)}, *stats)
 
 
 def support_metrics(fit, truth, k, gamma):

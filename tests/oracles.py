@@ -182,6 +182,163 @@ def ista_reference(X, y, lam, sigma, max_iter=1_000_000, tol=1e-12):
     return b
 
 
+def _sorted_norm(b, w):
+    return float(np.sort(np.abs(b))[::-1] @ w)
+
+
+def _dual_infeasibility(g, w):
+    excess = np.cumsum(np.sort(np.abs(g))[::-1]) - np.cumsum(w)
+    return float(max(0.0, excess.max()))
+
+
+def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox):
+    """The feature solver's FISTA loop with four matvecs per iteration.
+
+    A copy of the loop that computes every gradient directly as
+    X^T (X a - y), against which the carried-gradient loop is checked.  L is
+    the step-size estimate and prox(v, shrink) the sorted-L1 prox, both
+    passed in so the arithmetic matches the package's.  Returns
+    (b, iterations, restarts, final_gap, objective, converged), restarts
+    counting the plain steps retried from the last accepted point.
+    """
+    t = 1.0 / L if L > 0.0 else 1.0
+    shrink = (t * sigma) * w
+    cum_w = np.cumsum(sigma * w)
+    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
+
+    m = X.shape[1]
+    a = np.zeros(m)
+    b = np.zeros(m)
+    theta = 1.0
+    obj = 0.5 * float(y @ y)
+    rise = 1e-12 * max(1.0, abs(obj))
+    infeas = math.inf
+    rel_gap = math.inf
+    converged = False
+    it = restarts = 0
+
+    while it < max_iter:
+        it += 1
+        grad = X.T @ (X @ a - y)
+        b_new = prox(a - t * grad, shrink)
+        r = y - X @ b_new
+        obj_new = 0.5 * float(r @ r) + sigma * _sorted_norm(b_new, w)
+        if obj_new > obj + rise:
+            theta = 1.0
+            restarts += 1
+            grad = X.T @ (X @ b - y)
+            b_new = prox(b - t * grad, shrink)
+            r = y - X @ b_new
+            obj_new = 0.5 * float(r @ r) + sigma * _sorted_norm(b_new, w)
+            if obj_new > obj + rise:
+                L *= 1.0001
+                t = 1.0 / L
+                shrink = (t * sigma) * w
+                a = b
+                continue
+
+        g = X.T @ r
+        infeas = _dual_infeasibility(g / sigma, w)
+        cum_g = np.cumsum(np.sort(np.abs(g))[::-1])
+        if bool(np.all(cum_g <= cum_w + feas_slack)):
+            s = 1.0
+        else:
+            pos = cum_g > 0.0
+            s = min(1.0, float(np.min(cum_w[pos] / cum_g[pos])))
+        u = s * r
+        dual = float(u @ y) - 0.5 * float(u @ u)
+        rel_gap = max(obj_new - dual, 0.0) / max(obj_new, 1e-300)
+
+        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
+        a = b_new + (theta_new * (1.0 / theta - 1.0)) * (b_new - b)
+        b = b_new
+        obj = obj_new
+        rise = 1e-12 * max(1.0, abs(obj))
+        theta = theta_new
+        if infeas <= tol and rel_gap <= tol:
+            converged = True
+            break
+    return b, it, restarts, float(max(infeas, rel_gap)), obj, converged
+
+
+def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, max_iter, L,
+                                 group_prox):
+    """The group solver's FISTA loop with four matvecs per iteration.
+
+    Xt is the standardized design with blocks starting at offsets; L is the
+    step-size estimate and group_prox(norms, wts, lam, step) the prox of
+    the weighted sorted-L1 penalty on block norms.  Returns the standardized
+    coefficients with the rest as in fista_direct_reference.
+    """
+    def block_norms(vec):
+        return np.sqrt(np.add.reduceat(vec * vec, offsets))
+
+    t = 1.0 / L if L > 0.0 else 1.0
+    cum_w = np.cumsum(sigma * lam)
+    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
+
+    dim = Xt.shape[1]
+    a = np.zeros(dim)
+    c = np.zeros(dim)
+    theta = 1.0
+    obj = 0.5 * float(y @ y)
+    rise = 1e-12 * max(1.0, abs(obj))
+    infeas = math.inf
+    rel_gap = math.inf
+    converged = False
+    it = restarts = 0
+
+    def prox_point(z):
+        gz = block_norms(z)
+        gstar = group_prox(gz, wts, lam, t * sigma)
+        scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
+        return z * np.repeat(scale, ranks)
+
+    def objective_at(cv):
+        r = y - Xt @ cv
+        return r, 0.5 * float(r @ r) + sigma * _sorted_norm(wts * block_norms(cv), lam)
+
+    while it < max_iter:
+        it += 1
+        grad = Xt.T @ (Xt @ a - y)
+        c_new = prox_point(a - t * grad)
+        r, obj_new = objective_at(c_new)
+        if obj_new > obj + rise:
+            theta = 1.0
+            restarts += 1
+            grad = Xt.T @ (Xt @ c - y)
+            c_new = prox_point(c - t * grad)
+            r, obj_new = objective_at(c_new)
+            if obj_new > obj + rise:
+                L *= 1.0001
+                t = 1.0 / L
+                a = c
+                continue
+
+        h = block_norms(Xt.T @ r) / wts
+        infeas = _dual_infeasibility(h / sigma, lam)
+        cum_h = np.cumsum(np.sort(h)[::-1])
+        if bool(np.all(cum_h <= cum_w + feas_slack)):
+            s = 1.0
+        else:
+            pos = cum_h > 0.0
+            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
+        u = s * r
+        dual = float(u @ y) - 0.5 * float(u @ u)
+        rel_gap = max(obj_new - dual, 0.0) / max(obj_new, 1e-300)
+
+        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
+        a = c_new + (theta_new * (1.0 / theta - 1.0)) * (c_new - c)
+        c = c_new
+        obj = obj_new
+        rise = 1e-12 * max(1.0, abs(obj))
+        theta = theta_new
+        if infeas <= tol and rel_gap <= tol:
+            converged = True
+            break
+    return c, it, restarts, float(max(infeas, rel_gap)), obj, converged
+
+
 def stepdown_bruteforce(p, thresholds):
     """Largest r with p_(j) <= alpha_j for every j <= r, checked prefix by prefix."""
     p = np.asarray(p, dtype=float)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stepslope import groups
+from stepslope import groups, solver
 from stepslope.errors import NumericalError
 from stepslope.groups import (
     GroupPartition,
@@ -14,10 +14,10 @@ from stepslope.groups import (
     standardize,
 )
 from stepslope.schedules import bh_schedule, gf_schedule
-from stepslope.solver import DesignMatrix, solve_slope
+from stepslope.solver import DesignMatrix, operator_norm_sq, solve_slope
 from stepslope.sorted_l1 import prox_sorted_l1, sorted_l1_norm
 
-from oracles import group_prox_grid
+from oracles import group_fista_direct_reference, group_prox_grid
 
 
 def _unit_columns(X):
@@ -254,6 +254,77 @@ def test_rank_deficient_group_fits_consistently():
     assert 0 in fit.selected_groups
 
 
+def _assert_matches_direct_fista(fit, X, y, part, lam, L):
+    sp = standardize(X, part)
+    c, iterations, restarts, _, _, converged = group_fista_direct_reference(
+        sp.x_tilde, y, sp.offsets, np.asarray(sp.ranks), part.weights, lam,
+        1.0, 1e-8, 20000, L, group_prox,
+    )
+    want = np.zeros(part.num_features)
+    for gi, g in enumerate(part.groups):
+        blk = c[sp.block(gi)]
+        if np.any(blk != 0.0):
+            want[list(g)] = np.linalg.lstsq(sp.r_factors[gi], blk, rcond=None)[0]
+    assert fit.converged and converged
+    assert (fit.iterations, fit.restarts) == (iterations, restarts)
+    assert fit.selected_groups == {gi for gi in range(len(part)) if np.any(c[sp.block(gi)])}
+    np.testing.assert_allclose(fit.beta, want, rtol=0.0, atol=1e-12)
+    # X~^T y once, then X~ @ c_new per step tried and X~^T r per accepted step
+    assert fit.matvecs == 1 + (fit.iterations + fit.restarts) + (fit.iterations - fit.backoffs)
+
+
+@pytest.mark.parametrize(
+    "seed,n,sizes,equal_weights",
+    [
+        (0, 90, (3, 4, 5, 3, 4, 5, 3, 4, 5, 3), False),
+        (1, 30, (3, 4, 5, 6, 7) * 3, False),
+        (2, 40, (2, 3) * 6, True),
+    ],
+    ids=["tall", "wide", "equal-weights"],
+)
+def test_group_carried_gradient_matches_direct_fista(seed, n, sizes, equal_weights):
+    rng = np.random.default_rng(seed)
+    part = GroupPartition.from_sizes(
+        sizes, weights=np.ones(len(sizes)) if equal_weights else None
+    )
+    X = _unit_columns(rng.normal(size=(n, part.num_features)))
+    beta = np.zeros(part.num_features)
+    for gi in (0, 3):
+        beta[list(part.groups[gi])] = 3.0
+    y = X @ beta + rng.normal(size=n)
+    lam = bh_schedule(len(sizes), 0.2).values
+    fit = solve_group_slope(X, y, part, lam)
+    assert fit.selected_groups and fit.restarts > 0
+    L = operator_norm_sq(standardize(X, part).x_tilde)
+    _assert_matches_direct_fista(fit, X, y, part, lam, L)
+
+
+def test_group_step_backoff_recovers_from_underestimated_norm(monkeypatch):
+    # two signal groups, then groups pairing a noise column with a near-copy
+    # of a proxy for the signal: the proxy enters the first steps, the
+    # optimum drops it, and its copies give X~ most of its operator norm
+    rng = np.random.default_rng(0)
+    n, copies = 40, 4
+    A = _unit_columns(rng.normal(size=(n, 4)))
+    proxy = A[:, 0] + A[:, 2] + 3.0 * _unit_columns(rng.normal(size=(n, 1)))[:, 0]
+    B = _unit_columns(proxy[:, None] + 0.05 * rng.normal(size=(n, copies)))
+    Z = _unit_columns(rng.normal(size=(n, copies)))
+    X = np.hstack([A] + [np.column_stack([B[:, i], Z[:, i]]) for i in range(copies)])
+    y = 6.0 * (A[:, 0] + A[:, 2]) + 0.3 * rng.normal(size=n)
+    part = GroupPartition.from_sizes((2,) * (2 + copies))
+    lam = bh_schedule(len(part), 0.2).values
+    plain = solve_group_slope(X, y, part, lam)
+    assert plain.backoffs == 0
+    # below half of ||X~||^2, the only way a plain step can raise the objective
+    low = 0.3 * operator_norm_sq(standardize(X, part).x_tilde)
+    monkeypatch.setattr(solver, "operator_norm_sq", lambda M: low)
+    fit = solve_group_slope(X, y, part, lam)
+    assert fit.backoffs > 0
+    assert fit.converged and fit.final_gap <= 1e-8
+    assert fit.selected_groups == plain.selected_groups
+    _assert_matches_direct_fista(fit, X, y, part, lam, low)
+
+
 def test_group_solver_validation():
     part = GroupPartition.from_sizes((2, 2))
     X = np.eye(4)
@@ -263,6 +334,10 @@ def test_group_solver_validation():
         solve_group_slope(X, np.zeros(4), part, np.ones(3))
     with pytest.raises(ValueError, match="sigma"):
         solve_group_slope(X, np.zeros(4), part, np.ones(2), sigma=-1.0)
+    with pytest.raises(ValueError, match="tol"):
+        solve_group_slope(X, np.ones(4), part, np.ones(2), tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_group_slope(X, np.ones(4), part, np.ones(2), max_iter=0)
 
 
 def test_group_support_metrics_counts():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+from stepslope import solver
 from stepslope.errors import NumericalError
 from stepslope.schedules import bh_schedule, kfwer_schedule
 from stepslope.solver import (
@@ -15,7 +16,7 @@ from stepslope.solver import (
 )
 from stepslope.sorted_l1 import prox_sorted_l1
 
-from oracles import ista_reference
+from oracles import fista_direct_reference, ista_reference
 
 
 def _unit_columns(X):
@@ -105,6 +106,73 @@ def test_sigma_equals_scaled_schedule():
     a = solve_slope(design, y, lam, sigma=2.0, tol=1e-11)
     b = solve_slope(design, y, 2.0 * lam, sigma=1.0, tol=1e-11)
     assert np.max(np.abs(a.beta - b.beta)) < 1e-8
+
+
+def _assert_matches_direct_fista(fit, X, y, lam, L):
+    b, iterations, restarts, _, _, converged = fista_direct_reference(
+        X, y, lam, 1.0, 1e-8, 20000, L, prox_sorted_l1
+    )
+    assert fit.converged and converged
+    assert (fit.iterations, fit.restarts) == (iterations, restarts)
+    assert fit.support == {int(i) for i in np.flatnonzero(b)}
+    np.testing.assert_allclose(fit.beta, b, rtol=0.0, atol=1e-12)
+    # X^T y once, then X @ b_new per step tried and X^T r per accepted step
+    assert fit.matvecs == 1 + (fit.iterations + fit.restarts) + (fit.iterations - fit.backoffs)
+
+
+def _gaussian_problem(seed, n, m, common=0.0):
+    rng = np.random.default_rng(seed)
+    Z = rng.normal(size=(n, m)) + common * rng.normal(size=(n, 1))
+    X = _unit_columns(Z)
+    beta = np.zeros(m)
+    beta[:5] = 3.0
+    return X, X @ beta + rng.normal(size=n)
+
+
+@pytest.mark.parametrize(
+    "seed,n,m,common",
+    [(0, 80, 40, 0.0), (1, 40, 80, 0.0), (2, 60, 60, 1.0)],
+    ids=["tall", "wide", "correlated"],
+)
+def test_carried_gradient_matches_direct_fista(seed, n, m, common):
+    X, y = _gaussian_problem(seed, n, m, common)
+    lam = bh_schedule(m, 0.1).values
+    fit = solve_slope(X, y, lam)
+    assert fit.restarts > 0
+    _assert_matches_direct_fista(fit, X, y, lam, operator_norm_sq(X))
+
+
+def _proxy_block_problem(seed=0, n=40, copies=4):
+    """Two signal columns, a third null one, and near-copies of a proxy.
+
+    The proxy mixes both signal columns with noise, so it correlates with y
+    and enters the first steps, but the optimum leaves it at zero.  Its
+    near-copies give X most of its operator norm.
+    """
+    rng = np.random.default_rng(seed)
+    A = _unit_columns(rng.normal(size=(n, 3)))
+    proxy = A[:, 0] + A[:, 1] + 3.0 * _unit_columns(rng.normal(size=(n, 1)))[:, 0]
+    B = _unit_columns(proxy[:, None] + 0.05 * rng.normal(size=(n, copies)))
+    y = 6.0 * (A[:, 0] + A[:, 1]) + 0.3 * rng.normal(size=n)
+    return np.hstack([A, B]), y
+
+
+def test_step_backoff_recovers_from_underestimated_norm(monkeypatch):
+    X, y = _proxy_block_problem()
+    lam = bh_schedule(X.shape[1], 0.2).values
+    plain = solve_slope(X, y, lam)
+    assert plain.backoffs == 0
+    # a prox-gradient step cannot raise the objective while the step is
+    # below 2/||X||^2, so only an estimate under half of it backs off
+    low = 0.3 * operator_norm_sq(X)
+    monkeypatch.setattr(solver, "operator_norm_sq", lambda Z: low)
+    fit = solve_slope(X, y, lam)
+    assert fit.backoffs > 0
+    assert fit.converged and fit.final_gap <= 1e-8
+    assert fit.support == plain.support
+    # a back-off must also reset the momentum point's gradient; a stale one
+    # costs an extra restart when the step is next accepted
+    _assert_matches_direct_fista(fit, X, y, lam, low)
 
 
 def test_max_iter_cap_flags_not_converged():
@@ -210,6 +278,8 @@ def test_solve_input_validation():
         solve_slope(X, y, np.zeros(3))
     with pytest.raises(ValueError, match="sigma"):
         solve_slope(X, y, lam, sigma=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        solve_slope(X, y, lam, tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         solve_slope(X, y, lam, max_iter=0)
 
@@ -225,6 +295,7 @@ def test_support_metrics_counts():
 
 def test_support_metrics_accepts_fit_and_empty_truth():
     fit = FitResult(np.array([0.0, 1.0]), {1}, 3, 0.0, 0.0, True)
+    assert (fit.restarts, fit.backoffs, fit.matvecs) == (0, 0, 0)
     sm = support_metrics(fit, set(), k=1, gamma=0.1)
     assert sm.power == 1.0
     assert sm.v == 1 and sm.r == 1
