@@ -17,8 +17,9 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError
-from .groups import GroupPartition, solve_group_slope
+from .groups import GroupPartition, solve_group_slope, standardize
 from .schedules import (
+    _RULE_TABLE,
     ScheduleRequest,
     build_schedule,
     schedule_csv_text,
@@ -36,37 +37,15 @@ from .simlab import (
 from .solver import DesignMatrix, solve_slope
 from .stepdown import fdp_thresholds, kfwer_thresholds, stepdown_reject
 
-_RULE_TOKENS = {
-    "bh": "BH",
-    "kfwer": "kFWER",
-    "fdp": "FDP",
-    "kfwer-gaussian": "kFWER-Gaussian",
-    "fdp-gaussian": "FDP-Gaussian",
-    "kfwer-monte-carlo": "kFWER-MonteCarlo",
-    "kfwer-montecarlo": "kFWER-MonteCarlo",
-    "fdp-monte-carlo": "FDP-MonteCarlo",
-    "fdp-montecarlo": "FDP-MonteCarlo",
-    "group-max": "group-max-FDR",
-    "group-max-fdr": "group-max-FDR",
-    "group-kfwer": "group-kFWER",
-    "gk": "group-kFWER",
-    "group-fdp": "group-FDP",
-    "gf": "group-FDP",
-    "group-kfwer-corrected": "group-kFWER-corrected",
-    "gk-corrected": "group-kFWER-corrected",
-    "group-fdp-corrected": "group-FDP-corrected",
-    "gf-corrected": "group-FDP-corrected",
-}
+_RULE_ROWS = {alias: row for row in _RULE_TABLE.values() for alias in row.aliases}
+_RULE_CHOICES = ", ".join(_RULE_ROWS)
 
 
 def _resolve_rule(token):
-    tag = _RULE_TOKENS.get(token.strip().lower())
-    if tag is None:
-        known = "bh, kfwer, fdp, kfwer-gaussian, fdp-gaussian, kfwer-monte-carlo, " \
-                "fdp-monte-carlo, group-max, group-kfwer, group-fdp, " \
-                "group-kfwer-corrected, group-fdp-corrected"
-        raise click.UsageError(f"unknown rule {token!r}; choose from: {known}")
-    return tag
+    row = _RULE_ROWS.get(token.strip().lower())
+    if row is None:
+        raise click.UsageError(f"unknown rule {token!r}; choose from: {_RULE_CHOICES}")
+    return row
 
 
 def _guarded(f):
@@ -142,7 +121,7 @@ def main():
 
 
 @main.command("lambda")
-@click.option("--rule", required=True, help="Schedule rule token, e.g. kfwer or group-fdp.")
+@click.option("--rule", required=True, help=f"Schedule rule, one of: {_RULE_CHOICES}.")
 @click.option("--m", type=int, default=None, help="Schedule length (number of features).")
 @click.option("--n", type=int, default=None, help="Sample size, for corrected rules.")
 @click.option("--k", type=int, default=None, help="Familywise order k.")
@@ -164,17 +143,16 @@ def main():
 def lambda_cmd(rule, m, n, k, alpha, gamma, q, sigma, group_sizes, weight_scheme,
                design_path, replicates, mc_seed, out):
     """Build a regularization schedule and print or save it."""
-    tag = _resolve_rule(rule)
-    ranks = weights = None
-    if tag.startswith("group"):
+    row = _resolve_rule(rule)
+    ranks = weights = design = None
+    if "ranks" in row.required:
         if group_sizes is None:
             raise click.UsageError(f"rule {rule} requires --group-sizes")
         ranks = _parse_sizes(group_sizes, "--group-sizes")
         weights = _weights_for(ranks, weight_scheme)
     elif group_sizes is not None:
         raise click.UsageError(f"--group-sizes does not apply to rule {rule}")
-    design = None
-    if tag.endswith("MonteCarlo"):
+    if "design" in row.required:
         if design_path is None:
             raise click.UsageError(f"rule {rule} requires --design")
         design = _read_matrix(design_path)
@@ -183,7 +161,7 @@ def lambda_cmd(rule, m, n, k, alpha, gamma, q, sigma, group_sizes, weight_scheme
     request = ScheduleRequest(m=m, n=n, k=k, alpha=alpha, gamma=gamma, q=q,
                               sigma=sigma, ranks=ranks, weights=weights,
                               design=design, replicates=replicates, seed=mc_seed)
-    schedule = build_schedule(tag, request)
+    schedule = build_schedule(row.name, request)
     if out is not None and out.endswith(".json"):
         _write_or_echo(schedule_json_text(schedule), out)
     else:
@@ -205,7 +183,8 @@ def _load_schedule_file(path):
               help="Response vector CSV, one value per line.")
 @click.option("--schedule", "schedule_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Schedule file (CSV or JSON) from the lambda command.")
-@click.option("--rule", default=None, help="Build the schedule inline instead.")
+@click.option("--rule", default=None,
+              help=f"Build the schedule inline instead, by rule: {_RULE_CHOICES}.")
 @click.option("--k", type=int, default=None)
 @click.option("--alpha", type=float, default=None)
 @click.option("--gamma", type=float, default=None)
@@ -233,29 +212,30 @@ def solve(design_path, response_path, schedule_path, rule, k, alpha, gamma, q,
     partition = GroupPartition.from_csv(groups_path) if groups_path else None
     if (schedule_path is None) == (rule is None):
         raise click.UsageError("pass exactly one of --schedule or --rule")
+    sp = None
     if schedule_path is not None:
         lam = _load_schedule_file(schedule_path)
     else:
-        tag = _resolve_rule(rule)
+        row = _resolve_rule(rule)
         kwargs = {}
-        if tag.startswith("group"):
+        if "ranks" in row.required:
             if partition is None:
                 raise click.UsageError(f"rule {rule} requires --groups")
-            kwargs["ranks"] = tuple(len(g) for g in partition.groups)
+            # a group's chi tail counts the dimensions its block spans after
+            # standardization: its rank, not its size
+            sp = standardize(X, partition)
+            kwargs["ranks"] = sp.ranks
             kwargs["weights"] = tuple(partition.weights)
-        else:
-            kwargs["m"] = X.shape[1]
-        if tag.endswith("MonteCarlo"):
-            kwargs["design"] = X
-        if "Gaussian" in tag or tag.endswith("corrected"):
-            kwargs["n"] = X.shape[0]
+        for name, value in (("m", X.shape[1]), ("n", X.shape[0]), ("design", X)):
+            if name in row.required:
+                kwargs[name] = value
         request = ScheduleRequest(k=k, alpha=alpha, gamma=gamma, q=q, **kwargs)
-        lam = build_schedule(tag, request).values
+        lam = build_schedule(row.name, request).values
 
     if partition is not None:
         design = DesignMatrix(X, require_unit_columns=False)
         fit = solve_group_slope(design, y, partition, lam, sigma=sigma,
-                                tol=tol, max_iter=max_iter)
+                                tol=tol, max_iter=max_iter, standardized=sp)
         doc = {
             "n": X.shape[0],
             "m": X.shape[1],
@@ -285,11 +265,15 @@ def solve(design_path, response_path, schedule_path, rule, k, alpha, gamma, q,
     _write_or_echo(json.dumps(doc, indent=1) + "\n", out)
 
 
+# stepdown rule -> (the option it needs, the option it rejects)
+_STEPDOWN_OPTIONS = {"kfwer": ("k", "gamma"), "fdp": ("gamma", "k")}
+
+
 @main.command()
 @click.option("--pvalues", "pvalues_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="P-value CSV, one value per line.")
-@click.option("--rule", type=click.Choice(["kfwer", "fdp"]), required=True)
+@click.option("--rule", type=click.Choice(list(_STEPDOWN_OPTIONS)), required=True)
 @click.option("--k", type=int, default=None, help="Familywise order (kfwer rule).")
 @click.option("--alpha", type=float, required=True)
 @click.option("--gamma", type=float, default=None, help="Exceedance fraction (fdp rule).")
@@ -302,18 +286,16 @@ def stepdown(pvalues_path, rule, k, alpha, gamma, out):
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError(f"{pvalues_path}: p-values must lie in [0, 1]")
     m = p.size
-    if rule == "kfwer":
-        if k is None:
-            raise click.UsageError("rule kfwer requires --k")
-        if gamma is not None:
-            raise click.UsageError("--gamma does not apply to rule kfwer")
+    options = {"k": k, "gamma": gamma}
+    need, foreign = _STEPDOWN_OPTIONS[rule]
+    if options[need] is None:
+        raise click.UsageError(f"rule {rule} requires --{need}")
+    if options[foreign] is not None:
+        raise click.UsageError(f"--{foreign} does not apply to rule {rule}")
+    if k is not None:
         thresholds = kfwer_thresholds(m, k, alpha)
         params = {"m": m, "k": k, "alpha": alpha}
     else:
-        if gamma is None:
-            raise click.UsageError("rule fdp requires --gamma")
-        if k is not None:
-            raise click.UsageError("--k does not apply to rule fdp")
         thresholds = fdp_thresholds(m, alpha, gamma)
         params = {"m": m, "alpha": alpha, "gamma": gamma}
     rejected = sorted(stepdown_reject(p, thresholds))

@@ -8,31 +8,19 @@ closed-form Wishart factor or a Monte Carlo estimate, and truncate at the
 first monotonicity violation so the result stays a valid schedule.
 """
 
+import inspect
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
 from .quantiles import ChiMixture, chi_quantile, mixture_quantile, normal_quantile
-
-RULES = (
-    "BH",
-    "kFWER",
-    "FDP",
-    "kFWER-Gaussian",
-    "FDP-Gaussian",
-    "kFWER-MonteCarlo",
-    "FDP-MonteCarlo",
-    "group-max-FDR",
-    "group-kFWER",
-    "group-FDP",
-    "group-kFWER-corrected",
-    "group-FDP-corrected",
-)
+from .stepdown import _check_count, _check_level, fdp_thresholds, kfwer_thresholds
 
 
 @dataclass(frozen=True)
@@ -71,19 +59,6 @@ class LambdaSchedule:
         return self.values.size
 
 
-def _check_count(name, v):
-    if int(v) != v or v < 1:
-        raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    return int(v)
-
-
-def _check_level(name, v):
-    v = float(v)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0,1), got {v!r}")
-    return v
-
-
 def _check_sigma(sigma):
     sigma = float(sigma)
     if not sigma > 0.0:
@@ -91,14 +66,23 @@ def _check_sigma(sigma):
     return sigma
 
 
-def _normal_upper(tail, what):
-    # entries come from Phi^{-1}(1 - tail); tail >= 0.5 would give a
-    # non-positive weight, which is a level misconfiguration, not a value
-    if tail >= 0.5:
-        raise ValueError(
-            f"level too large: {what} implies upper-tail mass {tail} >= 0.5"
-        )
-    return normal_quantile(1.0 - tail)
+def _normal_map(levels, sigma):
+    # two-sided statistics: half of each level goes in the upper tail
+    return np.array([sigma * normal_quantile(1.0 - a / 2.0) for a in levels.tolist()])
+
+
+def _repeat_after_rise(first, m, step):
+    """out[0] = first and out[i-1] = step(out, i) for i = 2..m, stopping at
+    the first candidate above its predecessor (or None from step); the
+    remaining entries repeat the predecessor, so the output never rises."""
+    out = [first]
+    for i in range(2, m + 1):
+        cand = step(out, i)
+        if cand is None or cand > out[-1]:
+            out.extend([out[-1]] * (m - i + 1))
+            break
+        out.append(cand)
+    return np.array(out)
 
 
 def bh_schedule(m, q, sigma=1.0):
@@ -109,62 +93,48 @@ def bh_schedule(m, q, sigma=1.0):
     m = _check_count("m", m)
     q = _check_level("q", q)
     sigma = _check_sigma(sigma)
-    vals = [
-        sigma * _normal_upper(i * q / (2.0 * m), f"q={q} at entry {i}")
-        for i in range(1, m + 1)
-    ]
-    return LambdaSchedule(np.array(vals), "BH", {"m": m, "q": q, "sigma": sigma})
+    vals = _normal_map(q * np.arange(1, m + 1) / m, sigma)
+    return LambdaSchedule(vals, "BH", {"m": m, "q": q, "sigma": sigma})
 
 
 def kfwer_schedule(m, k, alpha, sigma=1.0):
     """Schedule from stepdown k-familywise levels.
 
-    The first k entries share the level k*alpha/(2m); afterwards the
-    denominator shrinks with the stepdown index:
-    values[i-1] = sigma * Phi^{-1}(1 - k*alpha / (2(m+k-i))) for i > k.
+    values[i-1] = sigma * Phi^{-1}(1 - alpha_i/2) over the levels alpha_i
+    of stepdown.kfwer_thresholds; the first k entries share one level.
     """
-    m = _check_count("m", m)
-    k = _check_count("k", k)
-    if k > m:
-        raise ValueError(f"k must not exceed m, got k={k}, m={m}")
-    alpha = _check_level("alpha", alpha)
+    levels = kfwer_thresholds(m, k, alpha)
     sigma = _check_sigma(sigma)
-    vals = []
-    for i in range(1, m + 1):
-        denom = 2.0 * m if i <= k else 2.0 * (m + k - i)
-        vals.append(
-            sigma * _normal_upper(k * alpha / denom, f"alpha={alpha} at entry {i}")
-        )
     return LambdaSchedule(
-        np.array(vals), "kFWER", {"m": m, "k": k, "alpha": alpha, "sigma": sigma}
+        _normal_map(levels, sigma),
+        "kFWER",
+        {"m": levels.size, "k": int(k), "alpha": float(alpha), "sigma": sigma},
     )
 
 
 def fdp_schedule(m, alpha, gamma, sigma=1.0):
     """Schedule from stepdown false-discovery-proportion levels.
 
-    values[i-1] = sigma * Phi^{-1}(1 - (floor(gamma*i)+1)*alpha /
-    (2(m + floor(gamma*i) + 1 - i))).  The floor is the exact integer floor
-    of the float product gamma*i.
+    values[i-1] = sigma * Phi^{-1}(1 - alpha_i/2) over the levels alpha_i
+    of stepdown.fdp_thresholds.
     """
-    m = _check_count("m", m)
-    alpha = _check_level("alpha", alpha)
-    gamma = _check_level("gamma", gamma)
+    levels = fdp_thresholds(m, alpha, gamma)
     sigma = _check_sigma(sigma)
-    vals = []
-    for i in range(1, m + 1):
-        f = math.floor(gamma * i)
-        tail = (f + 1) * alpha / (2.0 * (m + f + 1 - i))
-        vals.append(sigma * _normal_upper(tail, f"alpha={alpha} at entry {i}"))
     return LambdaSchedule(
-        np.array(vals),
+        _normal_map(levels, sigma),
         "FDP",
-        {"m": m, "alpha": alpha, "gamma": gamma, "sigma": sigma},
+        {"m": levels.size, "alpha": float(alpha), "gamma": float(gamma), "sigma": sigma},
     )
 
 
-_GAUSSIAN_RULE = {"kFWER": "kFWER-Gaussian", "FDP": "FDP-Gaussian"}
-_MC_RULE = {"kFWER": "kFWER-MonteCarlo", "FDP": "FDP-MonteCarlo"}
+def _corrected_rule(base, suffix, what):
+    # a corrected feature rule is named after its base plus the correction
+    rule = base.rule + suffix
+    if rule not in _RULE_TABLE:
+        raise ValueError(
+            f"{what} correction needs a kFWER or FDP base, got rule {base.rule!r}"
+        )
+    return rule
 
 
 def gaussian_corrected_schedule(base, n):
@@ -182,29 +152,23 @@ def gaussian_corrected_schedule(base, n):
         If base was not built by the kFWER or FDP rule, or if n - i - 1
         drops to zero before the truncation point (sample size too small).
     """
-    if base.rule not in _GAUSSIAN_RULE:
-        raise ValueError(
-            f"Gaussian correction needs a kFWER or FDP base, got rule {base.rule!r}"
-        )
+    rule = _corrected_rule(base, "-Gaussian", "Gaussian")
     n = _check_count("n", n)
     bv = base.values
-    out = [float(bv[0])]
-    sumsq = out[0] ** 2
-    m = bv.size
-    for i in range(2, m + 1):
+    sumsq = 0.0
+
+    def step(out, i):
+        nonlocal sumsq
         if n - i - 1 <= 0:
             raise ValueError(
                 f"sample size too small for Gaussian correction: n={n} at entry {i}"
             )
-        cand = float(bv[i - 1]) * math.sqrt(1.0 + sumsq / (n - i))
-        if cand > out[-1]:
-            out.extend([out[-1]] * (m - i + 1))
-            break
-        out.append(cand)
-        sumsq += cand**2
+        sumsq += out[-1] ** 2
+        return float(bv[i - 1]) * math.sqrt(1.0 + sumsq / (n - i))
+
     params = dict(base.params)
     params["n"] = n
-    return LambdaSchedule(np.array(out), _GAUSSIAN_RULE[base.rule], params)
+    return LambdaSchedule(_repeat_after_rise(float(bv[0]), bv.size, step), rule, params)
 
 
 def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
@@ -224,10 +188,7 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
     NumericalError
         If a sampled Gram matrix X_S^T X_S stays singular after 10 redraws.
     """
-    if base.rule not in _MC_RULE:
-        raise ValueError(
-            f"Monte Carlo correction needs a kFWER or FDP base, got rule {base.rule!r}"
-        )
+    rule = _corrected_rule(base, "-MonteCarlo", "Monte Carlo")
     X = np.asarray(design, dtype=float)
     if X.ndim != 2:
         raise ValueError("design must be a 2-d array")
@@ -238,13 +199,12 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     m_cols = X.shape[1]
     bv = base.values
-    m = bv.size
-    if m > m_cols:
+    if bv.size > m_cols:
         raise ValueError(
-            f"schedule length {m} exceeds design column count {m_cols}"
+            f"schedule length {bv.size} exceeds design column count {m_cols}"
         )
-    out = [float(bv[0])]
-    for i in range(2, m + 1):
+
+    def step(out, i):
         s = i - 1
         lam = np.array(out)
         total = 0.0
@@ -266,14 +226,11 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
                 raise NumericalError(
                     f"singular column Gram matrix after 10 redraws at entry {i}"
                 )
-        cand = float(bv[i - 1]) * math.sqrt(1.0 + total / replicates)
-        if cand > out[-1]:
-            out.extend([out[-1]] * (m - i + 1))
-            break
-        out.append(cand)
+        return float(bv[i - 1]) * math.sqrt(1.0 + total / replicates)
+
     params = dict(base.params)
     params.update({"replicates": replicates, "seed": int(seed)})
-    return LambdaSchedule(np.array(out), _MC_RULE[base.rule], params)
+    return LambdaSchedule(_repeat_after_rise(float(bv[0]), bv.size, step), rule, params)
 
 
 def _check_groups(ranks, weights):
@@ -290,16 +247,33 @@ def _check_groups(ranks, weights):
     return ranks, weights
 
 
-def _chi_max(tail, ranks, weights, what):
+def _chi_max(tails, ranks, weights):
     # largest weighted per-type chi quantile; distinct (rank, weight)
     # pairs only, since duplicates cannot change the max
-    if tail >= 1.0:
-        raise ValueError(
-            f"level too large: {what} implies upper-tail mass {tail} >= 1"
-        )
-    return max(
-        chi_quantile(1.0 - tail, l) / w for l, w in set(zip(ranks, weights))
+    types = set(zip(ranks, weights))
+    return np.array(
+        [max(chi_quantile(1.0 - t, l) / w for l, w in types) for t in tails.tolist()]
     )
+
+
+def _group_tails(variant, m, alpha, k=None, gamma=None):
+    """Chi upper-tail masses of the "gk" (k-FWER) or "gf" (FDP) stepdown
+    levels over m groups, and the parameters that name them."""
+    if variant == "gk":
+        if gamma is not None:
+            raise ValueError("gamma does not apply to the gk variant")
+        levels = kfwer_thresholds(m, k, alpha)
+        params = {"m": m, "k": int(k), "alpha": float(alpha)}
+    elif variant == "gf":
+        if k is not None:
+            raise ValueError("k does not apply to the gf variant")
+        levels = fdp_thresholds(m, alpha, gamma)
+        params = {"m": m, "alpha": float(alpha), "gamma": float(gamma)}
+    else:
+        raise ValueError(f"variant must be 'gk' or 'gf', got {variant!r}")
+    # the two-sided normal tail alpha_i/2 in a one-sided chi tail: the group
+    # levels are halved twice (ROADMAP item 4)
+    return levels / 2.0, params
 
 
 def group_max_schedule(q, ranks, weights):
@@ -311,51 +285,22 @@ def group_max_schedule(q, ranks, weights):
     ranks, weights = _check_groups(ranks, weights)
     q = _check_level("q", q)
     m = len(ranks)
-    vals = [
-        _chi_max(q * i / m, ranks, weights, f"q={q} at entry {i}")
-        for i in range(1, m + 1)
-    ]
-    return LambdaSchedule(np.array(vals), "group-max-FDR", {"m": m, "q": q})
-
-
-def _gk_tail(i, m, k, alpha):
-    denom = 2.0 * m if i <= k else 2.0 * (m + k - i)
-    return k * alpha / denom
-
-
-def _gf_tail(i, m, alpha, gamma):
-    f = math.floor(gamma * i)
-    return (f + 1) * alpha / (2.0 * (m + f + 1 - i))
+    vals = _chi_max(q * np.arange(1, m + 1) / m, ranks, weights)
+    return LambdaSchedule(vals, "group-max-FDR", {"m": m, "q": q})
 
 
 def gk_schedule(k, alpha, ranks, weights):
     """Group schedule with stepdown k-familywise levels in the chi tails."""
     ranks, weights = _check_groups(ranks, weights)
-    m = len(ranks)
-    k = _check_count("k", k)
-    if k > m:
-        raise ValueError(f"k must not exceed the number of groups, got k={k}, m={m}")
-    alpha = _check_level("alpha", alpha)
-    vals = [
-        _chi_max(_gk_tail(i, m, k, alpha), ranks, weights, f"alpha={alpha} at entry {i}")
-        for i in range(1, m + 1)
-    ]
-    return LambdaSchedule(np.array(vals), "group-kFWER", {"m": m, "k": k, "alpha": alpha})
+    tails, params = _group_tails("gk", len(ranks), alpha, k=k)
+    return LambdaSchedule(_chi_max(tails, ranks, weights), "group-kFWER", params)
 
 
 def gf_schedule(alpha, gamma, ranks, weights):
     """Group schedule with stepdown false-discovery-proportion levels."""
     ranks, weights = _check_groups(ranks, weights)
-    m = len(ranks)
-    alpha = _check_level("alpha", alpha)
-    gamma = _check_level("gamma", gamma)
-    vals = [
-        _chi_max(_gf_tail(i, m, alpha, gamma), ranks, weights, f"alpha={alpha} at entry {i}")
-        for i in range(1, m + 1)
-    ]
-    return LambdaSchedule(
-        np.array(vals), "group-FDP", {"m": m, "alpha": alpha, "gamma": gamma}
-    )
+    tails, params = _group_tails("gf", len(ranks), alpha, gamma=gamma)
+    return LambdaSchedule(_chi_max(tails, ranks, weights), "group-FDP", params)
 
 
 def group_corrected_schedule(variant, n, ranks, weights, alpha, k=None, gamma=None):
@@ -382,59 +327,32 @@ def group_corrected_schedule(variant, n, ranks, weights, alpha, k=None, gamma=No
     """
     ranks, weights = _check_groups(ranks, weights)
     n = _check_count("n", n)
-    alpha = _check_level("alpha", alpha)
     m = len(ranks)
-    if variant == "gk":
-        k = _check_count("k", k)
-        if k > m:
-            raise ValueError(f"k must not exceed the number of groups, got k={k}, m={m}")
-        if gamma is not None:
-            raise ValueError("gamma does not apply to the gk variant")
-        tail_at = lambda i: _gk_tail(i, m, k, alpha)
-        rule = "group-kFWER-corrected"
-        params = {"m": m, "k": k, "alpha": alpha, "n": n}
-    elif variant == "gf":
-        gamma = _check_level("gamma", gamma)
-        if k is not None:
-            raise ValueError("k does not apply to the gf variant")
-        tail_at = lambda i: _gf_tail(i, m, alpha, gamma)
-        rule = "group-FDP-corrected"
-        params = {"m": m, "alpha": alpha, "gamma": gamma, "n": n}
-    else:
-        raise ValueError(f"variant must be 'gk' or 'gf', got {variant!r}")
+    tails, params = _group_tails(variant, m, alpha, k, gamma)
+    tails = tails.tolist()
 
     def invert(scales, i):
-        tail = tail_at(i)
-        if tail >= 1.0:
-            raise ValueError(
-                f"level too large: alpha={alpha} implies upper-tail mass {tail} >= 1"
-            )
-        comps = tuple(
-            (s / w, l) for s, w, l in zip(scales, weights, ranks)
-        )
-        return mixture_quantile(ChiMixture(comps), 1.0 - tail)
+        comps = tuple((s / w, l) for s, w, l in zip(scales, weights, ranks))
+        return mixture_quantile(ChiMixture(comps), 1.0 - tails[i - 1])
 
-    out = [invert([1.0] * m, 1)]
-    for i in range(2, m + 1):
+    def step(out, i):
         used = [l * (i - 1) for l in ranks]
         if any(n - u - 1 <= 0 for u in used):
             warnings.warn(
                 f"degrees of freedom exhausted at entry {i}; schedule truncated",
-                stacklevel=2,
+                stacklevel=4,
             )
-            out.extend([out[-1]] * (m - i + 1))
-            break
+            return None
         sumsq = sum(v * v for v in out)
         scales = [
             math.sqrt((n - u) / n + w * w * sumsq / (n - u - 1))
             for u, w in zip(used, weights)
         ]
-        cand = invert(scales, i)
-        if cand > out[-1]:
-            out.extend([out[-1]] * (m - i + 1))
-            break
-        out.append(cand)
-    return LambdaSchedule(np.array(out), rule, params)
+        return invert(scales, i)
+
+    rule = "group-kFWER-corrected" if variant == "gk" else "group-FDP-corrected"
+    vals = _repeat_after_rise(invert([1.0] * m, 1), m, step)
+    return LambdaSchedule(vals, rule, dict(params, n=n))
 
 
 @dataclass(frozen=True)
@@ -460,20 +378,76 @@ class ScheduleRequest:
     seed: int = None
 
 
-_RULE_FIELDS = {
-    "BH": ({"m", "q"}, {"sigma"}),
-    "kFWER": ({"m", "k", "alpha"}, {"sigma"}),
-    "FDP": ({"m", "alpha", "gamma"}, {"sigma"}),
-    "kFWER-Gaussian": ({"m", "k", "alpha", "n"}, {"sigma"}),
-    "FDP-Gaussian": ({"m", "alpha", "gamma", "n"}, {"sigma"}),
-    "kFWER-MonteCarlo": ({"m", "k", "alpha", "design"}, {"sigma", "replicates", "seed"}),
-    "FDP-MonteCarlo": ({"m", "alpha", "gamma", "design"}, {"sigma", "replicates", "seed"}),
-    "group-max-FDR": ({"q", "ranks", "weights"}, set()),
-    "group-kFWER": ({"k", "alpha", "ranks", "weights"}, set()),
-    "group-FDP": ({"alpha", "gamma", "ranks", "weights"}, set()),
-    "group-kFWER-corrected": ({"k", "alpha", "n", "ranks", "weights"}, set()),
-    "group-FDP-corrected": ({"alpha", "gamma", "n", "ranks", "weights"}, set()),
+class _Rule(NamedTuple):
+    """One row of the rule table.
+
+    aliases are the command-line tokens, the lower-cased name first.
+    required and optional name ScheduleRequest fields; they are read off
+    build's signature, whose defaults are the generator defaults.  build
+    reaches the generators through module globals at call time.
+    corrected is the rule a random design calls for in place of this one.
+    """
+
+    name: str
+    aliases: tuple
+    required: tuple
+    optional: tuple
+    build: object
+    corrected: str
+
+
+def _rule(name, extra_aliases, build, corrected=None):
+    params = inspect.signature(build).parameters.values()
+    return _Rule(
+        name,
+        (name.lower(),) + extra_aliases,
+        tuple(p.name for p in params if p.default is p.empty),
+        tuple(p.name for p in params if p.default is not p.empty),
+        build,
+        corrected,
+    )
+
+
+_RULE_TABLE = {
+    row.name: row
+    for row in (
+        _rule("BH", (), lambda m, q, sigma=1.0: bh_schedule(m, q, sigma)),
+        _rule("kFWER", (), lambda m, k, alpha, sigma=1.0: kfwer_schedule(m, k, alpha, sigma),
+              corrected="kFWER-Gaussian"),
+        _rule("FDP", (),
+              lambda m, alpha, gamma, sigma=1.0: fdp_schedule(m, alpha, gamma, sigma),
+              corrected="FDP-Gaussian"),
+        _rule("kFWER-Gaussian", (),
+              lambda m, k, alpha, n, sigma=1.0: gaussian_corrected_schedule(
+                  kfwer_schedule(m, k, alpha, sigma), n)),
+        _rule("FDP-Gaussian", (),
+              lambda m, alpha, gamma, n, sigma=1.0: gaussian_corrected_schedule(
+                  fdp_schedule(m, alpha, gamma, sigma), n)),
+        _rule("kFWER-MonteCarlo", ("kfwer-monte-carlo",),
+              lambda m, k, alpha, design, sigma=1.0, replicates=100, seed=0:
+              monte_carlo_corrected_schedule(
+                  kfwer_schedule(m, k, alpha, sigma), design, replicates, seed)),
+        _rule("FDP-MonteCarlo", ("fdp-monte-carlo",),
+              lambda m, alpha, gamma, design, sigma=1.0, replicates=100, seed=0:
+              monte_carlo_corrected_schedule(
+                  fdp_schedule(m, alpha, gamma, sigma), design, replicates, seed)),
+        _rule("group-max-FDR", ("group-max",),
+              lambda q, ranks, weights: group_max_schedule(q, ranks, weights)),
+        _rule("group-kFWER", ("gk",),
+              lambda k, alpha, ranks, weights: gk_schedule(k, alpha, ranks, weights),
+              corrected="group-kFWER-corrected"),
+        _rule("group-FDP", ("gf",),
+              lambda alpha, gamma, ranks, weights: gf_schedule(alpha, gamma, ranks, weights),
+              corrected="group-FDP-corrected"),
+        _rule("group-kFWER-corrected", ("gk-corrected",),
+              lambda k, alpha, n, ranks, weights: group_corrected_schedule(
+                  "gk", n, ranks, weights, alpha, k=k)),
+        _rule("group-FDP-corrected", ("gf-corrected",),
+              lambda alpha, gamma, n, ranks, weights: group_corrected_schedule(
+                  "gf", n, ranks, weights, alpha, gamma=gamma)),
+    )
 }
+RULES = tuple(_RULE_TABLE)
 
 
 def build_schedule(rule, request):
@@ -483,57 +457,21 @@ def build_schedule(rule, request):
     None; optional fields (sigma, replicates, seed) fall back to their
     generator defaults.
     """
-    if rule not in _RULE_FIELDS:
+    row = _RULE_TABLE.get(rule)
+    if row is None:
         raise ValueError(f"unknown schedule rule {rule!r}")
-    required, optional = _RULE_FIELDS[rule]
-    for name in required:
-        if getattr(request, name) is None:
+    given = {
+        f.name: getattr(request, f.name)
+        for f in fields(request)
+        if getattr(request, f.name) is not None
+    }
+    for name in row.required:
+        if name not in given:
             raise ValueError(f"rule {rule!r} requires parameter {name!r}")
-    for f in fields(request):
-        if f.name in required or f.name in optional:
-            continue
-        if getattr(request, f.name) is not None:
-            raise ValueError(f"rule {rule!r} does not accept parameter {f.name!r}")
-
-    sigma = request.sigma if request.sigma is not None else 1.0
-    if rule == "BH":
-        return bh_schedule(request.m, request.q, sigma)
-    if rule == "kFWER":
-        return kfwer_schedule(request.m, request.k, request.alpha, sigma)
-    if rule == "FDP":
-        return fdp_schedule(request.m, request.alpha, request.gamma, sigma)
-    if rule == "kFWER-Gaussian":
-        base = kfwer_schedule(request.m, request.k, request.alpha, sigma)
-        return gaussian_corrected_schedule(base, request.n)
-    if rule == "FDP-Gaussian":
-        base = fdp_schedule(request.m, request.alpha, request.gamma, sigma)
-        return gaussian_corrected_schedule(base, request.n)
-    replicates = request.replicates if request.replicates is not None else 100
-    seed = request.seed if request.seed is not None else 0
-    if rule == "kFWER-MonteCarlo":
-        base = kfwer_schedule(request.m, request.k, request.alpha, sigma)
-        return monte_carlo_corrected_schedule(base, request.design, replicates, seed)
-    if rule == "FDP-MonteCarlo":
-        base = fdp_schedule(request.m, request.alpha, request.gamma, sigma)
-        return monte_carlo_corrected_schedule(base, request.design, replicates, seed)
-    if rule == "group-max-FDR":
-        return group_max_schedule(request.q, request.ranks, request.weights)
-    if rule == "group-kFWER":
-        return gk_schedule(request.k, request.alpha, request.ranks, request.weights)
-    if rule == "group-FDP":
-        return gf_schedule(request.alpha, request.gamma, request.ranks, request.weights)
-    if rule == "group-kFWER-corrected":
-        return group_corrected_schedule(
-            "gk", request.n, request.ranks, request.weights, request.alpha, k=request.k
-        )
-    return group_corrected_schedule(
-        "gf",
-        request.n,
-        request.ranks,
-        request.weights,
-        request.alpha,
-        gamma=request.gamma,
-    )
+    for name in given:
+        if name not in row.required + row.optional:
+            raise ValueError(f"rule {rule!r} does not accept parameter {name!r}")
+    return row.build(**given)
 
 
 def schedule_csv_text(schedule):

@@ -25,14 +25,9 @@ from .groups import (
     standardize,
 )
 from .schedules import (
-    bh_schedule,
-    fdp_schedule,
-    gaussian_corrected_schedule,
-    gf_schedule,
-    gk_schedule,
-    group_corrected_schedule,
-    group_max_schedule,
-    kfwer_schedule,
+    _RULE_TABLE,
+    ScheduleRequest,
+    build_schedule,
     monte_carlo_corrected_schedule,
 )
 from .solver import DesignMatrix, solve_slope, support_metrics
@@ -397,6 +392,16 @@ def gen_group(config, rep):
     return design, part, beta, y, {int(i) for i in relevant}
 
 
+# method -> base schedule rule on feature designs and on group designs
+_METHOD_RULES = {
+    "slope-bh": ("BH", "group-max-FDR"),
+    "k-slope": ("kFWER", None),
+    "f-slope": ("FDP", None),
+    "gk-slope": (None, "group-kFWER"),
+    "gf-slope": (None, "group-FDP"),
+}
+
+
 def resolve_schedule(config):
     """Build the schedule (or stepdown thresholds) a config calls for.
 
@@ -404,77 +409,40 @@ def resolve_schedule(config):
     LambdaSchedule, "thresholds" a stepdown level array, and "mc" a base
     schedule corrected per replication against that replication's design.
     """
-    method = config.method
-    if method == "sd-kfwer":
-        thr = kfwer_thresholds(config.m, config.k, config.alpha)
-        return "thresholds", thr, {
-            "type": "thresholds",
-            "rule": "kfwer",
-            "params": {"m": config.m, "k": config.k, "alpha": config.alpha},
-        }
-    if method == "sd-fdp":
-        thr = fdp_thresholds(config.m, config.alpha, config.gamma)
-        return "thresholds", thr, {
-            "type": "thresholds",
-            "rule": "fdp",
-            "params": {"m": config.m, "alpha": config.alpha, "gamma": config.gamma},
-        }
+    if config.method == "sd-kfwer":
+        params = {"m": config.m, "k": config.k, "alpha": config.alpha}
+        thr = kfwer_thresholds(**params)
+        return "thresholds", thr, {"type": "thresholds", "rule": "kfwer", "params": params}
+    if config.method == "sd-fdp":
+        params = {"m": config.m, "alpha": config.alpha, "gamma": config.gamma}
+        thr = fdp_thresholds(**params)
+        return "thresholds", thr, {"type": "thresholds", "rule": "fdp", "params": params}
 
-    if config.design in GROUP_DESIGNS:
-        sizes = config.expanded_group_sizes()
-        weights = tuple(config.group_weights())
-        corrected = config.design == "group-gaussian" and config.correction in (
-            "auto",
-            "gaussian",
-        )
-        if method == "slope-bh":
-            # the plain maximum-quantile schedule, also under random designs
-            sched = group_max_schedule(config.q, sizes, weights)
-        elif method == "gk-slope":
-            if corrected:
-                sched = group_corrected_schedule(
-                    "gk", config.n, sizes, weights, config.alpha, k=config.k
-                )
-            else:
-                sched = gk_schedule(config.k, config.alpha, sizes, weights)
-        else:
-            if corrected:
-                sched = group_corrected_schedule(
-                    "gf", config.n, sizes, weights, config.alpha, gamma=config.gamma
-                )
-            else:
-                sched = gf_schedule(config.alpha, config.gamma, sizes, weights)
-        return "schedule", sched, {
-            "type": "schedule",
-            "rule": sched.rule,
-            "params": sched.params,
-        }
-
-    if method == "slope-bh":
-        base = bh_schedule(config.m, config.q)
-    elif method == "k-slope":
-        base = kfwer_schedule(config.m, config.k, config.alpha)
-    else:
-        base = fdp_schedule(config.m, config.alpha, config.gamma)
-    if config.design == "gaussian" and method in ("k-slope", "f-slope"):
-        if config.correction in ("auto", "gaussian"):
-            sched = gaussian_corrected_schedule(base, config.n)
-            return "schedule", sched, {
-                "type": "schedule",
-                "rule": sched.rule,
-                "params": sched.params,
-            }
+    grouped = config.design in GROUP_DESIGNS
+    values = {"m": config.m, "n": config.n, "k": config.k, "alpha": config.alpha,
+              "gamma": config.gamma, "q": config.q}
+    if grouped:
+        values.update(ranks=config.expanded_group_sizes(),
+                      weights=tuple(config.group_weights()))
+    rule = _METHOD_RULES[config.method][grouped]
+    corrected = _RULE_TABLE[rule].corrected
+    if corrected and config.design in ("gaussian", "group-gaussian"):
         if config.correction == "monte-carlo":
+            base = _build(rule, values)
             return "mc", base, {
                 "type": "monte-carlo",
                 "rule": base.rule,
                 "params": dict(base.params, replicates=config.mc_replicates),
             }
-    return "schedule", base, {
-        "type": "schedule",
-        "rule": base.rule,
-        "params": base.params,
-    }
+        if config.correction != "none":
+            rule = corrected
+    sched = _build(rule, values)
+    return "schedule", sched, {"type": "schedule", "rule": sched.rule, "params": sched.params}
+
+
+def _build(rule, values):
+    fields = {name: values[name] for name in _RULE_TABLE[rule].required}
+    return build_schedule(rule, ScheduleRequest(**fields))
 
 
 def _run_rep(config, rep, mode, payload):

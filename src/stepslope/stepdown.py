@@ -2,8 +2,9 @@
 
 Threshold sequences for k-familywise and false-discovery-proportion
 control, the stepdown rejection rule itself, and two-sided normal
-p-values.  These are the testing-side counterparts of the schedule
-generators and serve as reference procedures in simulations.
+p-values.  The thresholds serve as reference procedures in simulations and
+are the one source of the stepdown levels: the schedule generators map
+them through normal or chi quantiles.
 """
 
 import math
@@ -11,38 +12,42 @@ import math
 import numpy as np
 
 
+def _check_count(name, v):
+    if int(v) != v or v < 1:
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
+
+
+def _check_level(name, v):
+    # cast first: a NumPy float32 level would run the arithmetic in float32
+    v = float(v)
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"{name} must lie strictly inside (0,1), got {v!r}")
+    return v
+
+
 def kfwer_thresholds(m, k, alpha):
     """Stepdown levels alpha_i = k*alpha/m (i <= k), k*alpha/(m+k-i) after.
 
     Non-decreasing in i by construction.
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if int(k) != k or not 1 <= k <= m:
-        raise ValueError(f"k must be an integer in [1, m], got {k!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0,1), got {alpha!r}")
-    m, k = int(m), int(k)
-    out = np.empty(m)
-    for i in range(1, m + 1):
-        out[i - 1] = k * alpha / (m if i <= k else m + k - i)
-    return out
+    m, k, alpha = _check_count("m", m), _check_count("k", k), _check_level("alpha", alpha)
+    if k > m:
+        raise ValueError(f"k must not exceed m, got k={k}, m={m}")
+    i = np.arange(1, m + 1)
+    return k * alpha / np.where(i <= k, m, m + k - i)
 
 
 def fdp_thresholds(m, alpha, gamma):
-    """Stepdown levels alpha_i = (floor(gamma*i)+1)*alpha/(m+floor(gamma*i)+1-i)."""
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly inside (0,1), got {alpha!r}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie strictly inside (0,1), got {gamma!r}")
-    m = int(m)
-    out = np.empty(m)
-    for i in range(1, m + 1):
-        f = math.floor(gamma * i)
-        out[i - 1] = (f + 1) * alpha / (m + f + 1 - i)
-    return out
+    """Stepdown levels alpha_i = (f_i+1)*alpha/(m+f_i+1-i), f_i the floor of gamma*i.
+
+    The floor is the exact floor of the float product gamma*i.
+    """
+    m = _check_count("m", m)
+    alpha, gamma = _check_level("alpha", alpha), _check_level("gamma", gamma)
+    i = np.arange(1, m + 1)
+    f = np.floor(gamma * i)
+    return (f + 1) * alpha / (m + f + 1 - i)
 
 
 def stepdown_reject(pvalues, thresholds):

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from stepslope.cli import main
+from stepslope.groups import GroupPartition, standardize
 from stepslope.schedules import (
     bh_schedule,
     gk_schedule,
@@ -116,6 +117,25 @@ def test_lambda_usage_errors(runner, args, fragment):
     assert fragment in res.output
 
 
+def test_every_rule_alias_resolves_and_is_listed(runner):
+    from stepslope.schedules import _RULE_TABLE
+
+    listing = runner.invoke(main, ["lambda", "--rule", "ridge"]).output
+    helps = [
+        p.help for cmd in ("lambda", "solve") for p in main.commands[cmd].params
+        if p.name == "rule"
+    ]
+    for row in _RULE_TABLE.values():
+        for alias in row.aliases:
+            # a rule's parameters are all missing here, so a resolved alias
+            # fails on the first one the rule requires, not as unknown
+            res = runner.invoke(main, ["lambda", "--rule", alias.upper()])
+            assert res.exit_code == 2
+            assert "unknown rule" not in res.output and "requires" in res.output
+            assert f" {alias}," in listing or listing.rstrip().endswith(f" {alias}")
+            assert all(f" {alias}," in h or f" {alias}." in h for h in helps)
+
+
 def test_lambda_design_on_plain_rule_rejected(runner, tmp_path):
     design = _write_csv(tmp_path / "X.csv", np.eye(3))
     res = runner.invoke(main, ["lambda", "--rule", "bh", "--m", "3", "--q", "0.1",
@@ -204,6 +224,35 @@ def test_solve_singleton_groups_match_feature_fit(runner, tmp_path):
     assert b["num_groups"] == 8
     assert a["support"] == b["support"] == b["selected_groups"]
     assert np.allclose(a["beta"], b["beta"], atol=1e-8)
+
+
+def test_solve_group_rule_uses_standardized_ranks(runner, tmp_path):
+    # three groups of two collinear columns: each block has rank 1, so the
+    # chi tails of the group schedule have one degree of freedom, not two
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((30, 3))
+    X = np.repeat(base, 2, axis=1) * np.array([1.0, -2.0] * 3)
+    X /= np.sqrt((X * X).sum(axis=0))
+    y = X[:, :2] @ np.array([6.0, -3.0]) + 0.3 * rng.standard_normal(30)
+    design = _write_csv(tmp_path / "X.csv", X)
+    response = _write_csv(tmp_path / "y.csv", y)
+    groups = tmp_path / "groups.csv"
+    groups.write_text(
+        "feature_index,group_id\n" + "".join(f"{i},{i // 2}\n" for i in range(6))
+    )
+    part = GroupPartition.from_csv(groups)
+    assert standardize(X, part).ranks == (1, 1, 1)
+    sched = tmp_path / "s.json"
+    sched.write_text(
+        schedule_json_text(gk_schedule(1, 0.1, (1, 1, 1), tuple(part.weights)))
+    )
+    common = ["solve", "--design", design, "--response", response,
+              "--groups", str(groups)]
+    by_rule = _invoke(runner, common + ["--rule", "gk", "--k", "1", "--alpha", "0.1"])
+    by_file = _invoke(runner, common + ["--schedule", str(sched)])
+    assert by_rule.exit_code == 0 and by_file.exit_code == 0
+    assert json.loads(by_rule.output) == json.loads(by_file.output)
+    assert json.loads(by_rule.output)["selected_groups"]
 
 
 def test_solve_requires_unit_columns_unless_waived(runner, tmp_path):

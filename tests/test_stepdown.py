@@ -1,9 +1,12 @@
 """Stepdown thresholds and rejection rule against exhaustive references."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepslope.schedules import kfwer_schedule
 from stepslope.stepdown import (
     fdp_thresholds,
     kfwer_thresholds,
@@ -42,6 +45,31 @@ def test_threshold_validation():
         fdp_thresholds(5, 0.1, 0.0)
     with pytest.raises(ValueError, match="m"):
         fdp_thresholds(0, 0.1, 0.1)
+
+
+def test_thresholds_match_per_entry_loops_bitwise():
+    for m in (1, 2, 7, 50, 1000):
+        for alpha in (0.05, 0.1, 0.3):
+            for k in sorted({1, min(3, m), m}):
+                want = [k * alpha / (m if i <= k else m + k - i) for i in range(1, m + 1)]
+                assert kfwer_thresholds(m, k, alpha).tolist() == want
+            for gamma in (0.1, 0.25, 1.0 / 3.0):
+                want = []
+                for i in range(1, m + 1):
+                    f = math.floor(gamma * i)
+                    want.append((f + 1) * alpha / (m + f + 1 - i))
+                assert fdp_thresholds(m, alpha, gamma).tolist() == want
+
+
+def test_float32_inputs_give_float64_levels():
+    a32, g32 = np.float32(0.1), np.float32(0.3)
+    a, g = float(a32), float(g32)
+    assert kfwer_thresholds(10, 2, a32).tobytes() == kfwer_thresholds(10, 2, a).tobytes()
+    assert fdp_thresholds(10, a32, g32).tobytes() == fdp_thresholds(10, a, g).tobytes()
+    # the schedules take their levels from here, so their bytes match too
+    assert kfwer_schedule(10, 2, a32).values.tobytes() == (
+        kfwer_schedule(10, 2, a).values.tobytes()
+    )
 
 
 def test_reject_matches_bruteforce_randomized():
