@@ -4,7 +4,8 @@ Features are partitioned into groups; each group's design block is
 orthonormalized by pivoted QR, the solver runs on the standardized
 coefficients, and the penalty acts on the weighted Euclidean norms of the
 per-group coefficient blocks through a sorted-L1 weight sequence.  Group
-selection is read off the exact zeros of the block norms.
+selection is read off the exact zeros of the block norms.  The identity
+design is passed as None and needs no QR.
 """
 
 import math
@@ -293,9 +294,16 @@ def solve_group_slope(
 
     Parameters
     ----------
+    design : DesignMatrix, array_like or None
+        None is the identity design, n = m = len(y), fitted without a
+        matrix or a QR: every block is already orthonormal with rank equal
+        to its size, so c is y gathered group by group, the fit is one
+        certified block prox (iterations=1, matvecs=0) and beta scatters c
+        back.  Groups need not be contiguous.
     standardized : StandardizedProblem, optional
         Reuse a precomputed standardization of (design, partition);
-        repeated fits on the same design skip the QR work.
+        repeated fits on the same design skip the QR work.  Not used when
+        design is None.
 
     Returns
     -------
@@ -303,15 +311,26 @@ def solve_group_slope(
         group_norms holds the standardized block norms; its zeros are
         exact and selected_groups is read off literally.
     """
-    X_raw = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    sp = standardized if standardized is not None else standardize(X_raw, partition)
     t_groups = len(partition)
     lamv = np.asarray(getattr(lam, "values", lam), dtype=float)
     if lamv.shape != (t_groups,):
         raise ValueError(f"schedule has length {lamv.size}, expected {t_groups}")
+    if design is None:
+        y = np.asarray(y, dtype=float)
+        m = partition.num_features
+        if y.shape != (m,):
+            raise ValueError(f"response has shape {y.shape}, expected ({m},)")
+        order = np.concatenate(partition.groups)
+        X, target = None, y[order]
+        ranks = np.asarray(partition.sizes)
+        offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
+    else:
+        X_raw = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, float)
+        sp = standardized if standardized is not None else standardize(X_raw, partition)
+        X, target = sp.x_tilde, y
+        ranks = np.asarray(sp.ranks)
+        offsets = sp.offsets
     wts = partition.weights
-    offsets = sp.offsets
-    ranks = np.asarray(sp.ranks)
 
     def prox(z, step):
         gz = _block_norms(z, offsets)
@@ -320,18 +339,20 @@ def solve_group_slope(
         return z * np.repeat(scale, ranks)
 
     c, stats = _fista(
-        sp.x_tilde, y, lamv, sigma, tol, max_iter,
+        X, target, lamv, sigma, tol, max_iter,
         prox=prox,
         primal=lambda cv: wts * _block_norms(cv, offsets),
         dual=lambda g: _block_norms(g, offsets) / wts,
     )
     norms = _block_norms(c, offsets)
     beta = np.zeros(partition.num_features)
-    for gi, g in enumerate(partition.groups):
-        blk = c[sp.block(gi)]
-        if norms[gi] != 0.0:
-            coef, *_ = np.linalg.lstsq(sp.r_factors[gi], blk, rcond=None)
-            beta[list(g)] = coef
+    if design is None:
+        beta[order] = c
+    else:
+        for gi, g in enumerate(partition.groups):
+            if norms[gi] != 0.0:
+                coef, *_ = np.linalg.lstsq(sp.r_factors[gi], c[sp.block(gi)], rcond=None)
+                beta[list(g)] = coef
     selected = {int(i) for i in np.flatnonzero(norms)}
     return GroupFitResult(beta, norms, selected, *stats)
 

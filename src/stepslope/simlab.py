@@ -18,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import (
-    GroupPartition,
-    group_support_metrics,
-    solve_group_slope,
-    standardize,
-)
+from .groups import GroupPartition, group_support_metrics, solve_group_slope
 from .schedules import (
     _RULE_TABLE,
     ScheduleRequest,
@@ -269,11 +264,6 @@ def resolve_group_amplitude(config):
 
 
 @lru_cache(maxsize=4)
-def _identity_design(n):
-    return DesignMatrix(np.eye(n))
-
-
-@lru_cache(maxsize=4)
 def _equicorr_matrices(n, rho):
     """(whitener, root) for the equicorrelation covariance (1-rho)I + rho*J.
 
@@ -298,19 +288,12 @@ def _cached_partition(sizes, weight_scheme):
     return GroupPartition.from_sizes(sizes, w)
 
 
-@lru_cache(maxsize=4)
-def _cached_identity_standardization(sizes, weight_scheme):
-    part = _cached_partition(sizes, weight_scheme)
-    m = part.num_features
-    return standardize(np.eye(m), part)
-
-
 def _rep_rng(seed, rep):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(rep))))
 
 
 def gen_orthogonal(config, rep):
-    """Identity design; draw order: support, then noise."""
+    """Identity design, returned as None; draw order: support, then noise."""
     rng = _rep_rng(config.seed, rep)
     m = config.m
     amp = resolve_signal(config)
@@ -318,7 +301,7 @@ def gen_orthogonal(config, rep):
     beta = np.zeros(m)
     beta[support] = amp
     y = beta + config.sigma * rng.standard_normal(m)
-    return _identity_design(m), beta, y, {int(i) for i in support}, y, config.sigma
+    return None, beta, y, {int(i) for i in support}, y, config.sigma
 
 
 def gen_gaussian(config, rep):
@@ -367,15 +350,17 @@ def gen_group(config, rep):
     per-group coefficients in sorted group order, then noise.
 
     Relevant group g gets uniform [0.1, 1.1] coefficients rescaled so the
-    image norm ||X_g beta_g|| equals amplitude * sqrt(|g|).
+    image norm ||X_g beta_g|| equals amplitude * sqrt(|g|).  The
+    group-orthogonal design is the identity, returned as None; its image
+    norm is still summed over a length-m image vector, as the product with
+    a dense identity was, so the drawn bytes are the same.
     """
     rng = _rep_rng(config.seed, rep)
     sizes = config.expanded_group_sizes()
     part = _cached_partition(sizes, config.weight_scheme)
     m = config.m
     if config.design == "group-orthogonal":
-        design = _identity_design(m)
-        X = design.entries
+        design = X = None
     else:
         X = rng.standard_normal((config.n, m)) / math.sqrt(config.n)
         X /= np.sqrt((X * X).sum(axis=0))
@@ -386,9 +371,15 @@ def gen_group(config, rep):
     for g in sorted(int(i) for i in relevant):
         idx = list(part.groups[g])
         u = rng.uniform(0.1, 1.1, size=len(idx))
-        norm = float(np.sqrt(((X[:, idx] @ u) ** 2).sum()))
+        if X is None:
+            img = np.zeros(m)
+            img[idx] = u
+        else:
+            img = X[:, idx] @ u
+        norm = float(np.sqrt((img ** 2).sum()))
         beta[idx] = u * (amp * math.sqrt(len(idx)) / norm)
-    y = X @ beta + config.sigma * rng.standard_normal(X.shape[0])
+    mean = beta if X is None else X @ beta
+    y = mean + config.sigma * rng.standard_normal(mean.size)
     return design, part, beta, y, {int(i) for i in relevant}
 
 
@@ -448,11 +439,6 @@ def _build(rule, values):
 def _run_rep(config, rep, mode, payload):
     if config.design in GROUP_DESIGNS:
         design, part, beta, y, truth = gen_group(config, rep)
-        std = None
-        if config.design == "group-orthogonal":
-            std = _cached_identity_standardization(
-                config.expanded_group_sizes(), config.weight_scheme
-            )
         fit = solve_group_slope(
             design,
             y,
@@ -461,7 +447,6 @@ def _run_rep(config, rep, mode, payload):
             sigma=config.sigma,
             tol=config.fit_tol,
             max_iter=config.fit_max_iter,
-            standardized=std,
         )
         sm = group_support_metrics(fit, truth, config.k, config.gamma)
         return sm, fit.converged

@@ -6,6 +6,7 @@ momentum, restarted whenever the objective would rise so the reported
 objective sequence is non-increasing.  Termination is certified by dual
 feasibility of the gradient together with a primal-dual gap built from the
 scaled residual.  The group solver runs the same loop with a block prox.
+The identity design is passed as None and fitted by one certified prox.
 """
 
 import math
@@ -159,6 +160,10 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     magnitudes whose sorted prefix sums certify dual feasibility of a
     gradient g = X^T (y - X b).
 
+    X=None means the identity design, whose problem one prox solves
+    exactly: b = prox(y, sigma) goes through the same certificate with
+    g = r = y - b, as one iteration with no matvecs.
+
     The gradient at the accepted point, g_b, is carried from the
     certificate step, and the momentum point's gradient is the same linear
     combination of g and g_b as the point is of b_new and b, so an accepted
@@ -173,8 +178,8 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         accepted point, backoffs every step-size shrink, and matvecs every
         product with X or X^T outside the step-size estimate.
     """
-    n, m = X.shape
     y = np.asarray(y, dtype=float)
+    n, m = X.shape if X is not None else (y.size, y.size)
     if y.shape != (n,):
         raise ValueError(f"response has shape {y.shape}, expected ({n},)")
     if not np.all(np.isfinite(y)):
@@ -187,10 +192,36 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
 
-    L = operator_norm_sq(X)
-    t = 1.0 / L if L > 0.0 else 1.0
     cum_w = np.cumsum(sigma * w)
     feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
+
+    def objective(b_new, r):
+        return 0.5 * float(r @ r) + sigma * sorted_l1_norm(primal(b_new), w)
+
+    def certify(r, g, obj_new):
+        """(dual infeasibility of g, relative gap of the scaled residual)."""
+        h = dual(g)
+        infeas = dual_infeasibility(h / sigma, w)
+        cum_h = np.cumsum(np.sort(h)[::-1])
+        if bool(np.all(cum_h <= cum_w + feas_slack)):
+            s = 1.0
+        else:
+            pos = cum_h > 0.0
+            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
+        u = s * r
+        dual_obj = float(u @ y) - 0.5 * float(u @ u)
+        return infeas, max(obj_new - dual_obj, 0.0) / max(obj_new, 1e-300)
+
+    if X is None:
+        b = prox(y, sigma)
+        r = y - b
+        obj = objective(b, r)
+        infeas, rel_gap = certify(r, r, obj)
+        converged = bool(infeas <= tol and rel_gap <= tol)
+        return b, (1, float(max(infeas, rel_gap)), obj, converged, 0, 0, 0)
+
+    L = operator_norm_sq(X)
+    t = 1.0 / L if L > 0.0 else 1.0
 
     b = np.zeros(m)
     g_b = X.T @ y
@@ -208,7 +239,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         matvecs += 1
         b_new = prox(point + t * g_point, t * sigma)
         r = y - X @ b_new
-        return b_new, r, 0.5 * float(r @ r) + sigma * sorted_l1_norm(primal(b_new), w)
+        return b_new, r, objective(b_new, r)
 
     while it < max_iter:
         it += 1
@@ -231,17 +262,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
 
         g = X.T @ r
         matvecs += 1
-        h = dual(g)
-        infeas = dual_infeasibility(h / sigma, w)
-        cum_h = np.cumsum(np.sort(h)[::-1])
-        if bool(np.all(cum_h <= cum_w + feas_slack)):
-            s = 1.0
-        else:
-            pos = cum_h > 0.0
-            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
-        u = s * r
-        dual_obj = float(u @ y) - 0.5 * float(u @ u)
-        rel_gap = max(obj_new - dual_obj, 0.0) / max(obj_new, 1e-300)
+        infeas, rel_gap = certify(r, g, obj_new)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         mom = theta_new * (1.0 / theta - 1.0)
@@ -264,8 +285,11 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
 
     Parameters
     ----------
-    design : DesignMatrix or array_like
-        Raw arrays are wrapped with the unit-column check enforced.
+    design : DesignMatrix, array_like or None
+        Raw arrays are wrapped with the unit-column check enforced.  None
+        is the identity design, n = m = len(y), fitted without a matrix:
+        the solution is the sorted-L1 prox of y against sigma*lam, one
+        certified step (iterations=1, matvecs=0).
     y : array_like, shape (n,)
     lam : LambdaSchedule or array_like
         Non-increasing non-negative weights, length m.
@@ -283,10 +307,10 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         beta is the last prox output, so its zeros are exact and support
         is read off literally.
     """
-    if not isinstance(design, DesignMatrix):
+    if design is not None and not isinstance(design, DesignMatrix):
         design = DesignMatrix(design)
-    X = design.entries
-    w = _weights_for(lam, X.shape[1])
+    X = None if design is None else design.entries
+    w = _weights_for(lam, np.size(y) if X is None else X.shape[1])
     b, stats = _fista(
         X, y, w, sigma, tol, max_iter,
         prox=lambda v, step: prox_sorted_l1(v, step * w),

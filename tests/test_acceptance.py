@@ -202,7 +202,6 @@ def test_criterion_08_gaussian_corrected_fdp_control():
     assert elapsed < 600.0
 
 
-@pytest.mark.slow
 def test_criterion_09_full_scale_orthogonal_table():
     doc = json.loads(
         resources.files("stepslope").joinpath("presets/table2.json").read_text()

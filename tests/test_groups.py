@@ -185,6 +185,52 @@ def test_orthonormal_blocks_reduce_to_block_prox():
     assert np.allclose(fit.group_norms, gstar, atol=1e-12)
 
 
+def _noncontiguous_partition(tmp_path):
+    rng = np.random.default_rng(21)
+    feats = rng.permutation(24)
+    rows = ["feature_index,group_id"]
+    for gid, cut in enumerate(np.split(feats, [3, 7, 12, 14, 19])):
+        rows += [f"{i},{gid}" for i in cut]
+    path = tmp_path / "groups.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return GroupPartition.from_csv(path)
+
+
+@pytest.mark.parametrize("case", ["equal", "unequal-inv-sqrt", "noncontiguous-csv"])
+def test_identity_without_matrix_equals_dense_identity(case, tmp_path):
+    if case == "equal":
+        part = GroupPartition.from_sizes((5,) * 40)
+    elif case == "unequal-inv-sqrt":
+        sizes = (3, 4, 5, 6, 7) * 8
+        part = GroupPartition.from_sizes(sizes, 1.0 / np.sqrt(sizes))
+    else:
+        part = _noncontiguous_partition(tmp_path)
+        assert any(g != tuple(range(g[0], g[0] + len(g))) for g in part.groups)
+    m, t = part.num_features, len(part)
+    rng = np.random.default_rng(len(case))
+    beta = np.zeros(m)
+    for g in rng.choice(t, size=max(1, t // 8), replace=False):
+        beta[list(part.groups[g])] = 4.0
+    y = beta + rng.normal(size=m)
+    lam = gf_schedule(0.1, 0.1, part.sizes, tuple(part.weights)).values
+    fit = solve_group_slope(None, y, part, lam)
+    dense = solve_group_slope(np.eye(m), y, part, lam)
+    assert fit.selected_groups == dense.selected_groups
+    assert fit.selected_groups
+    assert np.array_equal(fit.group_norms, dense.group_norms)
+    assert np.max(np.abs(fit.beta - dense.beta)) <= 1e-12
+    assert fit.converged and dense.converged
+    assert (fit.iterations, fit.matvecs) == (1, 0)
+
+
+def test_identity_without_matrix_checks_lengths():
+    part = GroupPartition.from_sizes((2, 2))
+    with pytest.raises(ValueError, match="schedule has length"):
+        solve_group_slope(None, np.zeros(4), part, np.ones(3))
+    with pytest.raises(ValueError, match="response has shape"):
+        solve_group_slope(None, np.zeros(5), part, np.ones(2))
+
+
 def test_group_solution_beats_perturbations():
     rng = np.random.default_rng(5)
     n, sizes = 30, (3, 2, 4)

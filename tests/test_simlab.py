@@ -2,10 +2,14 @@
 import csv
 import json
 import math
+import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stepslope import simlab
 from stepslope.simlab import (
     ExperimentConfig,
     _equicorr_matrices,
@@ -174,7 +178,7 @@ def test_group_amplitude_explicit_and_errors():
 def test_gen_orthogonal_shape_and_determinism():
     c = _feature_config()
     design, beta, y, truth, stats, scale = gen_orthogonal(c, 2)
-    assert np.array_equal(design.entries, np.eye(40))
+    assert design is None
     assert len(truth) == c.t
     assert set(np.flatnonzero(beta)) == truth
     amp = resolve_signal(c)
@@ -247,8 +251,31 @@ def test_gen_group_image_norms_match_amplitude():
 
 def test_gen_group_orthogonal_uses_identity():
     design, part, beta, y, relevant = gen_group(_group_config(), 1)
-    assert np.array_equal(design.entries, np.eye(25))
+    assert design is None
     assert part.num_features == 25 and len(part) == 10
+
+
+def test_group_orthogonal_run_allocates_no_dense_identity():
+    # a size no other test uses, so no cache holds anything for it; a dense
+    # 3000 x 3000 identity alone would take 72 MB
+    config = ExperimentConfig(design="group-orthogonal", method="gk-slope", n=3000,
+                              m=3000, t=30, num_groups=600, group_sizes=(5,), k=5,
+                              replications=2, seed=31)
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged.all()
+    assert peak < 50 * 2**20
+
+
+def test_package_builds_no_dense_identity():
+    src = Path(simlab.__file__).parent
+    hits = [p.name for p in sorted(src.glob("*.py"))
+            if re.search(r"np\.(eye|identity)\(", p.read_text())]
+    assert hits == []
 
 
 # --------------------------------------------------------- schedule routing

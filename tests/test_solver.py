@@ -44,6 +44,33 @@ def test_identity_design_zero_lambda_returns_y():
     assert fit.support == {0, 1, 3, 4}
 
 
+@pytest.mark.parametrize("seed,m,sigma", [(0, 9, 1.0), (1, 60, 0.5), (2, 400, 2.0)])
+def test_identity_without_matrix_equals_dense_identity(seed, m, sigma):
+    rng = np.random.default_rng(seed)
+    beta = np.zeros(m)
+    beta[rng.choice(m, size=m // 5, replace=False)] = 3.0
+    y = beta + sigma * rng.normal(size=m)
+    for lam in (bh_schedule(m, 0.1).values, kfwer_schedule(m, 2, 0.1).values):
+        fit = solve_slope(None, y, lam, sigma=sigma)
+        dense = solve_slope(np.eye(m), y, lam, sigma=sigma)
+        assert np.array_equal(fit.beta, dense.beta)
+        assert fit.support == dense.support
+        assert fit.converged and dense.converged
+        assert fit.final_gap == dense.final_gap
+        assert fit.objective == dense.objective
+        assert (fit.iterations, fit.matvecs) == (1, 0)
+        assert dense.iterations == 1
+
+
+def test_identity_without_matrix_checks_lengths():
+    with pytest.raises(ValueError, match="schedule has length"):
+        solve_slope(None, np.ones(5), np.ones(4))
+    with pytest.raises(ValueError, match="response has shape"):
+        solve_slope(None, np.ones((2, 3)), np.ones(6))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_slope(None, np.array([1.0, np.nan]), np.ones(2))
+
+
 def test_orthonormal_columns_reduce_to_prox():
     rng = np.random.default_rng(3)
     for _ in range(10):
