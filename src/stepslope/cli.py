@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError
-from .groups import GroupPartition, solve_group_slope, standardize
+from .groups import GroupPartition, _scheme_weights, solve_group_slope, standardize
 from .schedules import (
     _RULE_TABLE,
     ScheduleRequest,
@@ -102,11 +102,6 @@ def _parse_sizes(text, flag):
     return sizes
 
 
-def _weights_for(sizes, scheme):
-    arr = np.sqrt(np.asarray(sizes, dtype=float))
-    return tuple(arr) if scheme == "sqrt" else tuple(1.0 / arr)
-
-
 def _write_or_echo(text, out):
     if out is None:
         click.echo(text, nl=False)
@@ -149,7 +144,7 @@ def lambda_cmd(rule, m, n, k, alpha, gamma, q, sigma, group_sizes, weight_scheme
         if group_sizes is None:
             raise click.UsageError(f"rule {rule} requires --group-sizes")
         ranks = _parse_sizes(group_sizes, "--group-sizes")
-        weights = _weights_for(ranks, weight_scheme)
+        weights = tuple(_scheme_weights(ranks, weight_scheme))
     elif group_sizes is not None:
         raise click.UsageError(f"--group-sizes does not apply to rule {rule}")
     if "design" in row.required:

@@ -3,12 +3,14 @@
 Features are partitioned into groups; each group's design block is
 orthonormalized by pivoted QR, the solver runs on the standardized
 coefficients, and the penalty acts on the weighted Euclidean norms of the
-per-group coefficient blocks through a sorted-L1 weight sequence.  Group
-selection is read off the exact zeros of the block norms.  The identity
-design is passed as None and needs no QR.
+per-group coefficient blocks through a sorted-L1 weight sequence.  Since
+J_lam(w * ||c_g||) = J_lam(||w_g c_g||), unequal weights are folded into
+the design: the fit runs on d_g = w_g c_g against the blocks X~_g / w_g
+with unit weights, so every prox is one exact sorted-L1 prox of the block
+norms.  Group selection is read off the exact zeros of the block norms.
+The identity design is passed as None and needs no QR.
 """
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -17,8 +19,18 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .solver import DesignMatrix, _fista, support_metrics
+from .solver import DesignMatrix, _fista, solve_slope, support_metrics
 from .sorted_l1 import prox_sorted_l1
+
+
+def _scheme_weights(sizes, scheme):
+    """Group weights from group sizes: sqrt(size), or 1/sqrt(size) for "inv-sqrt"."""
+    root = np.sqrt(np.asarray(sizes, dtype=float))
+    if scheme == "sqrt":
+        return root
+    if scheme == "inv-sqrt":
+        return 1.0 / root
+    raise ValueError(f"unknown weight scheme {scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +57,7 @@ class GroupPartition:
                 "groups must be disjoint and cover feature indices 0..m-1 exactly"
             )
         if self.weights is None:
-            w = np.sqrt([len(g) for g in groups])
+            w = _scheme_weights([len(g) for g in groups], "sqrt")
         else:
             w = np.array(self.weights, dtype=float)
             if w.shape != (len(groups),):
@@ -222,17 +234,18 @@ def group_prox(v, weights, lam, step):
     step : float
         Non-negative prox scaling.
 
-    With equal weights this is the sorted-L1 prox of v against
-    step*w*lam, clipped at zero.  Unequal weights substitute u = w*g and
-    run an accelerated proximal gradient on the smooth quadratic part,
-    whose prox step clips negatives before the sorted-L1 prox; the inner
-    loop runs to an infinity-norm tolerance of 1e-10.
+    With equal weights, or a zero step, this is the sorted-L1 prox of v
+    against step*w*lam, clipped at zero.  Unequal weights substitute
+    u = w*g, which turns the problem into sorted-L1 least squares of v on
+    the t x t diagonal design diag(1/w) with sigma = step; solve_slope fits
+    it to its certified gap and g = u / w.  solve_group_slope folds unequal
+    weights into any design it is given, so only the identity design
+    (None) reaches that fit.
 
     Raises
     ------
     NumericalError
-        When the unequal-weight inner loop has not settled within its
-        iteration cap.
+        When the unequal-weight fit does not converge.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(getattr(weights, "values", weights), dtype=float)
@@ -246,28 +259,19 @@ def group_prox(v, weights, lam, step):
     if step < 0.0:
         raise ValueError(f"step must be non-negative, got {step!r}")
 
-    if np.all(w == w[0]):
+    if step == 0.0 or np.all(w == w[0]):
         return np.maximum(prox_sorted_l1(v, step * w[0] * lamv), 0.0)
 
-    inner = float(np.min(w) ** 2)  # 1 / max_j (1/w_j^2)
-    u = w * v
-    z = u.copy()
-    theta = 1.0
-    max_iter = 20000
-    for _ in range(max_iter):
-        grad = (z / w - v) / w
-        u_new = prox_sorted_l1(np.maximum(z - inner * grad, 0.0), inner * step * lamv)
-        theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
-        z = u_new + (theta_new * (1.0 / theta - 1.0)) * (u_new - u)
-        change = float(np.max(np.abs(u_new - u)))
-        u = u_new
-        theta = theta_new
-        if change <= 1e-10:
-            return u / w
-    raise NumericalError(
-        f"group prox did not settle in {max_iter} iterations "
-        f"(last infinity-norm step {change:.3g})"
-    )
+    # v >= 0 makes the exact u non-negative; the clip only drops a sign
+    # an iterate from an extrapolated point may carry
+    fit = solve_slope(DesignMatrix(np.diag(1.0 / w), require_unit_columns=False),
+                      v, lamv, sigma=step)
+    if not fit.converged:
+        raise NumericalError(
+            f"group prox fit did not converge in {fit.iterations} iterations "
+            f"(final gap {fit.final_gap:.3g})"
+        )
+    return np.maximum(fit.beta, 0.0) / w
 
 
 def _block_norms(vec, offsets):
@@ -290,7 +294,11 @@ def solve_group_slope(
     by the feature solver's FISTA loop with the exact block prox and block
     norms in place of coordinate magnitudes, then maps c back to feature
     coefficients through minimum-norm solves against each group's QR
-    factor.
+    factor.  With unequal weights and a design, the weights are folded into
+    it: the loop fits d = w * c on the blocks X~_g / w_g with unit weights,
+    so its prox is one sorted-L1 prox of the block norms, and c = d / w.
+    The certificate is unchanged, since ||d_g|| = w_g ||c_g|| and
+    ||(X~_g / w_g)^T r|| = ||X~_g^T r|| / w_g.
 
     Parameters
     ----------
@@ -303,7 +311,9 @@ def solve_group_slope(
     standardized : StandardizedProblem, optional
         Reuse a precomputed standardization of (design, partition);
         repeated fits on the same design skip the QR work.  Not used when
-        design is None.
+        design is None.  A fold of the weights works on a copy of its
+        x_tilde and leaves it unchanged; a standardization built here is
+        folded in place.
 
     Returns
     -------
@@ -331,6 +341,14 @@ def solve_group_slope(
         ranks = np.asarray(sp.ranks)
         offsets = sp.offsets
     wts = partition.weights
+    folded = X is not None and not np.all(wts == wts[0])
+    if folded:
+        col_w = np.repeat(wts, ranks)
+        if standardized is None:
+            X /= col_w
+        else:
+            X = X / col_w
+        wts = np.ones(t_groups)
 
     def prox(z, step):
         gz = _block_norms(z, offsets)
@@ -344,6 +362,8 @@ def solve_group_slope(
         primal=lambda cv: wts * _block_norms(cv, offsets),
         dual=lambda g: _block_norms(g, offsets) / wts,
     )
+    if folded:
+        c = c / col_w
     norms = _block_norms(c, offsets)
     beta = np.zeros(partition.num_features)
     if design is None:

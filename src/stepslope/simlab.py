@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import GroupPartition, group_support_metrics, solve_group_slope
+from .groups import GroupPartition, _scheme_weights, group_support_metrics, solve_group_slope
 from .schedules import (
     _RULE_TABLE,
     ScheduleRequest,
@@ -187,10 +187,7 @@ class ExperimentConfig:
         return tuple(out)
 
     def group_weights(self):
-        sizes = np.array(self.expanded_group_sizes(), dtype=float)
-        if self.weight_scheme == "sqrt":
-            return np.sqrt(sizes)
-        return 1.0 / np.sqrt(sizes)
+        return _scheme_weights(self.expanded_group_sizes(), self.weight_scheme)
 
     def to_dict(self):
         d = asdict(self)
@@ -283,9 +280,7 @@ def _equicorr_matrices(n, rho):
 
 @lru_cache(maxsize=8)
 def _cached_partition(sizes, weight_scheme):
-    sizes_arr = np.array(sizes, dtype=float)
-    w = np.sqrt(sizes_arr) if weight_scheme == "sqrt" else 1.0 / np.sqrt(sizes_arr)
-    return GroupPartition.from_sizes(sizes, w)
+    return GroupPartition.from_sizes(sizes, _scheme_weights(sizes, weight_scheme))
 
 
 def _rep_rng(seed, rep):

@@ -138,12 +138,18 @@ def test_group_prox_matches_grid_oracle_unequal_weights():
 def test_group_prox_raises_when_inner_loop_cannot_settle(monkeypatch):
     flip = itertools.cycle((0.0, 1.0))
     monkeypatch.setattr(
-        groups, "prox_sorted_l1", lambda x, lam: np.full_like(x, next(flip))
+        solver, "prox_sorted_l1", lambda x, lam: np.full_like(x, next(flip))
     )
     v = np.array([2.0, 1.0])
     w = np.array([1.0, 2.0])
-    with pytest.raises(NumericalError, match=r"did not settle .*step 1\b"):
+    with pytest.raises(NumericalError, match=r"group prox fit did not converge"):
         group_prox(v, w, np.array([1.0, 0.5]), step=0.5)
+
+
+def test_group_prox_zero_step_returns_targets():
+    v = np.array([2.0, 0.0, 1.5])
+    got = group_prox(v, np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.5, 0.2]), step=0.0)
+    assert np.array_equal(got, v)
 
 
 def test_group_prox_validation():
@@ -217,7 +223,12 @@ def test_identity_without_matrix_equals_dense_identity(case, tmp_path):
     dense = solve_group_slope(np.eye(m), y, part, lam)
     assert fit.selected_groups == dense.selected_groups
     assert fit.selected_groups
-    assert np.array_equal(fit.group_norms, dense.group_norms)
+    if case == "equal":
+        assert np.array_equal(fit.group_norms, dense.group_norms)
+    else:
+        # unequal weights: the dense design runs the loop on X~ / w, while
+        # None is one prox, so the two agree to rounding, not bit for bit
+        assert np.max(np.abs(fit.group_norms - dense.group_norms)) <= 1e-12
     assert np.max(np.abs(fit.beta - dense.beta)) <= 1e-12
     assert fit.converged and dense.converged
     assert (fit.iterations, fit.matvecs) == (1, 0)
@@ -258,14 +269,38 @@ def test_group_solution_beats_perturbations():
 def test_precomputed_standardization_is_equivalent():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(18, 6))
-    part = GroupPartition.from_sizes((2, 2, 2))
     y = rng.normal(size=18)
     lam = np.array([1.0, 0.6, 0.3])
-    sp = standardize(X, part)
-    a = solve_group_slope(X, y, part, lam)
-    b = solve_group_slope(X, y, part, lam, standardized=sp)
-    assert np.array_equal(a.beta, b.beta)
-    assert a.iterations == b.iterations
+    # equal weights, then unequal ones, which fold into the design
+    for part in (GroupPartition.from_sizes((2, 2, 2)), GroupPartition.from_sizes((1, 2, 3))):
+        sp = standardize(X, part)
+        before = sp.x_tilde.tobytes()
+        a = solve_group_slope(X, y, part, lam)
+        b = solve_group_slope(X, y, part, lam, standardized=sp)
+        assert np.array_equal(a.beta, b.beta)
+        assert a.iterations == b.iterations
+        assert sp.x_tilde.tobytes() == before
+
+
+def test_unequal_weights_fold_into_the_design(monkeypatch):
+    rng = np.random.default_rng(9)
+    sizes = (3, 4, 5, 6, 7) * 2
+    part = GroupPartition.from_sizes(sizes)
+    X = _unit_columns(rng.normal(size=(60, part.num_features)))
+    beta = np.zeros(part.num_features)
+    beta[list(part.groups[1])] = 3.0
+    y = X @ beta + rng.normal(size=60)
+    seen = []
+
+    def spy(v, weights, lam, step):
+        seen.append(np.array(weights))
+        return group_prox(v, weights, lam, step)
+
+    monkeypatch.setattr(groups, "group_prox", spy)
+    fit = solve_group_slope(X, y, part, bh_schedule(len(sizes), 0.2).values)
+    assert fit.converged and fit.selected_groups
+    assert len(seen) == fit.iterations + fit.restarts
+    assert all(np.all(w == w[0]) for w in seen)
 
 
 def test_group_solver_gap_certificate_and_exact_zero_norms():
@@ -300,12 +335,24 @@ def test_rank_deficient_group_fits_consistently():
     assert 0 in fit.selected_groups
 
 
-def _assert_matches_direct_fista(fit, X, y, part, lam, L):
+def _folded(X, part):
+    """The standardization, and the design and weights the solver's loop runs on:
+    unequal weights are folded into the blocks as X~_g / w_g with unit weights."""
     sp = standardize(X, part)
-    c, iterations, restarts, _, _, converged = group_fista_direct_reference(
-        sp.x_tilde, y, sp.offsets, np.asarray(sp.ranks), part.weights, lam,
+    w = part.weights
+    if np.all(w == w[0]):
+        return sp, sp.x_tilde, w, np.ones(sp.x_tilde.shape[1])
+    col_w = np.repeat(w, sp.ranks)
+    return sp, sp.x_tilde / col_w, np.ones(len(part)), col_w
+
+
+def _assert_matches_direct_fista(fit, X, y, part, lam, L):
+    sp, Xt, wts, col_w = _folded(X, part)
+    d, iterations, restarts, _, _, converged = group_fista_direct_reference(
+        Xt, y, sp.offsets, np.asarray(sp.ranks), wts, lam,
         1.0, 1e-8, 20000, L, group_prox,
     )
+    c = d / col_w
     want = np.zeros(part.num_features)
     for gi, g in enumerate(part.groups):
         blk = c[sp.block(gi)]
@@ -341,7 +388,7 @@ def test_group_carried_gradient_matches_direct_fista(seed, n, sizes, equal_weigh
     lam = bh_schedule(len(sizes), 0.2).values
     fit = solve_group_slope(X, y, part, lam)
     assert fit.selected_groups and fit.restarts > 0
-    L = operator_norm_sq(standardize(X, part).x_tilde)
+    L = operator_norm_sq(_folded(X, part)[1])
     _assert_matches_direct_fista(fit, X, y, part, lam, L)
 
 

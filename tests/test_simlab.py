@@ -257,18 +257,20 @@ def test_gen_group_orthogonal_uses_identity():
 
 def test_group_orthogonal_run_allocates_no_dense_identity():
     # a size no other test uses, so no cache holds anything for it; a dense
-    # 3000 x 3000 identity alone would take 72 MB
-    config = ExperimentConfig(design="group-orthogonal", method="gk-slope", n=3000,
-                              m=3000, t=30, num_groups=600, group_sizes=(5,), k=5,
-                              replications=2, seed=31)
-    tracemalloc.start()
-    try:
-        report = run_experiment(config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.converged.all()
-    assert peak < 50 * 2**20
+    # 3000 x 3000 identity alone would take 72 MB.  Sizes 3..7 give unequal
+    # weights, whose prox fits a 600 x 600 diagonal design (2.9 MB).
+    for sizes in ((5,), (3, 4, 5, 6, 7)):
+        config = ExperimentConfig(design="group-orthogonal", method="gk-slope", n=3000,
+                                  m=3000, t=30, num_groups=600, group_sizes=sizes, k=5,
+                                  replications=2, seed=31)
+        tracemalloc.start()
+        try:
+            report = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.converged.all()
+        assert peak < 50 * 2**20
 
 
 def test_package_builds_no_dense_identity():
