@@ -92,13 +92,16 @@ def _read_vector(path):
     return v
 
 
-def _parse_sizes(text, flag):
+def _sizes_option(ctx, param, text):
+    """--group-sizes as a tuple of positive integers, None when unset."""
+    if text is None:
+        return None
     try:
         sizes = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise click.UsageError(f"--group-sizes expects comma-separated integers, got {text!r}")
     if not sizes or any(s < 1 for s in sizes):
-        raise click.UsageError(f"{flag} entries must be positive integers")
+        raise click.UsageError("--group-sizes entries must be positive integers")
     return sizes
 
 
@@ -124,27 +127,29 @@ def main():
 @click.option("--gamma", type=float, default=None, help="FDP exceedance fraction.")
 @click.option("--q", type=float, default=None, help="FDR-style level for bh/group-max.")
 @click.option("--sigma", type=float, default=None, help="Noise scale multiplier (feature rules).")
-@click.option("--group-sizes", default=None,
+@click.option("--group-sizes", default=None, callback=_sizes_option,
               help="Comma-separated group sizes, required for group rules.")
 @click.option("--weight-scheme", type=click.Choice(["sqrt", "inv-sqrt"]), default="sqrt",
               show_default=True, help="Group weights from sizes.")
 @click.option("--design", "design_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Design CSV, required for monte-carlo rules.")
 @click.option("--replicates", type=int, default=None, help="Monte-carlo draws per entry.")
-@click.option("--mc-seed", type=int, default=None, help="Monte-carlo seed.")
+@click.option("--mc-seed", "seed", type=int, default=None, help="Monte-carlo seed.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Output path (.json for JSON, else CSV); stdout CSV when omitted.")
 @_guarded
-def lambda_cmd(rule, m, n, k, alpha, gamma, q, sigma, group_sizes, weight_scheme,
-               design_path, replicates, mc_seed, out):
-    """Build a regularization schedule and print or save it."""
+def lambda_cmd(rule, group_sizes, weight_scheme, design_path, out, **fields):
+    """Build a regularization schedule and print or save it.
+
+    The other options set the same-named ScheduleRequest field (--mc-seed
+    sets seed); --group-sizes and --weight-scheme set ranks and weights.
+    """
     row = _resolve_rule(rule)
-    ranks = weights = design = None
+    weights = design = None
     if "ranks" in row.required:
         if group_sizes is None:
             raise click.UsageError(f"rule {rule} requires --group-sizes")
-        ranks = _parse_sizes(group_sizes, "--group-sizes")
-        weights = tuple(_scheme_weights(ranks, weight_scheme))
+        weights = tuple(_scheme_weights(group_sizes, weight_scheme))
     elif group_sizes is not None:
         raise click.UsageError(f"--group-sizes does not apply to rule {rule}")
     if "design" in row.required:
@@ -153,9 +158,7 @@ def lambda_cmd(rule, m, n, k, alpha, gamma, q, sigma, group_sizes, weight_scheme
         design = _read_matrix(design_path)
     elif design_path is not None:
         raise click.UsageError("--design only applies to monte-carlo rules")
-    request = ScheduleRequest(m=m, n=n, k=k, alpha=alpha, gamma=gamma, q=q,
-                              sigma=sigma, ranks=ranks, weights=weights,
-                              design=design, replicates=replicates, seed=mc_seed)
+    request = ScheduleRequest(ranks=group_sizes, weights=weights, design=design, **fields)
     schedule = build_schedule(row.name, request)
     if out is not None and out.endswith(".json"):
         _write_or_echo(schedule_json_text(schedule), out)
@@ -195,9 +198,13 @@ def _load_schedule_file(path):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Fit JSON path; stdout when omitted.")
 @_guarded
-def solve(design_path, response_path, schedule_path, rule, k, alpha, gamma, q,
-          groups_path, sigma, tol, max_iter, allow_unnormalized, out):
-    """Fit the sorted-L1 estimator (optionally with a group penalty)."""
+def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, tol,
+          max_iter, allow_unnormalized, out, **fields):
+    """Fit the sorted-L1 estimator (optionally with a group penalty).
+
+    --k, --alpha, --gamma and --q set the same-named ScheduleRequest fields
+    of an inline --rule.
+    """
     X = _read_matrix(design_path)
     y = _read_vector(response_path)
     if y.size != X.shape[0]:
@@ -212,51 +219,41 @@ def solve(design_path, response_path, schedule_path, rule, k, alpha, gamma, q,
         lam = _load_schedule_file(schedule_path)
     else:
         row = _resolve_rule(rule)
-        kwargs = {}
         if "ranks" in row.required:
             if partition is None:
                 raise click.UsageError(f"rule {rule} requires --groups")
             # a group's chi tail counts the dimensions its block spans after
             # standardization: its rank, not its size
             sp = standardize(X, partition)
-            kwargs["ranks"] = sp.ranks
-            kwargs["weights"] = tuple(partition.weights)
+            fields.update(ranks=sp.ranks, weights=tuple(partition.weights))
         for name, value in (("m", X.shape[1]), ("n", X.shape[0]), ("design", X)):
             if name in row.required:
-                kwargs[name] = value
-        request = ScheduleRequest(k=k, alpha=alpha, gamma=gamma, q=q, **kwargs)
+                fields[name] = value
+        request = ScheduleRequest(**fields)
         lam = build_schedule(row.name, request).values
 
-    if partition is not None:
-        design = DesignMatrix(X, require_unit_columns=False)
+    grouped = partition is not None
+    design = DesignMatrix(X, require_unit_columns=not (grouped or allow_unnormalized))
+    if grouped:
         fit = solve_group_slope(design, y, partition, lam, sigma=sigma,
                                 tol=tol, max_iter=max_iter, standardized=sp)
-        doc = {
-            "n": X.shape[0],
-            "m": X.shape[1],
-            "num_groups": len(partition.groups),
-            "beta": [float(b) for b in fit.beta],
-            "group_norms": [float(g) for g in fit.group_norms],
-            "selected_groups": sorted(int(g) for g in fit.selected_groups),
-            "support": sorted(int(i) for i in np.flatnonzero(fit.beta)),
-            "iterations": int(fit.iterations),
-            "final_gap": float(fit.final_gap),
-            "objective": float(fit.objective),
-            "converged": bool(fit.converged),
-        }
     else:
-        design = DesignMatrix(X, require_unit_columns=not allow_unnormalized)
         fit = solve_slope(design, y, lam, sigma=sigma, tol=tol, max_iter=max_iter)
-        doc = {
-            "n": X.shape[0],
-            "m": X.shape[1],
-            "beta": [float(b) for b in fit.beta],
-            "support": sorted(int(i) for i in fit.support),
-            "iterations": int(fit.iterations),
-            "final_gap": float(fit.final_gap),
-            "objective": float(fit.objective),
-            "converged": bool(fit.converged),
-        }
+    # group-only keys are None on a feature fit and left out
+    doc = {
+        "n": X.shape[0],
+        "m": X.shape[1],
+        "num_groups": len(partition.groups) if grouped else None,
+        "beta": [float(b) for b in fit.beta],
+        "group_norms": [float(g) for g in fit.group_norms] if grouped else None,
+        "selected_groups": sorted(int(g) for g in fit.selected_groups) if grouped else None,
+        "support": sorted(int(i) for i in np.flatnonzero(fit.beta)),
+        "iterations": int(fit.iterations),
+        "final_gap": float(fit.final_gap),
+        "objective": float(fit.objective),
+        "converged": bool(fit.converged),
+    }
+    doc = {key: value for key, value in doc.items() if value is not None}
     _write_or_echo(json.dumps(doc, indent=1) + "\n", out)
 
 
@@ -318,28 +315,12 @@ def _load_preset(name):
     return json.loads(candidate.read_text())
 
 
-_OVERRIDE_FIELDS = (
-    ("design", "design"),
-    ("method", "method"),
-    ("n", "n"),
-    ("m", "m"),
-    ("t", "t"),
-    ("signal", "signal"),
-    ("alpha", "alpha"),
-    ("gamma", "gamma"),
-    ("k", "k"),
-    ("q", "q"),
-    ("sigma", "sigma"),
-    ("reps", "replications"),
-    ("seed", "seed"),
-    ("rho", "rho"),
-    ("num_groups", "num_groups"),
-    ("group_sizes", "group_sizes"),
-    ("weight_scheme", "weight_scheme"),
-    ("group_scale_mode", "group_scale_mode"),
-    ("correction", "correction"),
-    ("mc_replicates", "mc_replicates"),
-)
+def _signal_option(ctx, param, text):
+    """A numeric --signal is an amplitude; any other text names a strength."""
+    try:
+        return float(text)
+    except (TypeError, ValueError):  # TypeError: the option is unset (None)
+        return text
 
 
 @main.command()
@@ -351,48 +332,40 @@ _OVERRIDE_FIELDS = (
 @click.option("--n", type=int, default=None)
 @click.option("--m", type=int, default=None)
 @click.option("--t", type=int, default=None)
-@click.option("--signal", default=None, help="Named strength or a numeric amplitude.")
+@click.option("--signal", default=None, callback=_signal_option,
+              help="Named strength or a numeric amplitude.")
 @click.option("--alpha", type=float, default=None)
 @click.option("--gamma", type=float, default=None)
 @click.option("--k", type=int, default=None)
 @click.option("--q", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
-@click.option("--reps", type=int, default=None, help="Replications per experiment.")
+@click.option("--reps", "replications", type=int, default=None,
+              help="Replications per experiment.")
 @click.option("--seed", type=int, default=None, help="Base seed for every experiment.")
 @click.option("--rho", type=float, default=None)
-@click.option("--num-groups", "num_groups", type=int, default=None)
-@click.option("--group-sizes", "group_sizes", default=None,
+@click.option("--num-groups", type=int, default=None)
+@click.option("--group-sizes", default=None, callback=_sizes_option,
               help="Comma-separated size classes.")
-@click.option("--weight-scheme", "weight_scheme",
-              type=click.Choice(["sqrt", "inv-sqrt"]), default=None)
-@click.option("--group-scale-mode", "group_scale_mode",
-              type=click.Choice(["per-class", "mean-size"]), default=None)
+@click.option("--weight-scheme", type=click.Choice(["sqrt", "inv-sqrt"]), default=None)
+@click.option("--group-scale-mode", type=click.Choice(["per-class", "mean-size"]),
+              default=None)
 @click.option("--correction", type=click.Choice(["auto", "gaussian", "monte-carlo", "none"]),
               default=None)
-@click.option("--mc-replicates", "mc_replicates", type=int, default=None)
+@click.option("--mc-replicates", type=int, default=None)
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker processes; results do not depend on this.")
 @click.option("--out", "out_root", type=click.Path(file_okay=False), default="runs",
               show_default=True, help="Directory that run directories go under.")
 @_guarded
-def simulate(preset, config_path, threads, out_root, **flags):
-    """Run simulation experiments and write report files to a run directory."""
+def simulate(preset, config_path, threads, out_root, **fields):
+    """Run simulation experiments and write report files to a run directory.
+
+    The other options set the same-named ExperimentConfig field (--reps
+    sets replications) in every experiment of a preset or config file.
+    """
     if preset is not None and config_path is not None:
         raise click.UsageError("pass --preset or --config, not both")
-
-    overrides = {}
-    for flag, field in _OVERRIDE_FIELDS:
-        value = flags.get(flag)
-        if value is None:
-            continue
-        if field == "group_sizes":
-            value = list(_parse_sizes(value, "--group-sizes"))
-        if field == "signal":
-            try:
-                value = float(value)
-            except ValueError:
-                pass
-        overrides[field] = value
+    overrides = {name: value for name, value in fields.items() if value is not None}
 
     doc = None
     if preset is not None:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .solver import DesignMatrix, _fista, solve_slope, support_metrics
+from .solver import DesignMatrix, _fista, _weights_for, solve_slope, support_metrics
 from .sorted_l1 import prox_sorted_l1
 
 
@@ -321,10 +321,7 @@ def solve_group_slope(
         group_norms holds the standardized block norms; its zeros are
         exact and selected_groups is read off literally.
     """
-    t_groups = len(partition)
-    lamv = np.asarray(getattr(lam, "values", lam), dtype=float)
-    if lamv.shape != (t_groups,):
-        raise ValueError(f"schedule has length {lamv.size}, expected {t_groups}")
+    lamv = _weights_for(lam, len(partition))
     if design is None:
         y = np.asarray(y, dtype=float)
         m = partition.num_features
@@ -348,7 +345,7 @@ def solve_group_slope(
             X /= col_w
         else:
             X = X / col_w
-        wts = np.ones(t_groups)
+        wts = np.ones(len(partition))
 
     def prox(z, step):
         gz = _block_norms(z, offsets)

@@ -11,6 +11,7 @@ estimates with standard errors.
 import hashlib
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -25,7 +26,7 @@ from .schedules import (
     build_schedule,
     monte_carlo_corrected_schedule,
 )
-from .solver import DesignMatrix, solve_slope, support_metrics
+from .solver import DesignMatrix, SupportMetrics, solve_slope, support_metrics
 from .stepdown import (
     fdp_thresholds,
     kfwer_thresholds,
@@ -108,9 +109,11 @@ class ExperimentConfig:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if self.correction not in CORRECTIONS:
             raise ValueError(f"unknown correction {self.correction!r}")
-        if not (isinstance(self.signal, (int, float)) and not isinstance(self.signal, bool)):
+        if isinstance(self.signal, bool) or not isinstance(self.signal, (int, float)):
             if self.signal not in NAMED_SIGNALS:
                 raise ValueError(f"unknown signal {self.signal!r}")
+        elif not abs(self.signal) <= sys.float_info.max:
+            raise ValueError(f"signal must be a finite amplitude, got {self.signal!r}")
 
         grouped = self.design in GROUP_DESIGNS
         if grouped:
@@ -175,8 +178,6 @@ class ExperimentConfig:
                 raise ValueError(
                     f"correction {self.correction!r} does not apply to design {self.design!r}"
                 )
-        if self.design == "group-gaussian" and self.correction == "monte-carlo":
-            raise ValueError("monte-carlo correction applies to feature designs only")
 
     def expanded_group_sizes(self):
         """Per-group sizes: each size class repeated over a contiguous block."""
@@ -487,6 +488,10 @@ def _rep_worker(args):
         raise
 
 
+# TrialReport's per-replication arrays: the selection counts, then convergence
+_REPLICATION_COLUMNS = SupportMetrics._fields + ("converged",)
+
+
 @dataclass
 class TrialReport:
     """Per-replication selection counts and their aggregates for one config."""
@@ -505,9 +510,7 @@ class TrialReport:
 
     def kfwer_at(self, k):
         """(estimate, se) of Prob(V >= k) from the stored per-rep counts."""
-        hit = (self.v >= int(k)).astype(float)
-        est = float(hit.mean())
-        return est, float(math.sqrt(hit.var() / hit.size))
+        return _aggregate(self.v >= int(k))
 
 
 def _aggregate(values):
@@ -548,17 +551,11 @@ def run_experiment(config, threads=1, resolved=None):
                     chunksize=max(1, reps // (4 * int(threads))),
                 )
             )
-    metrics = [row[0] for row in rows]
+    # each row is (SupportMetrics, converged); transpose to one array per column
+    columns = zip(*(metrics + (converged,) for metrics, converged in rows))
     report = TrialReport(
         config=config,
-        v=np.array([sm.v for sm in metrics]),
-        r=np.array([sm.r for sm in metrics]),
-        tp=np.array([sm.tp for sm in metrics]),
-        fdp=np.array([sm.fdp for sm in metrics]),
-        k_hit=np.array([sm.k_hit for sm in metrics]),
-        fdp_exceeds=np.array([sm.fdp_exceeds for sm in metrics]),
-        power=np.array([sm.power for sm in metrics]),
-        converged=np.array([row[1] for row in rows]),
+        **{name: np.array(values) for name, values in zip(_REPLICATION_COLUMNS, columns)},
     )
     report.aggregates = {
         "kfwer": _aggregate(report.k_hit),
@@ -648,14 +645,7 @@ def write_details_json(reports, path):
                     for name, (est, se) in rep.aggregates.items()
                 },
                 "replications": {
-                    "v": rep.v.tolist(),
-                    "r": rep.r.tolist(),
-                    "tp": rep.tp.tolist(),
-                    "fdp": rep.fdp.tolist(),
-                    "k_hit": [bool(b) for b in rep.k_hit],
-                    "fdp_exceeds": [bool(b) for b in rep.fdp_exceeds],
-                    "power": rep.power.tolist(),
-                    "converged": [bool(b) for b in rep.converged],
+                    name: getattr(rep, name).tolist() for name in _REPLICATION_COLUMNS
                 },
             }
         )

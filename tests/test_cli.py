@@ -1,4 +1,5 @@
 """Command line surface: argument handling, file formats, exit codes."""
+import dataclasses
 import hashlib
 import json
 
@@ -6,12 +7,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from stepslope import cli
 from stepslope.cli import main
 from stepslope.groups import GroupPartition, standardize
 from stepslope.schedules import (
+    ScheduleRequest,
     bh_schedule,
     gk_schedule,
     kfwer_schedule,
+    monte_carlo_corrected_schedule,
     schedule_csv_text,
     schedule_json_text,
 )
@@ -93,6 +97,24 @@ def test_lambda_monte_carlo_identity_equals_base(runner, tmp_path):
     base = kfwer_schedule(8, 2, 0.1)
     values = [float(line.split(",")[1]) for line in res.output.strip().split("\n")[1:]]
     assert np.array_equal(np.array(values), base.values)
+
+
+def test_lambda_monte_carlo_records_mc_seed(runner, tmp_path):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 8))
+    X /= np.linalg.norm(X, axis=0)
+    design = _write_csv(tmp_path / "X.csv", X)
+    out = tmp_path / "s.json"
+    res = _invoke(runner, ["lambda", "--rule", "kfwer-monte-carlo", "--m", "8",
+                           "--k", "2", "--alpha", "0.1", "--design", design,
+                           "--replicates", "16", "--mc-seed", "4", "--out", str(out)])
+    assert res.exit_code == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"]["seed"] == 4 and doc["params"]["replicates"] == 16
+    expected = monte_carlo_corrected_schedule(
+        kfwer_schedule(8, 2, 0.1), np.loadtxt(design, delimiter=","), 16, seed=4
+    )
+    assert out.read_text() == schedule_json_text(expected)
 
 
 @pytest.mark.parametrize(
@@ -517,6 +539,65 @@ def test_simulate_invalid_config_json(runner, tmp_path):
                                "--out", str(tmp_path)])
     assert res.exit_code == 2
     assert "invalid JSON" in res.output
+
+
+def _manifest_config(runner, tmp_path, args):
+    res = _invoke(runner, args + ["--out", str(tmp_path)])
+    assert res.exit_code == 0
+    run_dir, _ = _run_dir(tmp_path, res)
+    (config,) = json.loads((run_dir / "manifest.json").read_text())["configs"]
+    return config
+
+
+def test_simulate_group_sizes_option(runner, tmp_path):
+    config = _manifest_config(runner, tmp_path, [
+        "simulate", "--design", "group-orthogonal", "--method", "gk-slope",
+        "--n", "8", "--m", "8", "--t", "1", "--k", "1", "--num-groups", "2",
+        "--group-sizes", "2,6", "--reps", "2",
+    ])
+    assert config["group_sizes"] == [2, 6] and config["num_groups"] == 2
+
+
+@pytest.mark.parametrize("text,value", [("3.5", 3.5), ("weak", "weak")])
+def test_simulate_signal_option_is_a_number_or_a_name(runner, tmp_path, text, value):
+    config = _manifest_config(runner, tmp_path, _SIM_ARGS + ["--signal", text])
+    assert config["signal"] == value and type(config["signal"]) is type(value)
+
+
+def test_simulate_non_finite_signal_is_rejected_before_the_run(runner, tmp_path):
+    out = tmp_path / "runs"
+    res = runner.invoke(main, _SIM_ARGS + ["--signal", "nan", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "signal must be a finite amplitude" in res.output
+    assert not out.exists()
+
+
+def test_simulate_config_file_with_a_list(runner, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text(json.dumps([
+        {"design": "orthogonal-identity", "method": "slope-bh", "n": 20, "m": 20,
+         "t": 2, "replications": 2, "seed": 3},
+        {"design": "orthogonal-identity", "method": "sd-fdp", "n": 20, "m": 20,
+         "t": 2, "replications": 2, "seed": 3},
+    ]))
+    res = _invoke(runner, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 0
+    run_dir, _ = _run_dir(tmp_path, res)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert [c["method"] for c in manifest["configs"]] == ["slope-bh", "sd-fdp"]
+    assert len((run_dir / "report.csv").read_text().strip().split("\n")) == 9
+
+
+def test_option_names_are_config_and_request_fields():
+    # each such option is passed straight through as the same-named field
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for param in cli.simulate.params:
+        if param.name not in ("preset", "config_path", "threads", "out_root"):
+            assert param.name in config_fields, param.name
+    request_fields = {f.name for f in dataclasses.fields(ScheduleRequest)}
+    for param in cli.lambda_cmd.params:
+        if param.name not in ("rule", "group_sizes", "weight_scheme", "design_path", "out"):
+            assert param.name in request_fields, param.name
 
 
 # ------------------------------------------------------------------ misc

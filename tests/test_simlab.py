@@ -69,6 +69,8 @@ def _group_config(**kw):
         (dict(design="gaussian", method="sd-kfwer"), "needs marginal statistics"),
         (dict(n=41), "needs n == m"),
         (dict(correction="gaussian"), "does not apply to design"),
+        (dict(signal=float("nan")), "signal must be a finite amplitude"),
+        (dict(signal=float("inf")), "signal must be a finite amplitude"),
     ],
 )
 def test_feature_config_validation(kw, msg):
