@@ -129,8 +129,8 @@ def main():
 @click.option("--sigma", type=float, default=None, help="Noise scale multiplier (feature rules).")
 @click.option("--group-sizes", default=None, callback=_sizes_option,
               help="Comma-separated group sizes, required for group rules.")
-@click.option("--weight-scheme", type=click.Choice(["sqrt", "inv-sqrt"]), default="sqrt",
-              show_default=True, help="Group weights from sizes.")
+@click.option("--weight-scheme", type=click.Choice(["sqrt", "inv-sqrt"]), default=None,
+              help="Group weights from sizes; group rules only, sqrt when omitted.")
 @click.option("--design", "design_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Design CSV, required for monte-carlo rules.")
 @click.option("--replicates", type=int, default=None, help="Monte-carlo draws per entry.")
@@ -149,9 +149,11 @@ def lambda_cmd(rule, group_sizes, weight_scheme, design_path, out, **fields):
     if "ranks" in row.required:
         if group_sizes is None:
             raise click.UsageError(f"rule {rule} requires --group-sizes")
-        weights = tuple(_scheme_weights(group_sizes, weight_scheme))
-    elif group_sizes is not None:
-        raise click.UsageError(f"--group-sizes does not apply to rule {rule}")
+        weights = tuple(_scheme_weights(group_sizes, weight_scheme or "sqrt"))
+    else:
+        for option, value in (("--group-sizes", group_sizes), ("--weight-scheme", weight_scheme)):
+            if value is not None:
+                raise click.UsageError(f"{option} does not apply to rule {rule}")
     if "design" in row.required:
         if design_path is None:
             raise click.UsageError(f"rule {rule} requires --design")
@@ -203,7 +205,8 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
     """Fit the sorted-L1 estimator (optionally with a group penalty).
 
     --k, --alpha, --gamma and --q set the same-named ScheduleRequest fields
-    of an inline --rule.
+    of an inline --rule and are refused with --schedule; --allow-unnormalized
+    is refused with --groups, whose fits never check column norms.
     """
     X = _read_matrix(design_path)
     y = _read_vector(response_path)
@@ -214,8 +217,18 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
     partition = GroupPartition.from_csv(groups_path) if groups_path else None
     if (schedule_path is None) == (rule is None):
         raise click.UsageError("pass exactly one of --schedule or --rule")
+    if partition is not None and allow_unnormalized:
+        raise click.UsageError(
+            "--allow-unnormalized does not apply with --groups: group fits "
+            "standardize each block and never check column norms"
+        )
     sp = None
     if schedule_path is not None:
+        for name, value in fields.items():
+            if value is not None:
+                raise click.UsageError(
+                    f"--{name} does not apply with --schedule; it sets a field of an inline --rule"
+                )
         lam = _load_schedule_file(schedule_path)
     else:
         row = _resolve_rule(rule)
@@ -249,6 +262,9 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
         "selected_groups": sorted(int(g) for g in fit.selected_groups) if grouped else None,
         "support": sorted(int(i) for i in np.flatnonzero(fit.beta)),
         "iterations": int(fit.iterations),
+        "restarts": int(fit.restarts),
+        "backoffs": int(fit.backoffs),
+        "matvecs": int(fit.matvecs),
         "final_gap": float(fit.final_gap),
         "objective": float(fit.objective),
         "converged": bool(fit.converged),

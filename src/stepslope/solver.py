@@ -168,6 +168,11 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     certificate step, and the momentum point's gradient is the same linear
     combination of g and g_b as the point is of b_new and b, so an accepted
     iteration costs two matvecs: X @ b_new and X^T r, both from scratch.
+    While the prox output's support is at most 1/16 of the columns, X @ b_new
+    is formed from the support's columns alone, X[:, nz] @ b_new[nz]: a
+    sparse iterate then costs a fraction of a pass over X, and a dense one
+    never gathers a large copy of it.  The restricted product equals the
+    full one up to summation order and counts as one matvec all the same.
 
     Returns
     -------
@@ -238,7 +243,10 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         nonlocal matvecs
         matvecs += 1
         b_new = prox(point + t * g_point, t * sigma)
-        r = y - X @ b_new
+        nz = np.flatnonzero(b_new)
+        # gathering the support's columns beats streaming all of X only
+        # while the support is a small share of the columns
+        r = y - (X[:, nz] @ b_new[nz] if nz.size * 16 <= m else X @ b_new)
         return b_new, r, objective(b_new, r)
 
     while it < max_iter:

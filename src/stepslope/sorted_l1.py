@@ -24,6 +24,24 @@ def sorted_l1_norm(beta, lam):
     return float(mags @ w)
 
 
+def _pav_extend(values, means, counts):
+    """Push values onto a stack of non-increasing isotonic blocks (PAV).
+
+    means and counts hold the blocks fitted so far and are extended in
+    place; plain Python lists beat ndarray indexing at these sizes.
+    """
+    for x in values:
+        cm = x
+        cc = 1
+        while means and means[-1] <= cm:
+            pm = means.pop()
+            pc = counts.pop()
+            cm = (pm * pc + cm * cc) / (pc + cc)
+            cc += pc
+        means.append(cm)
+        counts.append(cc)
+
+
 def prox_sorted_l1(v, lam):
     """Proximal operator of the sorted-L1 norm.
 
@@ -31,6 +49,21 @@ def prox_sorted_l1(v, lam):
     non-negative and non-increasing.  Zeros in the result are exact: the
     clip at the end produces literal 0.0 entries, so supports can be read
     off without thresholds.
+
+    The prox is clip(isotonic fit of z, 0) with z = |v|_(i) - w_i, the
+    non-increasing fit being the slopes of the least concave majorant of
+    the prefix sums S of z.  The first maximum of S (at index p, or p = 0
+    when no prefix sum is positive) is a vertex of that majorant: every
+    slope left of it is positive and every slope right of it is <= 0, so
+    no PAV block crosses p and every fitted value past p clips to 0.  The
+    stack loop therefore runs over z[:p] only, which on a sparse prox
+    point is a few entries.  The suffix is skipped only when its largest
+    running mean, read from its own prefix sums, lies below both 0 and the
+    last fitted block mean by a margin (1e-12 * m * max|z|) far above the
+    rounding of those sums and of the loop's block means; then the full
+    loop would have merged nothing across p and clipped the whole suffix,
+    so the result is bitwise the same.  Otherwise the same loop continues
+    over the suffix.
 
     Parameters
     ----------
@@ -54,21 +87,22 @@ def prox_sorted_l1(v, lam):
     order = np.argsort(-np.abs(v), kind="stable")
     z = np.abs(v)[order] - w
 
-    # non-increasing isotonic regression of z, stack-based PAV; plain
-    # Python lists beat ndarray indexing at these sizes
-    zl = z.tolist()
-    means = []
-    counts = []
-    for x in zl:
-        cm = x
-        cc = 1
-        while means and means[-1] <= cm:
-            pm = means.pop()
-            pc = counts.pop()
-            cm = (pm * pc + cm * cc) / (pc + cc)
-            cc += pc
-        means.append(cm)
-        counts.append(cc)
+    cum = np.cumsum(z)
+    top = int(np.argmax(cum))
+    p = top + 1 if cum[top] > 0.0 else 0
+    means, counts = [], []
+    _pav_extend(z[:p].tolist(), means, counts)
+    tail = z[p:]
+    if tail.size:
+        running = np.cumsum(tail) / np.arange(1, tail.size + 1)
+        margin = 1e-12 * z.size * float(np.abs(z).max())
+        ceiling = min(means[-1], 0.0) if means else 0.0
+        if running.max() + margin < ceiling:
+            # the whole suffix as one block that the clip leaves at 0
+            means.append(0.0)
+            counts.append(tail.size)
+        else:
+            _pav_extend(tail.tolist(), means, counts)
     fit = np.maximum(np.repeat(means, counts), 0.0)
 
     out = np.empty_like(v)

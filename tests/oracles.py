@@ -114,6 +114,37 @@ def prox_enum(v, lam):
     return np.sign(v) * b
 
 
+def prox_full_pav(v, w):
+    """The sorted-L1 prox with the stack-based PAV loop over every entry.
+
+    The package's prox bounds its loop to a prefix of the sorted shifted
+    magnitudes and must agree with this one bit for bit; this copy keeps the
+    plain loop over all m entries, clipping the fit at zero afterwards.
+    """
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.size == 0:
+        return v.copy()
+    order = np.argsort(-np.abs(v), kind="stable")
+    z = np.abs(v)[order] - w
+    means = []
+    counts = []
+    for x in z.tolist():
+        cm = x
+        cc = 1
+        while means and means[-1] <= cm:
+            pm = means.pop()
+            pc = counts.pop()
+            cm = (pm * pc + cm * cc) / (pc + cc)
+            cc += pc
+        means.append(cm)
+        counts.append(cc)
+    fit = np.maximum(np.repeat(means, counts), 0.0)
+    out = np.empty_like(v)
+    out[order] = fit
+    return np.sign(v) * out
+
+
 def sorted_l1_objective(b, v, lam):
     mags = np.sort(np.abs(b))[::-1]
     return 0.5 * np.sum((b - v) ** 2) + np.sum(np.asarray(lam) * mags)
@@ -191,15 +222,17 @@ def _dual_infeasibility(g, w):
     return float(max(0.0, excess.max()))
 
 
-def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox):
+def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None):
     """The feature solver's FISTA loop with four matvecs per iteration.
 
     A copy of the loop that computes every gradient directly as
-    X^T (X a - y), against which the carried-gradient loop is checked.  L is
-    the step-size estimate and prox(v, shrink) the sorted-L1 prox, both
-    passed in so the arithmetic matches the package's.  Returns
-    (b, iterations, restarts, final_gap, objective, converged), restarts
-    counting the plain steps retried from the last accepted point.
+    X^T (X a - y), and every residual with the full product X @ b, against
+    which the carried-gradient loop is checked.  L is the step-size
+    estimate and prox(v, shrink) the sorted-L1 prox, both passed in so the
+    arithmetic matches the package's.  Returns (b, iterations, restarts,
+    final_gap, objective, converged), restarts counting the plain steps
+    retried from the last accepted point; a dict passed as counters gets
+    the step-size shrinks under "backoffs".
     """
     t = 1.0 / L if L > 0.0 else 1.0
     shrink = (t * sigma) * w
@@ -215,7 +248,7 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox):
     infeas = math.inf
     rel_gap = math.inf
     converged = False
-    it = restarts = 0
+    it = restarts = backoffs = 0
 
     while it < max_iter:
         it += 1
@@ -231,6 +264,7 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox):
             r = y - X @ b_new
             obj_new = 0.5 * float(r @ r) + sigma * _sorted_norm(b_new, w)
             if obj_new > obj + rise:
+                backoffs += 1
                 L *= 1.0001
                 t = 1.0 / L
                 shrink = (t * sigma) * w
@@ -258,6 +292,8 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox):
         if infeas <= tol and rel_gap <= tol:
             converged = True
             break
+    if counters is not None:
+        counters["backoffs"] = backoffs
     return b, it, restarts, float(max(infeas, rel_gap)), obj, converged
 
 

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from stepslope import cli
 from stepslope.cli import main
-from stepslope.groups import GroupPartition, standardize
+from stepslope.groups import GroupPartition, solve_group_slope, standardize
 from stepslope.schedules import (
     ScheduleRequest,
     bh_schedule,
@@ -20,6 +20,7 @@ from stepslope.schedules import (
     schedule_json_text,
 )
 from stepslope.simlab import ExperimentConfig
+from stepslope.solver import solve_slope
 from stepslope.stepdown import kfwer_thresholds, stepdown_reject
 
 
@@ -139,6 +140,13 @@ def test_lambda_usage_errors(runner, args, fragment):
     assert fragment in res.output
 
 
+def test_lambda_weight_scheme_refused_on_feature_rule(runner):
+    res = runner.invoke(main, ["lambda", "--rule", "bh", "--m", "3", "--q", "0.1",
+                               "--weight-scheme", "inv-sqrt"])
+    assert res.exit_code == 2
+    assert "--weight-scheme does not apply to rule bh" in res.output
+
+
 def test_every_rule_alias_resolves_and_is_listed(runner):
     from stepslope.schedules import _RULE_TABLE
 
@@ -223,8 +231,8 @@ def test_solve_json_schedule_file(runner, tmp_path):
                            "--schedule", str(sched), "--out", str(out)])
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"n", "m", "beta", "support", "iterations", "final_gap",
-                        "objective", "converged"}
+    assert set(doc) == {"n", "m", "beta", "support", "iterations", "restarts", "backoffs",
+                        "matvecs", "final_gap", "objective", "converged"}
     assert doc["support"] == sorted(i for i, b in enumerate(doc["beta"]) if b != 0.0)
 
 
@@ -308,6 +316,71 @@ def test_solve_schedule_rule_exclusivity(runner, tmp_path, mutate, fragment):
     res = runner.invoke(main, mutate(args))
     assert res.exit_code == 2
     assert fragment in res.output
+
+
+@pytest.mark.parametrize("option,value", [("--k", "3"), ("--alpha", "0.5"),
+                                          ("--gamma", "0.1"), ("--q", "0.1")])
+def test_solve_schedule_file_refuses_rule_options(runner, tmp_path, option, value):
+    design, response, _ = _identity_problem(tmp_path)
+    sched = tmp_path / "s.csv"
+    sched.write_text(schedule_csv_text(bh_schedule(6, 0.2)))
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--schedule", str(sched), option, value])
+    assert res.exit_code == 2
+    assert f"{option} does not apply with --schedule" in res.output
+
+
+def test_solve_groups_refuse_allow_unnormalized(runner, tmp_path):
+    design, response, _ = _identity_problem(tmp_path)
+    sched = tmp_path / "s.csv"
+    sched.write_text(schedule_csv_text(bh_schedule(3, 0.2)))
+    groups = tmp_path / "groups.csv"
+    groups.write_text("feature_index,group_id\n" + "".join(f"{i},{i // 2}\n" for i in range(6)))
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--schedule", str(sched), "--groups", str(groups),
+                               "--allow-unnormalized"])
+    assert res.exit_code == 2
+    assert "--allow-unnormalized does not apply with --groups" in res.output
+
+
+def _fit_problem(tmp_path, n=40, m=12, seed=2):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, m))
+    X /= np.sqrt((X * X).sum(axis=0))
+    y = X[:, :3] @ np.array([5.0, -4.0, 3.0]) + rng.normal(size=n)
+    sched = tmp_path / "s.csv"
+    return X, y, _write_csv(tmp_path / "X.csv", X), _write_csv(tmp_path / "y.csv", y), sched
+
+
+def test_solve_json_records_fit_counters(runner, tmp_path):
+    X, y, design, response, sched = _fit_problem(tmp_path)
+    lam = bh_schedule(12, 0.2)
+    sched.write_text(schedule_csv_text(lam))
+    res = _invoke(runner, ["solve", "--design", design, "--response", response,
+                           "--schedule", str(sched)])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    fit = solve_slope(X, y, lam.values)
+    counters = (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs)
+    assert counters[3] > 0
+    assert tuple(doc[k] for k in ("iterations", "restarts", "backoffs", "matvecs")) == counters
+
+
+def test_solve_json_records_group_fit_counters(runner, tmp_path):
+    X, y, design, response, sched = _fit_problem(tmp_path, seed=4)
+    partition = GroupPartition.from_sizes((3, 3, 2, 4))
+    groups = tmp_path / "groups.csv"
+    partition.to_csv(groups)
+    lam = bh_schedule(4, 0.2)
+    sched.write_text(schedule_csv_text(lam))
+    res = _invoke(runner, ["solve", "--design", design, "--response", response,
+                           "--schedule", str(sched), "--groups", str(groups)])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    fit = solve_group_slope(X, y, partition, lam.values)
+    counters = (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs)
+    assert counters[3] > 0
+    assert tuple(doc[k] for k in ("iterations", "restarts", "backoffs", "matvecs")) == counters
 
 
 def test_solve_length_mismatch(runner, tmp_path):

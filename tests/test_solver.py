@@ -169,6 +169,41 @@ def test_carried_gradient_matches_direct_fista(seed, n, m, common):
     _assert_matches_direct_fista(fit, X, y, lam, operator_norm_sq(X))
 
 
+@pytest.mark.parametrize(
+    "seed,n,m,scale,sparse",
+    [(3, 200, 800, 1.0, True), (5, 60, 60, 1e-3, False)],
+    ids=["sparse-support", "dense-support"],
+)
+def test_restricted_residual_matches_direct_fista(monkeypatch, seed, n, m, scale, sparse):
+    # the loop forms X @ b_new from the support's columns while the support
+    # is at most 1/16 of them; the oracle always uses the full product
+    X, y = _gaussian_problem(seed, n, m)
+    lam = scale * bh_schedule(m, 0.1).values
+    sizes = []
+
+    def prox(v, w):
+        b = prox_sorted_l1(v, w)
+        sizes.append(np.count_nonzero(b))
+        return b
+
+    monkeypatch.setattr(solver, "prox_sorted_l1", prox)
+    fit = solve_slope(X, y, lam)
+    if sparse:
+        assert max(sizes) * 16 <= m
+    else:
+        assert min(sizes) * 16 > m
+    counters = {}
+    b, iterations, restarts, _, _, converged = fista_direct_reference(
+        X, y, lam, 1.0, 1e-8, 20000, operator_norm_sq(X), prox_sorted_l1, counters
+    )
+    assert fit.converged and converged
+    assert (fit.iterations, fit.restarts, fit.backoffs) == (
+        iterations, restarts, counters["backoffs"])
+    assert fit.matvecs == 1 + (iterations + restarts) + (iterations - counters["backoffs"])
+    assert fit.support == {int(i) for i in np.flatnonzero(b)}
+    np.testing.assert_allclose(fit.beta, b, rtol=0.0, atol=1e-12)
+
+
 def _proxy_block_problem(seed=0, n=40, copies=4):
     """Two signal columns, a third null one, and near-copies of a proxy.
 

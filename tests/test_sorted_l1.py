@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from stepslope import sorted_l1
 from stepslope.sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
 
-from oracles import prox_enum, sorted_l1_objective
+from oracles import prox_enum, prox_full_pav, sorted_l1_objective
 
 
 def _rand_instance(rng, m):
@@ -135,6 +136,99 @@ def test_prox_zero_iff_dual_feasible():
         v, lam = _rand_instance(rng, m)
         is_zero = not np.any(prox_sorted_l1(v, lam))
         assert is_zero == (dual_infeasibility(v, lam) <= 1e-12)
+
+
+_GRID = st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0, -2.0])
+
+
+@given(
+    st.integers(0, 40).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, m, elements=st.one_of(_GRID, st.floats(-20, 20))),
+        hnp.arrays(np.float64, m, elements=st.one_of(_GRID.map(abs), st.floats(0, 10))),
+    ))
+)
+@settings(max_examples=400, deadline=None)
+def test_prox_bitwise_equals_full_loop(pair):
+    # grid values make ties, |v| == w and zero weights common
+    v, w = pair
+    w = np.sort(w)[::-1]
+    assert prox_sorted_l1(v, w).tobytes() == prox_full_pav(v, w).tobytes()
+
+
+def test_prox_bitwise_equals_full_loop_on_seeded_inputs():
+    rng = np.random.default_rng(12)
+    for trial in range(600):
+        m = int(rng.integers(1, 400))
+        w = np.sort(rng.uniform(0.0, 2.0, size=m))[::-1]
+        kind = trial % 4
+        if kind == 0:  # dense, any scale
+            v = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 1:  # a few large entries in small noise
+            v = 0.1 * rng.normal(size=m)
+            v[rng.choice(m, size=min(m, 12), replace=False)] += 5.0
+        elif kind == 2:  # entries sitting exactly on their weights
+            v = w * rng.choice([-1.0, 1.0], size=m)
+            v[: m // 3] += 1.0
+        else:  # a constant weight: soft thresholding
+            w = np.full(m, w[0])
+            v = rng.normal(size=m)
+        assert prox_sorted_l1(v, w).tobytes() == prox_full_pav(v, w).tobytes(), trial
+
+
+@pytest.mark.parametrize(
+    "v,w",
+    [
+        ([3.0, -3.0, 3.0, 1.0], [2.0, 1.5, 1.0, 0.5]),  # tied magnitudes
+        ([2.0, -1.5, 1.0], [2.0, 1.5, 1.0]),  # |v| == w everywhere: all zero
+        ([5.0, 1.0, -0.5], [1.0, 1.0, 0.5]),  # |v| == w past the support
+        ([0.3, -0.2, 0.1], [1.0, 1.0, 1.0]),  # all below the weights
+        ([1.0, -2.0, 0.0], [0.0, 0.0, 0.0]),  # zero weights: the identity
+        ([4.0, 1.0, 0.5], [1.0, 0.0, 0.0]),  # trailing zero weights
+        ([-0.7], [0.2]),
+        ([0.1], [0.2]),
+        ([], []),
+    ],
+)
+def test_prox_bitwise_equals_full_loop_on_edge_cases(v, w):
+    v, w = np.array(v, dtype=float), np.array(w, dtype=float)
+    assert prox_sorted_l1(v, w).tobytes() == prox_full_pav(v, w).tobytes()
+
+
+def _count_loop_entries(monkeypatch):
+    visited = []
+    loop = sorted_l1._pav_extend
+
+    def spy(values, means, counts):
+        visited.append(len(values))
+        return loop(values, means, counts)
+
+    monkeypatch.setattr(sorted_l1, "_pav_extend", spy)
+    return visited
+
+
+def test_prox_loop_stops_at_the_prefix_on_a_sparse_input(monkeypatch):
+    visited = _count_loop_entries(monkeypatch)
+    rng = np.random.default_rng(3)
+    m = 1600
+    v = 0.2 * rng.normal(size=m)
+    v[rng.choice(m, size=12, replace=False)] = 6.0 * rng.choice([-1.0, 1.0], size=12)
+    w = np.linspace(2.5, 1.5, m)
+    out = prox_sorted_l1(v, w)
+    assert np.count_nonzero(out) == 12
+    assert sum(visited) <= 12
+    assert out.tobytes() == prox_full_pav(v, w).tobytes()
+
+
+def test_prox_runs_the_loop_over_a_suffix_that_fails_the_margin(monkeypatch):
+    # the entry right after the support sits exactly on its weight, so the
+    # suffix's largest running mean is 0 and the suffix loop must run
+    visited = _count_loop_entries(monkeypatch)
+    v = np.array([5.0, 4.0, 1.0, 0.25, -0.5])
+    w = np.array([1.0, 1.0, 1.0, 0.5, 0.5])
+    out = prox_sorted_l1(v, w)
+    assert visited == [2, 3]
+    assert out.tobytes() == prox_full_pav(v, w).tobytes()
+    assert list(out) == [4.0, 3.0, 0.0, 0.0, 0.0]
 
 
 def test_dual_infeasibility_values():
