@@ -26,7 +26,13 @@ from .schedules import (
     build_schedule,
     monte_carlo_corrected_schedule,
 )
-from .solver import DesignMatrix, SupportMetrics, solve_slope, support_metrics
+from .solver import (
+    DesignMatrix,
+    SupportMetrics,
+    _Equicorrelated,
+    solve_slope,
+    support_metrics,
+)
 from .stepdown import (
     fdp_thresholds,
     kfwer_thresholds,
@@ -261,22 +267,17 @@ def resolve_group_amplitude(config):
     return num / den
 
 
-@lru_cache(maxsize=4)
 def _equicorr_matrices(n, rho):
     """(whitener, root) for the equicorrelation covariance (1-rho)I + rho*J.
 
     Both have the closed form c1*(I - J/n) + c2*(J/n) with J the all-ones
-    matrix; the whitener uses c = 1/sqrt(eigenvalue), the root sqrt.
+    matrix; the whitener uses c = 1/sqrt(eigenvalue), the root sqrt.  Each
+    is an _Equicorrelated operator, built in O(1) and applied in O(n).
     """
     lo = 1.0 - rho
     hi = 1.0 - rho + n * rho
-    def build(f):
-        a = f(lo)
-        b = f(hi)
-        M = np.full((n, n), (b - a) / n)
-        M[np.diag_indices(n)] += a
-        return M
-    return build(lambda e: 1.0 / math.sqrt(e)), build(math.sqrt)
+    return (_Equicorrelated(n, 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)),
+            _Equicorrelated(n, math.sqrt(lo), math.sqrt(hi)))
 
 
 @lru_cache(maxsize=8)
@@ -323,22 +324,26 @@ def gen_correlated_means(config, rep):
     The raw observation ybar ~ N(mu, sigma^2 * Sigma) feeds the stepdown
     baselines directly (unit marginal variances); the sorted-L1 methods
     see the whitened regression y = W ybar against the design W, whose
-    columns are deliberately not unit-norm.  mu's nonzero value is scaled
-    by the whitener's column norm so the effective per-column signal
-    matches the named strength.  Draw order: support, then noise.
+    columns are deliberately not unit-norm.  W and the root of Sigma are
+    _Equicorrelated operators, so no n x n matrix is formed, and W is
+    returned as the design.  mu's nonzero value is scaled by the norm of
+    W's first column, built as the dense matrix held it, so that the
+    effective per-column signal matches the named strength.  Draw order:
+    support, then noise.
     """
     rng = _rep_rng(config.seed, rep)
     n = config.m
     W, root = _equicorr_matrices(n, config.rho)
-    col = float(math.sqrt((W[:, 0] * W[:, 0]).sum()))
+    first = np.full(n, W.shift)
+    first[0] += W.diag
+    col = float(math.sqrt((first * first).sum()))
     amp = resolve_signal(config) / col
     support = rng.choice(n, size=config.t, replace=False)
     mu = np.zeros(n)
     mu[support] = amp
     ybar = mu + config.sigma * (root @ rng.standard_normal(n))
     y = W @ ybar
-    design = DesignMatrix(W, require_unit_columns=False)
-    return design, mu, y, {int(i) for i in support}, ybar, config.sigma
+    return W, mu, y, {int(i) for i in support}, ybar, config.sigma
 
 
 def gen_group(config, rep):

@@ -3,10 +3,13 @@
 Minimizes 0.5*||y - X b||^2 + sigma * J_lam(b) with FISTA: a gradient step
 from the extrapolated point, the exact sorted-L1 prox, and Nesterov
 momentum, restarted whenever the objective would rise so the reported
-objective sequence is non-increasing.  Termination is certified by dual
-feasibility of the gradient together with a primal-dual gap built from the
-scaled residual.  The group solver runs the same loop with a block prox.
-The identity design is passed as None and fitted by one certified prox.
+objective sequence is non-increasing.  The step size starts from a Lanczos
+estimate of ||X||^2 and backtracks on the quadratic upper bound of the
+least-squares term.  Termination is certified by dual feasibility of the
+gradient together with a primal-dual gap built from the scaled residual.
+The group solver runs the same loop with a block prox.  The identity
+design is passed as None and fitted by one certified prox; the whitened
+equicorrelated design is an O(n) operator, _Equicorrelated.
 """
 
 import math
@@ -28,8 +31,10 @@ class DesignMatrix:
     require_unit_columns : bool
         When True (the default) every column norm must be within 1e-8 of
         one.  Pass False for designs that are deliberately unnormalized,
-        e.g. whitened correlated designs; column_norms_validated records
-        which contract the instance carries.
+        e.g. the diagonal design of groups.group_prox or a design file the
+        CLI reads with --allow-unnormalized; column_norms_validated records
+        which contract the instance carries.  The whitened equicorrelated
+        design of the simulations is an _Equicorrelated operator instead.
     """
 
     entries: np.ndarray
@@ -56,6 +61,28 @@ class DesignMatrix:
     @property
     def shape(self):
         return self.entries.shape
+
+
+class _Equicorrelated:
+    """The symmetric n x n matrix a*(I - J/n) + c*J/n, J the all-ones matrix,
+    applied in O(n) per column without forming it.
+
+    It has eigenvalue a on the complement of the all-ones vector and c on
+    that vector.  X @ v is a*v + ((c - a)/n) * (column sums of v), for a
+    vector or for each column of a 2-d array, and X.T is X itself.
+    """
+
+    def __init__(self, n, a, c):
+        self.shape = (n, n)
+        self.diag = a
+        self.shift = (c - a) / n
+
+    @property
+    def T(self):
+        return self
+
+    def __matmul__(self, v):
+        return self.diag * v + self.shift * v.sum(axis=0)
 
 
 class FitResult(NamedTuple):
@@ -101,12 +128,17 @@ def operator_norm_sq(X, tol=1e-6, max_iter=300):
     estimate errs on the side of a shorter step.  max_iter caps the number
     of Lanczos steps, which never exceeds the smaller dimension of X.
 
+    X is an array or an _Equicorrelated operator, whose products cost O(n).
+    Its Gram matrix has only two eigenvalues, so the iteration ends at its
+    second step with the larger one, max(a, c)^2, to rounding.
+
     Raises
     ------
     NumericalError
         When the cap is reached before the bound meets tol.
     """
-    X = np.asarray(X, dtype=float)
+    if not isinstance(X, _Equicorrelated):
+        X = np.asarray(X, dtype=float)
     n, m = X.shape
     d = min(n, m)
     gram = (lambda v: X @ (X.T @ v)) if n <= m else (lambda v: X.T @ (X @ v))
@@ -164,15 +196,25 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     exactly: b = prox(y, sigma) goes through the same certificate with
     g = r = y - b, as one iteration with no matvecs.
 
-    The gradient at the accepted point, g_b, is carried from the
-    certificate step, and the momentum point's gradient is the same linear
-    combination of g and g_b as the point is of b_new and b, so an accepted
-    iteration costs two matvecs: X @ b_new and X^T r, both from scratch.
-    While the prox output's support is at most 1/16 of the columns, X @ b_new
-    is formed from the support's columns alone, X[:, nz] @ b_new[nz]: a
-    sparse iterate then costs a fraction of a pass over X, and a dense one
-    never gathers a large copy of it.  The restricted product equals the
-    full one up to summation order and counts as one matvec all the same.
+    X is an array or an _Equicorrelated operator.  The step starts at
+    1/L for the Lanczos estimate L of ||X||^2, and a step from point p is
+    kept only when it meets the backtracking test of Beck & Teboulle,
+    0.5*||r_new||^2 <= 0.5*||r_p||^2 - g_p.(b_new - p) + (L/2)*||b_new - p||^2
+    up to the objective-rise slack of 1e-12 relative; otherwise L doubles
+    and the step is retried from p.  A momentum step that raises the
+    objective is replaced by a plain step from the last accepted point,
+    which that test keeps from raising it.
+
+    The gradient and residual at the accepted point, g_b and r_b, are
+    carried from the certificate step, and the momentum point's are the
+    same linear combination of g, g_b and r, r_b as the point is of b_new
+    and b, so an accepted iteration costs two matvecs: X @ b_new and X^T r,
+    both from scratch.  While the prox output's support is at most 1/16 of
+    an array's columns, X @ b_new is formed from the support's columns
+    alone, X[:, nz] @ b_new[nz]: a sparse iterate then costs a fraction of
+    a pass over X, and a dense one never gathers a large copy of it.  The
+    restricted product equals the full one up to summation order and
+    counts as one matvec all the same.
 
     Returns
     -------
@@ -180,8 +222,9 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         b is the last prox output; stats holds, in FitResult order,
         iterations, final_gap, objective, converged, restarts, backoffs and
         matvecs.  restarts counts every plain step retried from the last
-        accepted point, backoffs every step-size shrink, and matvecs every
-        product with X or X^T outside the step-size estimate.
+        accepted point, backoffs every doubling of L (each retries a step),
+        and matvecs every product with X or X^T outside the step-size
+        estimate: 1 + iterations + restarts + backoffs + iterations.
     """
     y = np.asarray(y, dtype=float)
     n, m = X.shape if X is not None else (y.size, y.size)
@@ -201,7 +244,9 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
 
     def objective(b_new, r):
-        return 0.5 * float(r @ r) + sigma * sorted_l1_norm(primal(b_new), w)
+        """(least-squares term, full objective) at b_new with residual r."""
+        f = 0.5 * float(r @ r)
+        return f, f + sigma * sorted_l1_norm(primal(b_new), w)
 
     def certify(r, g, obj_new):
         """(dual infeasibility of g, relative gap of the scaled residual)."""
@@ -220,7 +265,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     if X is None:
         b = prox(y, sigma)
         r = y - b
-        obj = objective(b, r)
+        obj = objective(b, r)[1]
         infeas, rel_gap = certify(r, r, obj)
         converged = bool(infeas <= tol and rel_gap <= tol)
         return b, (1, float(max(infeas, rel_gap)), obj, converged, 0, 0, 0)
@@ -230,7 +275,8 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
 
     b = np.zeros(m)
     g_b = X.T @ y
-    a, g_a = b, g_b
+    r_b = y
+    a, g_a, r_a = b, g_b, r_b
     theta = 1.0
     obj = 0.5 * float(y @ y)
     rise = 1e-12 * max(1.0, abs(obj))
@@ -239,34 +285,40 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     it = restarts = backoffs = 0
     matvecs = 1
 
-    def step_from(point, g_point):
-        nonlocal matvecs
-        matvecs += 1
-        b_new = prox(point + t * g_point, t * sigma)
-        nz = np.flatnonzero(b_new)
-        # gathering the support's columns beats streaming all of X only
-        # while the support is a small share of the columns
-        r = y - (X[:, nz] @ b_new[nz] if nz.size * 16 <= m else X @ b_new)
-        return b_new, r, objective(b_new, r)
+    def step_from(point, g_point, r_point):
+        """Prox step from point, halving t until the quadratic bound holds."""
+        nonlocal matvecs, backoffs, t
+        f_point = 0.5 * float(r_point @ r_point)
+        while True:
+            matvecs += 1
+            b_new = prox(point + t * g_point, t * sigma)
+            nz = np.flatnonzero(b_new)
+            # gathering the support's columns beats streaming all of X only
+            # while the support is a small share of an array's columns
+            if isinstance(X, np.ndarray) and nz.size * 16 <= m:
+                r = y - X[:, nz] @ b_new[nz]
+            else:
+                r = y - X @ b_new
+            f_new, obj_new = objective(b_new, r)
+            if not math.isfinite(obj_new):
+                raise NumericalError("objective became non-finite during iteration")
+            d = b_new - point
+            if f_new <= f_point - float(g_point @ d) + (0.5 / t) * float(d @ d) + rise:
+                return b_new, r, obj_new
+            # the step overshot the smooth part's quadratic upper bound, so
+            # 1/t was below its curvature along d: double the estimate
+            backoffs += 1
+            t *= 0.5
 
     while it < max_iter:
         it += 1
-        b_new, r, obj_new = step_from(a, g_a)
+        b_new, r, obj_new = step_from(a, g_a, r_a)
         if obj_new > obj + rise:
-            # momentum overshoot: plain prox step from the last accepted point
+            # momentum overshoot: plain prox step from the last accepted
+            # point, which the quadratic bound keeps from raising the objective
             theta = 1.0
             restarts += 1
-            b_new, r, obj_new = step_from(b, g_b)
-            if obj_new > obj + rise:
-                # even the plain step rose, which needs t above 2/||X||^2:
-                # the norm estimate was too low, so shrink the step
-                backoffs += 1
-                L *= 1.0001
-                t = 1.0 / L
-                a, g_a = b, g_b
-                continue
-        if not math.isfinite(obj_new):
-            raise NumericalError("objective became non-finite during iteration")
+            b_new, r, obj_new = step_from(b, g_b, r_b)
 
         g = X.T @ r
         matvecs += 1
@@ -276,7 +328,8 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         mom = theta_new * (1.0 / theta - 1.0)
         a = b_new + mom * (b_new - b)
         g_a = g + mom * (g - g_b)
-        b, g_b = b_new, g
+        r_a = r + mom * (r - r_b)
+        b, g_b, r_b = b_new, g, r
         obj = obj_new
         rise = 1e-12 * max(1.0, abs(obj))
         theta = theta_new
@@ -293,11 +346,12 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
 
     Parameters
     ----------
-    design : DesignMatrix, array_like or None
+    design : DesignMatrix, array_like, _Equicorrelated or None
         Raw arrays are wrapped with the unit-column check enforced.  None
         is the identity design, n = m = len(y), fitted without a matrix:
         the solution is the sorted-L1 prox of y against sigma*lam, one
-        certified step (iterations=1, matvecs=0).
+        certified step (iterations=1, matvecs=0).  An _Equicorrelated
+        operator is fitted as it is, each product costing O(n).
     y : array_like, shape (n,)
     lam : LambdaSchedule or array_like
         Non-increasing non-negative weights, length m.
@@ -315,9 +369,10 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         beta is the last prox output, so its zeros are exact and support
         is read off literally.
     """
-    if design is not None and not isinstance(design, DesignMatrix):
-        design = DesignMatrix(design)
-    X = None if design is None else design.entries
+    if design is None or isinstance(design, _Equicorrelated):
+        X = design
+    else:
+        X = (design if isinstance(design, DesignMatrix) else DesignMatrix(design)).entries
     w = _weights_for(lam, np.size(y) if X is None else X.shape[1])
     b, stats = _fista(
         X, y, w, sigma, tol, max_iter,

@@ -226,16 +226,18 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None
     """The feature solver's FISTA loop with four matvecs per iteration.
 
     A copy of the loop that computes every gradient directly as
-    X^T (X a - y), and every residual with the full product X @ b, against
+    X^T (X p - y), and every residual with the full product X @ b, against
     which the carried-gradient loop is checked.  L is the step-size
     estimate and prox(v, shrink) the sorted-L1 prox, both passed in so the
-    arithmetic matches the package's.  Returns (b, iterations, restarts,
-    final_gap, objective, converged), restarts counting the plain steps
-    retried from the last accepted point; a dict passed as counters gets
-    the step-size shrinks under "backoffs".
+    arithmetic matches the package's.  A step from p is kept when
+    0.5*||y - X b_new||^2 <= 0.5*||y - X p||^2 + grad.(b_new - p)
+    + (L/2)*||b_new - p||^2 + rise; otherwise L doubles and the step is
+    retried from p.  Returns (b, iterations, restarts, final_gap,
+    objective, converged), restarts counting the plain steps retried from
+    the last accepted point; a dict passed as counters gets the doublings
+    of L under "backoffs".
     """
     t = 1.0 / L if L > 0.0 else 1.0
-    shrink = (t * sigma) * w
     cum_w = np.cumsum(sigma * w)
     feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
 
@@ -250,26 +252,27 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None
     converged = False
     it = restarts = backoffs = 0
 
+    def step(p):
+        nonlocal t, backoffs
+        r_p = y - X @ p
+        grad = -(X.T @ r_p)
+        while True:
+            b_new = prox(p - t * grad, (t * sigma) * w)
+            r = y - X @ b_new
+            d = b_new - p
+            bound = 0.5 * float(r_p @ r_p) + float(grad @ d) + (0.5 / t) * float(d @ d)
+            if 0.5 * float(r @ r) <= bound + rise:
+                return b_new, r, 0.5 * float(r @ r) + sigma * _sorted_norm(b_new, w)
+            backoffs += 1
+            t *= 0.5
+
     while it < max_iter:
         it += 1
-        grad = X.T @ (X @ a - y)
-        b_new = prox(a - t * grad, shrink)
-        r = y - X @ b_new
-        obj_new = 0.5 * float(r @ r) + sigma * _sorted_norm(b_new, w)
+        b_new, r, obj_new = step(a)
         if obj_new > obj + rise:
             theta = 1.0
             restarts += 1
-            grad = X.T @ (X @ b - y)
-            b_new = prox(b - t * grad, shrink)
-            r = y - X @ b_new
-            obj_new = 0.5 * float(r @ r) + sigma * _sorted_norm(b_new, w)
-            if obj_new > obj + rise:
-                backoffs += 1
-                L *= 1.0001
-                t = 1.0 / L
-                shrink = (t * sigma) * w
-                a = b
-                continue
+            b_new, r, obj_new = step(b)
 
         g = X.T @ r
         infeas = _dual_infeasibility(g / sigma, w)
@@ -330,26 +333,28 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
         scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
         return z * np.repeat(scale, ranks)
 
-    def objective_at(cv):
-        r = y - Xt @ cv
-        return r, 0.5 * float(r @ r) + sigma * _sorted_norm(wts * block_norms(cv), lam)
+    def step(p):
+        # the backtracking step of fista_direct_reference
+        nonlocal t
+        r_p = y - Xt @ p
+        grad = -(Xt.T @ r_p)
+        while True:
+            c_new = prox_point(p - t * grad)
+            r = y - Xt @ c_new
+            d = c_new - p
+            bound = 0.5 * float(r_p @ r_p) + float(grad @ d) + (0.5 / t) * float(d @ d)
+            if 0.5 * float(r @ r) <= bound + rise:
+                return c_new, r, (0.5 * float(r @ r)
+                                  + sigma * _sorted_norm(wts * block_norms(c_new), lam))
+            t *= 0.5
 
     while it < max_iter:
         it += 1
-        grad = Xt.T @ (Xt @ a - y)
-        c_new = prox_point(a - t * grad)
-        r, obj_new = objective_at(c_new)
+        c_new, r, obj_new = step(a)
         if obj_new > obj + rise:
             theta = 1.0
             restarts += 1
-            grad = Xt.T @ (Xt @ c - y)
-            c_new = prox_point(c - t * grad)
-            r, obj_new = objective_at(c_new)
-            if obj_new > obj + rise:
-                L *= 1.0001
-                t = 1.0 / L
-                a = c
-                continue
+            c_new, r, obj_new = step(c)
 
         h = block_norms(Xt.T @ r) / wts
         infeas = _dual_infeasibility(h / sigma, lam)

@@ -212,27 +212,83 @@ def test_gen_gaussian_unit_columns():
     assert np.array_equal(gen_gaussian(c, 1)[0].entries, X)
 
 
+def _dense_equicorr(n, rho):
+    """The dense (whitener, root) pair, built as the package once built it."""
+    lo, hi = 1.0 - rho, 1.0 - rho + n * rho
+
+    def build(a, c):
+        M = np.full((n, n), (c - a) / n)
+        M[np.diag_indices(n)] += a
+        return M
+
+    return build(1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)), build(math.sqrt(lo), math.sqrt(hi))
+
+
 def test_equicorr_matrices_invert_the_covariance():
     n, rho = 12, 0.5
     W, root = _equicorr_matrices(n, rho)
-    cov = (1.0 - rho) * np.eye(n) + rho * np.ones((n, n))
-    assert np.allclose(root @ root, cov, atol=1e-12)
-    assert np.allclose(W @ cov @ W.T, np.eye(n), atol=1e-12)
+    eye = np.eye(n)
+    cov = (1.0 - rho) * eye + rho * np.ones((n, n))
+    # each operator applied to the columns of the identity
+    assert np.allclose(root @ (root @ eye), cov, atol=1e-12)
+    assert np.allclose(W @ (cov @ (W.T @ eye)), eye, atol=1e-12)
+    assert W.T is W and root.shape == W.shape == (n, n)
 
 
 def test_gen_correlated_means_whitens():
     c = ExperimentConfig(design="correlated-means", method="sd-kfwer", n=16, m=16,
                          t=3, replications=4, seed=11, rho=0.5)
     design, mu, y, truth, ybar, scale = gen_correlated_means(c, 0)
-    W, _ = _equicorr_matrices(16, 0.5)
-    assert np.array_equal(design.entries, W)
+    W = design @ np.eye(16)
+    assert np.allclose(W, _dense_equicorr(16, 0.5)[0], rtol=0.0, atol=1e-15)
     assert np.allclose(y, W @ ybar, atol=1e-12)
     assert scale == c.sigma
     # signal scaled so the effective per-column amplitude is the named one
     col = math.sqrt(float((W[:, 0] ** 2).sum()))
     amp = resolve_signal(c) / col
     assert np.allclose(mu[sorted(truth)], amp, atol=1e-12)
-    assert not design.column_norms_validated
+    # the whitened columns are deliberately not unit-norm
+    assert abs(col - 1.0) > 0.1
+
+
+@pytest.mark.parametrize("rho,seed", [(0.5, 11003), (0.2, 7), (0.9, 4207)])
+def test_gen_correlated_means_matches_dense_products(rho, seed):
+    # the generator before the operators: dense root @ z and W @ ybar
+    c = ExperimentConfig(design="correlated-means", method="k-slope", n=1000, m=1000,
+                         t=10, k=6, rho=rho, seed=seed, replications=3)
+    W, root = _dense_equicorr(c.m, rho)
+    for rep in range(c.replications):
+        rng = simlab._rep_rng(seed, rep)
+        amp = resolve_signal(c) / float(math.sqrt((W[:, 0] * W[:, 0]).sum()))
+        support = rng.choice(c.m, size=c.t, replace=False)
+        mu_ref = np.zeros(c.m)
+        mu_ref[support] = amp
+        ybar_ref = mu_ref + c.sigma * (root @ rng.standard_normal(c.m))
+        y_ref = W @ ybar_ref
+
+        _, mu, y, truth, ybar, _ = gen_correlated_means(c, rep)
+        assert mu.tobytes() == mu_ref.tobytes()
+        assert truth == {int(i) for i in support}
+        # O(n) products round differently from the dense ones, by a few ulps
+        # of the vector's largest entry
+        for got, want in ((ybar, ybar_ref), (y, y_ref)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_correlated_means_replication_allocates_no_dense_matrix():
+    # a dense whitener and root at m=4000 would take 256 MB
+    c = ExperimentConfig(design="correlated-means", method="k-slope", n=4000, m=4000,
+                         t=20, k=6, replications=1, seed=3)
+    _, schedule, _ = resolve_schedule(c)
+    tracemalloc.start()
+    try:
+        design, mu, y, truth, ybar, scale = gen_correlated_means(c, 0)
+        fit = simlab.solve_slope(design, y, schedule, sigma=scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 4 * 2**20
 
 
 def test_gen_group_image_norms_match_amplitude():

@@ -6,6 +6,12 @@ import scipy.sparse.linalg
 from stepslope import solver
 from stepslope.errors import NumericalError
 from stepslope.schedules import bh_schedule, kfwer_schedule
+from stepslope.simlab import (
+    ExperimentConfig,
+    _equicorr_matrices,
+    gen_correlated_means,
+    resolve_schedule,
+)
 from stepslope.solver import (
     DesignMatrix,
     FitResult,
@@ -143,8 +149,9 @@ def _assert_matches_direct_fista(fit, X, y, lam, L):
     assert (fit.iterations, fit.restarts) == (iterations, restarts)
     assert fit.support == {int(i) for i in np.flatnonzero(b)}
     np.testing.assert_allclose(fit.beta, b, rtol=0.0, atol=1e-12)
-    # X^T y once, then X @ b_new per step tried and X^T r per accepted step
-    assert fit.matvecs == 1 + (fit.iterations + fit.restarts) + (fit.iterations - fit.backoffs)
+    # X^T y once, then X @ b_new per step tried (a restart or a back-off
+    # tries one more) and X^T r per iteration
+    assert fit.matvecs == 1 + (fit.iterations + fit.restarts + fit.backoffs) + fit.iterations
 
 
 def _gaussian_problem(seed, n, m, common=0.0):
@@ -199,7 +206,7 @@ def test_restricted_residual_matches_direct_fista(monkeypatch, seed, n, m, scale
     assert fit.converged and converged
     assert (fit.iterations, fit.restarts, fit.backoffs) == (
         iterations, restarts, counters["backoffs"])
-    assert fit.matvecs == 1 + (iterations + restarts) + (iterations - counters["backoffs"])
+    assert fit.matvecs == 1 + (iterations + restarts + counters["backoffs"]) + iterations
     assert fit.support == {int(i) for i in np.flatnonzero(b)}
     np.testing.assert_allclose(fit.beta, b, rtol=0.0, atol=1e-12)
 
@@ -224,16 +231,37 @@ def test_step_backoff_recovers_from_underestimated_norm(monkeypatch):
     lam = bh_schedule(X.shape[1], 0.2).values
     plain = solve_slope(X, y, lam)
     assert plain.backoffs == 0
-    # a prox-gradient step cannot raise the objective while the step is
-    # below 2/||X||^2, so only an estimate under half of it backs off
+    # a step 1/low overshoots the quadratic upper bound along the proxy's
+    # direction, so the loop must double its estimate
     low = 0.3 * operator_norm_sq(X)
     monkeypatch.setattr(solver, "operator_norm_sq", lambda Z: low)
     fit = solve_slope(X, y, lam)
     assert fit.backoffs > 0
     assert fit.converged and fit.final_gap <= 1e-8
     assert fit.support == plain.support
-    # a back-off must also reset the momentum point's gradient; a stale one
-    # costs an extra restart when the step is next accepted
+    # the retried step must start from the same point with the carried
+    # gradient and residual, as the oracle's recomputed ones
+    _assert_matches_direct_fista(fit, X, y, lam, low)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_backtracking_converges_from_a_low_norm_estimate(monkeypatch, seed):
+    # steps of 1/(0.3 ||X||^2) can stall without ever raising the objective,
+    # so the estimate must double at the first step that overshoots the
+    # quadratic upper bound, not when the objective rises
+    rng = np.random.default_rng(seed)
+    X = _unit_columns(rng.normal(size=(40, 20)))
+    beta = np.zeros(20)
+    beta[:4] = 3.0
+    y = X @ beta + rng.normal(size=40)
+    lam = bh_schedule(20, 0.2).values
+    plain = solve_slope(X, y, lam)
+    low = 0.3 * operator_norm_sq(X)
+    monkeypatch.setattr(solver, "operator_norm_sq", lambda Z: low)
+    fit = solve_slope(X, y, lam)
+    assert fit.converged and fit.final_gap <= 1e-8
+    assert fit.iterations <= 30 and fit.backoffs >= 1
+    assert fit.support == plain.support
     _assert_matches_direct_fista(fit, X, y, lam, low)
 
 
@@ -278,6 +306,34 @@ def test_operator_norm_sq_equicorrelation_dominant_eigenvalue():
     W = np.full((n, n), (b - a) / n)
     W[np.diag_indices(n)] += a
     assert operator_norm_sq(W, tol=1e-12) == pytest.approx(1.0 / lo, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "n,rho", [(2, 0.5), (50, 0.0), (50, 0.5), (1000, 0.3), (1000, 0.9)]
+)
+def test_operator_norm_sq_equicorrelated_operator(n, rho):
+    # W^T W = (1/lo)(I - J/n) + (1/hi) J/n, and root^T root is the covariance
+    W, root = _equicorr_matrices(n, rho)
+    lo, hi = 1.0 - rho, 1.0 - rho + n * rho
+    assert operator_norm_sq(W) == pytest.approx(max(1.0 / lo, 1.0 / hi), rel=1e-10)
+    assert operator_norm_sq(root) == pytest.approx(max(lo, hi), rel=1e-10)
+
+
+@pytest.mark.parametrize("method,rho", [("k-slope", 0.5), ("f-slope", 0.8)])
+def test_equicorrelated_operator_fit_matches_dense_matrix(method, rho):
+    config = ExperimentConfig(design="correlated-means", method=method, n=300, m=300,
+                              t=8, k=3, rho=rho, seed=5, replications=3)
+    _, lam, _ = resolve_schedule(config)
+    for rep in range(config.replications):
+        W, _, y, _, _, _ = gen_correlated_means(config, rep)
+        dense = DesignMatrix(W @ np.eye(300), require_unit_columns=False)
+        fit = solve_slope(W, y, lam)
+        want = solve_slope(dense, y, lam)
+        assert fit.converged and want.converged
+        assert fit.support == want.support
+        assert (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs) == (
+            want.iterations, want.restarts, want.backoffs, want.matvecs)
+        np.testing.assert_allclose(fit.beta, want.beta, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize(
