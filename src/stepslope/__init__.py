@@ -55,7 +55,6 @@ from .solver import (
     DesignMatrix,
     FitResult,
     SupportMetrics,
-    operator_norm_sq,
     slope_objective,
     solve_slope,
     support_metrics,
@@ -104,7 +103,6 @@ __all__ = [
     "monte_carlo_corrected_schedule",
     "normal_cdf",
     "normal_quantile",
-    "operator_norm_sq",
     "prox_sorted_l1",
     "resolve_schedule",
     "run_experiment",

@@ -3,13 +3,14 @@
 Minimizes 0.5*||y - X b||^2 + sigma * J_lam(b) with FISTA: a gradient step
 from the extrapolated point, the exact sorted-L1 prox, and Nesterov
 momentum, restarted whenever the objective would rise so the reported
-objective sequence is non-increasing.  The step size starts from a Lanczos
-estimate of ||X||^2 and backtracks on the quadratic upper bound of the
-least-squares term.  Termination is certified by dual feasibility of the
-gradient together with a primal-dual gap built from the scaled residual.
-The group solver runs the same loop with a block prox.  The identity
-design is passed as None and fitted by one certified prox; the whitened
-equicorrelated design is an O(n) operator, _Equicorrelated.
+objective sequence is non-increasing.  The step size starts from the
+largest squared column norm of X and backtracks on the quadratic upper
+bound of the least-squares term.  Termination is certified by dual
+feasibility of the gradient together with a primal-dual gap built from
+the scaled residual.  The group solver runs the same loop with a block
+prox.  The identity design is passed as None and fitted by one certified
+prox; the whitened equicorrelated design is an O(n) operator,
+_Equicorrelated.
 """
 
 import math
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
@@ -48,7 +48,7 @@ class DesignMatrix:
         if not np.all(np.isfinite(X)):
             raise ValueError("design contains non-finite entries")
         if self.require_unit_columns:
-            norms = np.sqrt((X * X).sum(axis=0))
+            norms = np.sqrt(np.einsum("ij,ij->j", X, X))
             worst = float(np.abs(norms - 1.0).max())
             if worst > 1e-8:
                 raise ValueError(
@@ -110,64 +110,19 @@ class SupportMetrics(NamedTuple):
     power: float
 
 
-def operator_norm_sq(X, tol=1e-6, max_iter=300):
-    """Largest squared singular value of X by Lanczos on its smaller Gram matrix.
+def operator_norm_sq(X):
+    """Largest squared column norm of X: the start of _fista's step-size
+    estimate L.
 
-    The iteration runs on X Xᵀ when X has no more rows than columns and on
-    XᵀX otherwise, reorthogonalizing each new direction against the whole
-    stored basis.  The start vector is all-ones plus a small ramp, which
-    keeps the iteration deterministic while avoiding exact alignment with a
-    non-dominant eigenspace (the all-ones vector is an eigenvector of
-    equicorrelation-style operators).  Each diagonal entry is the Rayleigh
-    quotient (q·Aq)/(q·q), so an operator that fixes the start vector, such
-    as the identity, gives its eigenvalue exactly after one step.
-
-    Stops when the residual bound beta_k*|s_k| of the top Ritz value (s_k
-    is the last entry of its eigenvector of the tridiagonal matrix) is
-    within relative tol, and returns the Ritz value plus that bound, so the
-    estimate errs on the side of a shorter step.  max_iter caps the number
-    of Lanczos steps, which never exceeds the smaller dimension of X.
-
-    X is an array or an _Equicorrelated operator, whose products cost O(n).
-    Its Gram matrix has only two eigenvalues, so the iteration ends at its
-    second step with the larger one, max(a, c)^2, to rounding.
-
-    Raises
-    ------
-    NumericalError
-        When the cap is reached before the bound meets tol.
+    This is a lower bound on ||X||^2, equal to it for a diagonal design such
+    as the diag(1/w) of groups.group_prox; where it is too small, _fista's
+    backtracking test doubles it.  Unit-column designs give 1.  An array
+    costs one pass with no n x m temporary; an _Equicorrelated operator,
+    whose columns all share the norm of (a*(I - J/n) + c*J/n) e_1, costs O(1).
     """
-    if not isinstance(X, _Equicorrelated):
-        X = np.asarray(X, dtype=float)
-    n, m = X.shape
-    d = min(n, m)
-    gram = (lambda v: X @ (X.T @ v)) if n <= m else (lambda v: X.T @ (X @ v))
-    q = np.ones(d) + np.arange(d) * (1e-3 / max(d - 1, 1))
-    q /= math.sqrt(float(q @ q))
-    basis = np.empty((0, d))
-    alphas, betas = [], []
-    bound = math.inf
-    for k in range(min(max_iter, d)):
-        basis = np.vstack((basis, q))
-        w = gram(q)
-        alpha = float(q @ w) / float(q @ q)
-        alphas.append(alpha)
-        w -= alpha * q
-        w -= basis.T @ (basis @ w)
-        beta = math.sqrt(float(w @ w))
-        top, vec = scipy.linalg.eigh_tridiagonal(
-            alphas, betas, select="i", select_range=(k, k)
-        )
-        theta = float(top[0])
-        bound = beta * abs(float(vec[-1, 0]))
-        if bound <= tol * theta:
-            return theta + bound
-        betas.append(beta)
-        q = w / beta
-    raise NumericalError(
-        f"operator norm estimate did not reach relative tol {tol:.3g} in "
-        f"{min(max_iter, d)} Lanczos steps (residual bound {bound:.3g})"
-    )
+    if isinstance(X, _Equicorrelated):
+        return (X.diag + X.shift) ** 2 + (X.shape[0] - 1) * X.shift**2
+    return float(np.einsum("ij,ij->j", X, X).max())
 
 
 def _weights_for(lam, m):
@@ -178,9 +133,12 @@ def _weights_for(lam, m):
 
 
 def slope_objective(design, y, beta, lam, sigma=1.0):
-    """0.5*||y - X beta||^2 + sigma * J_lam(beta)."""
-    X = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    r = np.asarray(y, float) - X @ np.asarray(beta, float)
+    """0.5*||y - X beta||^2 + sigma * J_lam(beta) for any design solve_slope
+    takes: None is the identity, r = y - beta, and a raw array is read
+    without the unit-column check."""
+    X = design.entries if isinstance(design, DesignMatrix) else design
+    beta = np.asarray(beta, float)
+    r = np.asarray(y, float) - (beta if X is None else X @ beta)
     return 0.5 * float(r @ r) + sigma * sorted_l1_norm(beta, lam)
 
 
@@ -197,8 +155,9 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     g = r = y - b, as one iteration with no matvecs.
 
     X is an array or an _Equicorrelated operator.  The step starts at
-    1/L for the Lanczos estimate L of ||X||^2, and a step from point p is
-    kept only when it meets the backtracking test of Beck & Teboulle,
+    1/L for L = operator_norm_sq(X), a lower bound on ||X||^2, and a step
+    from point p is kept only when it meets the backtracking test of Beck
+    & Teboulle,
     0.5*||r_new||^2 <= 0.5*||r_p||^2 - g_p.(b_new - p) + (L/2)*||b_new - p||^2
     up to the objective-rise slack of 1e-12 relative; otherwise L doubles
     and the step is retried from p.  A momentum step that raises the
@@ -223,8 +182,8 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         iterations, final_gap, objective, converged, restarts, backoffs and
         matvecs.  restarts counts every plain step retried from the last
         accepted point, backoffs every doubling of L (each retries a step),
-        and matvecs every product with X or X^T outside the step-size
-        estimate: 1 + iterations + restarts + backoffs + iterations.
+        and matvecs every product with X or X^T:
+        1 + iterations + restarts + backoffs + iterations.
     """
     y = np.asarray(y, dtype=float)
     n, m = X.shape if X is not None else (y.size, y.size)
