@@ -265,6 +265,8 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
         "restarts": int(fit.restarts),
         "backoffs": int(fit.backoffs),
         "matvecs": int(fit.matvecs),
+        "rounds": int(fit.rounds),
+        "full_matvecs": int(fit.full_matvecs),
         "final_gap": float(fit.final_gap),
         "objective": float(fit.objective),
         "converged": bool(fit.converged),

@@ -7,8 +7,10 @@ per-group coefficient blocks through a sorted-L1 weight sequence.  Since
 J_lam(w * ||c_g||) = J_lam(||w_g c_g||), unequal weights are folded into
 the design: the fit runs on d_g = w_g c_g against the blocks X~_g / w_g
 with unit weights, so every prox is one exact sorted-L1 prox of the block
-norms.  Group selection is read off the exact zeros of the block norms.
-The identity design is passed as None and needs no QR.
+norms.  The fit runs on a working set of blocks, certified on the full
+standardized design (see solver._working_set).  Group selection is read
+off the exact zeros of the block norms.  The identity design is passed as
+None and needs no QR.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .solver import DesignMatrix, _fista, _weights_for, solve_slope, support_metrics
+from .solver import DesignMatrix, _weights_for, _working_set, solve_slope, support_metrics
 from .sorted_l1 import prox_sorted_l1
 
 
@@ -208,6 +210,8 @@ def standardize(design, partition):
 
 
 class GroupFitResult(NamedTuple):
+    """A group fit; the counters after converged are FitResult's."""
+
     beta: np.ndarray
     group_norms: np.ndarray
     selected_groups: set
@@ -218,6 +222,8 @@ class GroupFitResult(NamedTuple):
     restarts: int = 0
     backoffs: int = 0
     matvecs: int = 0
+    rounds: int = 1
+    full_matvecs: int = 0
 
 
 def group_prox(v, weights, lam, step):
@@ -278,6 +284,20 @@ def _block_norms(vec, offsets):
     return np.sqrt(np.add.reduceat(vec * vec, offsets))
 
 
+def _block_problem(offsets, ranks, wts, lamv):
+    """_fista's (prox, primal, dual) for blocks at offsets of the given
+    ranks, with group weights wts and schedule lamv."""
+
+    def prox(z, step):
+        gz = _block_norms(z, offsets)
+        gstar = group_prox(gz, wts, lamv, step)
+        scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
+        return z * np.repeat(scale, ranks)
+
+    return (prox, lambda cv: wts * _block_norms(cv, offsets),
+            lambda g: _block_norms(g, offsets) / wts)
+
+
 def solve_group_slope(
     design,
     y,
@@ -298,7 +318,11 @@ def solve_group_slope(
     it: the loop fits d = w * c on the blocks X~_g / w_g with unit weights,
     so its prox is one sorted-L1 prox of the block norms, and c = d / w.
     The certificate is unchanged, since ||d_g|| = w_g ||c_g|| and
-    ||(X~_g / w_g)^T r|| = ||X~_g^T r|| / w_g.
+    ||(X~_g / w_g)^T r|| = ||X~_g^T r|| / w_g.  With a design, the loop
+    runs on a working set of blocks of X~ (solver._working_set): the
+    groups violating dual feasibility at c = 0, grown until the fit is
+    certified on all of X~, or every block once the set passes 1/16 of the
+    groups.  max_iter is shared by its rounds.
 
     Parameters
     ----------
@@ -347,18 +371,16 @@ def solve_group_slope(
             X = X / col_w
         wts = np.ones(len(partition))
 
-    def prox(z, step):
-        gz = _block_norms(z, offsets)
-        gstar = group_prox(gz, wts, lamv, step)
-        scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
-        return z * np.repeat(scale, ranks)
+    def problem(units):
+        if units is None:
+            return (None, *_block_problem(offsets, ranks, wts, lamv))
+        # the blocks of units, packed side by side in order
+        rk = ranks[units]
+        packed = np.cumsum(rk) - rk
+        cols = np.repeat(offsets[units] - packed, rk) + np.arange(packed[-1] + rk[-1])
+        return (cols, *_block_problem(packed, rk, wts[units], lamv[: units.size]))
 
-    c, stats = _fista(
-        X, target, lamv, sigma, tol, max_iter,
-        prox=prox,
-        primal=lambda cv: wts * _block_norms(cv, offsets),
-        dual=lambda g: _block_norms(g, offsets) / wts,
-    )
+    c, stats = _working_set(X, target, lamv, sigma, tol, max_iter, problem)
     if folded:
         c = c / col_w
     norms = _block_norms(c, offsets)

@@ -7,10 +7,15 @@ objective sequence is non-increasing.  The step size starts from the
 largest squared column norm of X and backtracks on the quadratic upper
 bound of the least-squares term.  Termination is certified by dual
 feasibility of the gradient together with a primal-dual gap built from
-the scaled residual.  The group solver runs the same loop with a block
-prox.  The identity design is passed as None and fitted by one certified
-prox; the whitened equicorrelated design is an O(n) operator,
-_Equicorrelated.
+the scaled residual.  The loop runs on a working set of columns: those
+that violate dual feasibility at zero, grown by the violators of each
+fit until the certificate holds on the full design (the strong rule for
+SLOPE of Larsson, Bogdan & Wallin, with the working-set gap check of
+Massias, Gramfort & Salmon's Celer); past 1/16 of the columns it runs on
+all of them.  The group solver runs the same loop and working set with a
+block prox, on blocks.  The identity design is passed as None and fitted
+by one certified prox; the whitened equicorrelated design is an O(n)
+operator, _Equicorrelated.
 """
 
 import math
@@ -84,10 +89,19 @@ class _Equicorrelated:
     def __matmul__(self, v):
         return self.diag * v + self.shift * v.sum(axis=0)
 
+    def columns(self, idx):
+        """The dense n x len(idx) columns idx: entry for entry those of
+        self @ I for the n x n identity I, without forming it."""
+        idx = np.asarray(idx, dtype=int)
+        cols = np.full((self.shape[0], idx.size), self.shift)
+        cols[idx, np.arange(idx.size)] = self.diag + self.shift
+        return cols
+
 
 class FitResult(NamedTuple):
     """A feature fit; restarts, backoffs and matvecs are the loop's counters
-    (see _fista) and default to 0 for results built by hand."""
+    (see _fista), rounds and full_matvecs the working set's (see
+    _working_set), and all default for results built by hand."""
 
     beta: np.ndarray
     support: set
@@ -98,6 +112,8 @@ class FitResult(NamedTuple):
     restarts: int = 0
     backoffs: int = 0
     matvecs: int = 0
+    rounds: int = 1
+    full_matvecs: int = 0
 
 
 class SupportMetrics(NamedTuple):
@@ -142,13 +158,63 @@ def slope_objective(design, y, beta, lam, sigma=1.0):
     return 0.5 * float(r @ r) + sigma * sorted_l1_norm(beta, lam)
 
 
-def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
+def _checked(X, y, sigma, tol, max_iter):
+    """y as a float array and sigma as a float, once the arguments every
+    fit shares are valid."""
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0] if X is not None else y.size
+    if y.shape != (n,):
+        raise ValueError(f"response has shape {y.shape}, expected ({n},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("response contains non-finite values")
+    sigma = float(sigma)
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    return y, sigma
+
+
+def _certify(y, r, h, obj, sigma, w):
+    """(dual infeasibility, relative primal-dual gap) of a fit.
+
+    r is the fit's residual, obj its objective, h = dual(X^T r) the
+    magnitudes whose sorted prefix sums must stay below those of sigma * w.
+    The dual point is r, scaled by the largest s <= 1 that makes it
+    feasible when h is not.
+    """
+    cum_w = np.cumsum(sigma * w)
+    infeas = dual_infeasibility(h / sigma, w)
+    cum_h = np.cumsum(np.sort(h)[::-1])
+    if bool(np.all(cum_h <= cum_w + 1e-12 * max(1.0, float(cum_w[-1])))):
+        s = 1.0
+    else:
+        pos = cum_h > 0.0
+        s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
+    u = s * r
+    dual_obj = float(u @ y) - 0.5 * float(u @ u)
+    return infeas, max(obj - dual_obj, 0.0) / max(obj, 1e-300)
+
+
+def _violators(h, cum_w):
+    """The violating prefix: h's indices by decreasing h, up to the argmax
+    of cumsum(h) - cum_w when that maximum is positive, else none.  For a
+    constant weight c = cum_w[0] these are the j with h_j > c."""
+    order = np.argsort(-h, kind="stable")
+    excess = np.cumsum(h[order]) - cum_w
+    top = int(np.argmax(excess))
+    return order[: top + 1] if excess[top] > 0.0 else order[:0]
+
+
+def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start=None):
     """FISTA with restarts on 0.5*||y - X b||^2 + sigma * J_w(primal(b)).
 
     prox(point, step) is the prox of step * J_w(primal(.)) at point;
     primal(b) gives the magnitudes the penalty sorts, and dual(g) the
     magnitudes whose sorted prefix sums certify dual feasibility of a
-    gradient g = X^T (y - X b).
+    gradient g = X^T (y - X b), through _certify.
 
     X=None means the identity design, whose problem one prox solves
     exactly: b = prox(y, sigma) goes through the same certificate with
@@ -164,85 +230,60 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
     objective is replaced by a plain step from the last accepted point,
     which that test keeps from raising it.
 
+    start is None for the zero start, which forms g = X^T y, or a tuple
+    (b, g, r) of a start point with its gradient g = X^T r and residual
+    r = y - X b already formed, which costs no product here.
+
     The gradient and residual at the accepted point, g_b and r_b, are
     carried from the certificate step, and the momentum point's are the
     same linear combination of g, g_b and r, r_b as the point is of b_new
     and b, so an accepted iteration costs two matvecs: X @ b_new and X^T r,
-    both from scratch.  While the prox output's support is at most 1/16 of
-    an array's columns, X @ b_new is formed from the support's columns
-    alone, X[:, nz] @ b_new[nz]: a sparse iterate then costs a fraction of
-    a pass over X, and a dense one never gathers a large copy of it.  The
-    restricted product equals the full one up to summation order and
-    counts as one matvec all the same.
+    both from scratch.  A sparse fit reaches this loop on the gathered
+    columns of _working_set, so every product here is with all of X.
 
     Returns
     -------
-    (b, stats)
-        b is the last prox output; stats holds, in FitResult order,
-        iterations, final_gap, objective, converged, restarts, backoffs and
-        matvecs.  restarts counts every plain step retried from the last
-        accepted point, backoffs every doubling of L (each retries a step),
-        and matvecs every product with X or X^T:
-        1 + iterations + restarts + backoffs + iterations.
+    (b, r, stats)
+        b is the last prox output and r = y - X b its residual; stats
+        holds, in FitResult order, iterations, final_gap, objective,
+        converged, restarts, backoffs and matvecs.  restarts counts every
+        plain step retried from the last accepted point, backoffs every
+        doubling of L (each retries a step), and matvecs every product with
+        X or X^T: 1 + iterations + restarts + backoffs + iterations from
+        the zero start, without the leading 1 from a given start.
     """
-    y = np.asarray(y, dtype=float)
-    n, m = X.shape if X is not None else (y.size, y.size)
-    if y.shape != (n,):
-        raise ValueError(f"response has shape {y.shape}, expected ({n},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("response contains non-finite values")
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-
-    cum_w = np.cumsum(sigma * w)
-    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
+    y, sigma = _checked(X, y, sigma, tol, max_iter)
 
     def objective(b_new, r):
         """(least-squares term, full objective) at b_new with residual r."""
         f = 0.5 * float(r @ r)
         return f, f + sigma * sorted_l1_norm(primal(b_new), w)
 
-    def certify(r, g, obj_new):
-        """(dual infeasibility of g, relative gap of the scaled residual)."""
-        h = dual(g)
-        infeas = dual_infeasibility(h / sigma, w)
-        cum_h = np.cumsum(np.sort(h)[::-1])
-        if bool(np.all(cum_h <= cum_w + feas_slack)):
-            s = 1.0
-        else:
-            pos = cum_h > 0.0
-            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
-        u = s * r
-        dual_obj = float(u @ y) - 0.5 * float(u @ u)
-        return infeas, max(obj_new - dual_obj, 0.0) / max(obj_new, 1e-300)
-
     if X is None:
         b = prox(y, sigma)
         r = y - b
         obj = objective(b, r)[1]
-        infeas, rel_gap = certify(r, r, obj)
+        infeas, rel_gap = _certify(y, r, dual(r), obj, sigma, w)
         converged = bool(infeas <= tol and rel_gap <= tol)
-        return b, (1, float(max(infeas, rel_gap)), obj, converged, 0, 0, 0)
+        return b, r, (1, float(max(infeas, rel_gap)), obj, converged, 0, 0, 0)
 
     L = operator_norm_sq(X)
     t = 1.0 / L if L > 0.0 else 1.0
 
-    b = np.zeros(m)
-    g_b = X.T @ y
-    r_b = y
+    if start is None:
+        b, g_b, r_b = np.zeros(X.shape[1]), X.T @ y, y
+        obj = 0.5 * float(y @ y)
+        matvecs = 1
+    else:
+        b, g_b, r_b = start
+        obj = objective(b, r_b)[1]
+        matvecs = 0
     a, g_a, r_a = b, g_b, r_b
     theta = 1.0
-    obj = 0.5 * float(y @ y)
     rise = 1e-12 * max(1.0, abs(obj))
     infeas = rel_gap = math.inf
     converged = False
     it = restarts = backoffs = 0
-    matvecs = 1
 
     def step_from(point, g_point, r_point):
         """Prox step from point, halving t until the quadratic bound holds."""
@@ -251,13 +292,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
         while True:
             matvecs += 1
             b_new = prox(point + t * g_point, t * sigma)
-            nz = np.flatnonzero(b_new)
-            # gathering the support's columns beats streaming all of X only
-            # while the support is a small share of an array's columns
-            if isinstance(X, np.ndarray) and nz.size * 16 <= m:
-                r = y - X[:, nz] @ b_new[nz]
-            else:
-                r = y - X @ b_new
+            r = y - X @ b_new
             f_new, obj_new = objective(b_new, r)
             if not math.isfinite(obj_new):
                 raise NumericalError("objective became non-finite during iteration")
@@ -281,7 +316,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
 
         g = X.T @ r
         matvecs += 1
-        infeas, rel_gap = certify(r, g, obj_new)
+        infeas, rel_gap = _certify(y, r, dual(g), obj_new, sigma, w)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         mom = theta_new * (1.0 / theta - 1.0)
@@ -297,11 +332,99 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual):
             break
 
     final_gap = float(max(infeas, rel_gap))
-    return b, (it, final_gap, obj, converged, restarts, backoffs, matvecs)
+    return b, r_b, (it, final_gap, obj, converged, restarts, backoffs, matvecs)
+
+
+def _working_set(X, y, w, sigma, tol, max_iter, problem):
+    """_fista on a working set W of units, certified on the full design.
+
+    A unit is a column of X for a feature fit and a block of columns for a
+    group fit; w holds one weight per unit.  problem(units) returns
+    (cols, prox, primal, dual) for the sub-problem on the sorted unit
+    indices units: the columns of X they span, in order, and _fista's
+    callables for the first len(units) weights.  problem(None) returns
+    those of the full problem, with cols None.
+
+    W starts at the violating prefix at b = 0, _violators of dual(X^T y).
+    A round fits the columns of W with the first |W| weights, which is
+    exact for the full problem since the zeros outside W sort last; later
+    rounds start from the previous coefficients.  After each round
+    g = X^T r is formed on the full design once and the fit goes through
+    _certify with all the weights.  If it holds at tol the fit is
+    reported.  Otherwise W gains the units of the violating prefix outside
+    it, or, when there are none, the |W| outside units with the largest
+    dual(g).  Once W is empty or would exceed 1/16 of the units, which is
+    where gathering its columns stops paying, the full design is fitted
+    from the current point instead: on the first round that is _fista's
+    zero start, with the X^T y formed here.  The identity design (None) is
+    fitted by _fista alone.
+
+    max_iter is shared across rounds, and a round that stops unconverged
+    ends the fit with converged=False and the full-design gap.
+
+    Returns
+    -------
+    (b, stats)
+        stats in FitResult order.  iterations, restarts, backoffs and
+        matvecs are summed over the rounds, matvecs counting every product,
+        with the gathered columns or the full design; rounds counts the
+        _fista calls, and full_matvecs the products with the full design:
+        X^T y, one X^T r per working-set round, and every product of a
+        full-design round.  A fit that takes the full design at once has
+        matvecs == full_matvecs, the count of the zero-start _fista.
+    """
+    if X is None:
+        b, _, stats = _fista(None, y, w, sigma, tol, max_iter, *problem(None)[1:])
+        return b, stats + (1, 0)
+    y, sigma = _checked(X, y, sigma, tol, max_iter)
+    cum_w = np.cumsum(sigma * w)
+    _, *full = problem(None)
+    dual = full[2]
+    g = X.T @ y
+    b, r = np.zeros(X.shape[1]), y
+    units = np.sort(_violators(dual(g), cum_w))
+    it = restarts = backoffs = matvecs = rounds = 0
+    full_matvecs = 1
+    while True:
+        rounds += 1
+        if not 0 < units.size * 16 <= w.size:
+            b, _, (k, gap, obj, conv, rs, bo, mv) = _fista(
+                X, y, w, sigma, tol, max_iter - it, *full, start=(b, g, r))
+            return b, (it + k, gap, obj, conv, restarts + rs, backoffs + bo,
+                       matvecs + full_matvecs + mv, rounds, full_matvecs + mv)
+        cols, *sub = problem(units)
+        Xw = X.columns(cols) if isinstance(X, _Equicorrelated) else X[:, cols]
+        bw, r, (k, _, obj, conv, rs, bo, mv) = _fista(
+            Xw, y, w[: units.size], sigma, tol, max_iter - it, *sub,
+            start=(b[cols], g[cols], r))
+        it, restarts, backoffs, matvecs = it + k, restarts + rs, backoffs + bo, matvecs + mv
+        b = np.zeros(X.shape[1])
+        b[cols] = bw
+        g = X.T @ r
+        full_matvecs += 1
+        h = dual(g)
+        infeas, rel_gap = _certify(y, r, h, obj, sigma, w)
+        certified = bool(infeas <= tol and rel_gap <= tol)
+        if certified or not conv or it >= max_iter:
+            return b, (it, float(max(infeas, rel_gap)), obj, certified, restarts, backoffs,
+                       matvecs + full_matvecs, rounds, full_matvecs)
+        inside = np.zeros(w.size, dtype=bool)
+        inside[units] = True
+        grow = _violators(h, cum_w)
+        grow = grow[~inside[grow]]
+        if grow.size == 0:
+            outside = np.flatnonzero(~inside)
+            grow = outside[np.argsort(-h[outside], kind="stable")[: units.size]]
+        units = np.union1d(units, grow)
 
 
 def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     """Solve the sorted-L1 penalized least-squares problem.
+
+    Arrays and _Equicorrelated operators are fitted by _working_set: FISTA
+    on the columns that violate dual feasibility, grown until the fit is
+    certified on the full design, or on all of it once they pass 1/16 of
+    the columns.
 
     Parameters
     ----------
@@ -310,7 +433,8 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         is the identity design, n = m = len(y), fitted without a matrix:
         the solution is the sorted-L1 prox of y against sigma*lam, one
         certified step (iterations=1, matvecs=0).  An _Equicorrelated
-        operator is fitted as it is, each product costing O(n).
+        operator is fitted as it is, each product costing O(n), and a
+        working set gathers its columns densely.
     y : array_like, shape (n,)
     lam : LambdaSchedule or array_like
         Non-increasing non-negative weights, length m.
@@ -318,9 +442,10 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         Noise scale multiplying the penalty.
     tol : float
         Bound required of both the gradient's dual infeasibility and the
-        relative primal-dual gap.
+        relative primal-dual gap, on the full design.
     max_iter : int
-        Iteration cap; hitting it returns converged=False, no exception.
+        Iteration cap shared by all rounds; hitting it returns
+        converged=False, no exception.
 
     Returns
     -------
@@ -333,12 +458,12 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     else:
         X = (design if isinstance(design, DesignMatrix) else DesignMatrix(design)).entries
     w = _weights_for(lam, np.size(y) if X is None else X.shape[1])
-    b, stats = _fista(
-        X, y, w, sigma, tol, max_iter,
-        prox=lambda v, step: prox_sorted_l1(v, step * w),
-        primal=np.abs,
-        dual=np.abs,
-    )
+
+    def problem(units):
+        wk = w if units is None else w[: units.size]
+        return units, (lambda v, step: prox_sorted_l1(v, step * wk)), np.abs, np.abs
+
+    b, stats = _working_set(X, y, w, sigma, tol, max_iter, problem)
     return FitResult(b, {int(i) for i in np.flatnonzero(b)}, *stats)
 
 

@@ -222,6 +222,28 @@ def _dual_infeasibility(g, w):
     return float(max(0.0, excess.max()))
 
 
+def certificate_reference(y, r, obj, h, w, sigma):
+    """(dual infeasibility, relative primal-dual gap) of a fit.
+
+    r = y - X b is the fit's residual, obj its primal objective and h >= 0
+    the magnitudes dual(X^T r) whose sorted prefix sums must stay below
+    those of sigma * w.  The dual point is r, scaled by the largest s <= 1
+    that makes it feasible when h is not.
+    """
+    cum_w = np.cumsum(sigma * w)
+    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
+    infeas = _dual_infeasibility(h / sigma, w)
+    cum_h = np.cumsum(np.sort(h)[::-1])
+    if bool(np.all(cum_h <= cum_w + feas_slack)):
+        s = 1.0
+    else:
+        pos = cum_h > 0.0
+        s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
+    u = s * r
+    dual = float(u @ y) - 0.5 * float(u @ u)
+    return infeas, max(obj - dual, 0.0) / max(obj, 1e-300)
+
+
 def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None):
     """The feature solver's FISTA loop with four matvecs per iteration.
 
@@ -238,8 +260,6 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None
     of L under "backoffs".
     """
     t = 1.0 / L if L > 0.0 else 1.0
-    cum_w = np.cumsum(sigma * w)
-    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
 
     m = X.shape[1]
     a = np.zeros(m)
@@ -274,17 +294,7 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None
             restarts += 1
             b_new, r, obj_new = step(b)
 
-        g = X.T @ r
-        infeas = _dual_infeasibility(g / sigma, w)
-        cum_g = np.cumsum(np.sort(np.abs(g))[::-1])
-        if bool(np.all(cum_g <= cum_w + feas_slack)):
-            s = 1.0
-        else:
-            pos = cum_g > 0.0
-            s = min(1.0, float(np.min(cum_w[pos] / cum_g[pos])))
-        u = s * r
-        dual = float(u @ y) - 0.5 * float(u @ u)
-        rel_gap = max(obj_new - dual, 0.0) / max(obj_new, 1e-300)
+        infeas, rel_gap = certificate_reference(y, r, obj_new, np.abs(X.T @ r), w, sigma)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         a = b_new + (theta_new * (1.0 / theta - 1.0)) * (b_new - b)
@@ -313,8 +323,6 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
         return np.sqrt(np.add.reduceat(vec * vec, offsets))
 
     t = 1.0 / L if L > 0.0 else 1.0
-    cum_w = np.cumsum(sigma * lam)
-    feas_slack = 1e-12 * max(1.0, float(cum_w[-1]))
 
     dim = Xt.shape[1]
     a = np.zeros(dim)
@@ -357,16 +365,7 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
             c_new, r, obj_new = step(c)
 
         h = block_norms(Xt.T @ r) / wts
-        infeas = _dual_infeasibility(h / sigma, lam)
-        cum_h = np.cumsum(np.sort(h)[::-1])
-        if bool(np.all(cum_h <= cum_w + feas_slack)):
-            s = 1.0
-        else:
-            pos = cum_h > 0.0
-            s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
-        u = s * r
-        dual = float(u @ y) - 0.5 * float(u @ u)
-        rel_gap = max(obj_new - dual, 0.0) / max(obj_new, 1e-300)
+        infeas, rel_gap = certificate_reference(y, r, obj_new, h, lam, sigma)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         a = c_new + (theta_new * (1.0 / theta - 1.0)) * (c_new - c)

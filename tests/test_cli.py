@@ -232,7 +232,8 @@ def test_solve_json_schedule_file(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert set(doc) == {"n", "m", "beta", "support", "iterations", "restarts", "backoffs",
-                        "matvecs", "final_gap", "objective", "converged"}
+                        "matvecs", "rounds", "full_matvecs", "final_gap", "objective",
+                        "converged"}
     assert doc["support"] == sorted(i for i, b in enumerate(doc["beta"]) if b != 0.0)
 
 
@@ -343,6 +344,9 @@ def test_solve_groups_refuse_allow_unnormalized(runner, tmp_path):
     assert "--allow-unnormalized does not apply with --groups" in res.output
 
 
+_COUNTERS = ("iterations", "restarts", "backoffs", "matvecs", "rounds", "full_matvecs")
+
+
 def _fit_problem(tmp_path, n=40, m=12, seed=2):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, m))
@@ -361,9 +365,10 @@ def test_solve_json_records_fit_counters(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     fit = solve_slope(X, y, lam.values)
-    counters = (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs)
-    assert counters[3] > 0
-    assert tuple(doc[k] for k in ("iterations", "restarts", "backoffs", "matvecs")) == counters
+    counters = (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs, fit.rounds,
+                fit.full_matvecs)
+    assert counters[3] > 0 and counters[4] >= 1 and counters[5] > 0
+    assert tuple(doc[k] for k in _COUNTERS) == counters
 
 
 def test_solve_json_records_group_fit_counters(runner, tmp_path):
@@ -378,9 +383,10 @@ def test_solve_json_records_group_fit_counters(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     fit = solve_group_slope(X, y, partition, lam.values)
-    counters = (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs)
-    assert counters[3] > 0
-    assert tuple(doc[k] for k in ("iterations", "restarts", "backoffs", "matvecs")) == counters
+    counters = (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs, fit.rounds,
+                fit.full_matvecs)
+    assert counters[3] > 0 and counters[4] >= 1 and counters[5] > 0
+    assert tuple(doc[k] for k in _COUNTERS) == counters
 
 
 def test_solve_length_mismatch(runner, tmp_path):

@@ -17,7 +17,7 @@ from stepslope.schedules import bh_schedule, gf_schedule
 from stepslope.solver import DesignMatrix, solve_slope
 from stepslope.sorted_l1 import prox_sorted_l1, sorted_l1_norm
 
-from oracles import group_fista_direct_reference, group_prox_grid
+from oracles import certificate_reference, group_fista_direct_reference, group_prox_grid
 
 
 def _unit_columns(X):
@@ -394,6 +394,57 @@ def test_group_carried_gradient_matches_direct_fista(monkeypatch, seed, n, sizes
     fit = solve_group_slope(X, y, part, lam)
     assert fit.selected_groups and fit.restarts > 0
     _assert_matches_direct_fista(fit, X, y, part, lam, L)
+
+
+def _masked_group_problem(seed=0, n=150):
+    """Group 1's first column is built at correlation -1/2 with group 0's
+    first column and y gives it half the coefficient, so group 1 does not
+    violate dual feasibility at c = 0 but enters once group 0 is fitted.
+    Unequal group sizes give unequal weights, which the fit folds."""
+    rng = np.random.default_rng(seed)
+    part = GroupPartition.from_sizes((2, 2) + (1, 2, 3, 4) * 30)
+    X = _unit_columns(rng.normal(size=(n, part.num_features)))
+    X[:, 2] = _unit_columns(-0.5 * X[:, 0] + np.sqrt(0.75) * _unit_columns(rng.normal(size=n)))
+    y = 16.0 * X[:, 0] + 8.0 * X[:, 2] + 0.3 * rng.normal(size=n)
+    return X, y, part
+
+
+def test_group_working_set_grows_to_a_group_masked_at_zero():
+    X, y, part = _masked_group_problem()
+    lam = bh_schedule(len(part), 0.1).values
+    assert not np.all(part.weights == part.weights[0])
+    sp = standardize(X, part)
+
+    def dual(g):
+        return np.sqrt(np.add.reduceat(g * g, sp.offsets)) / part.weights
+
+    assert 1 not in solver._violators(dual(sp.x_tilde.T @ y), np.cumsum(lam))
+    fit = solve_group_slope(X, y, part, lam)
+    assert fit.converged and fit.rounds >= 2 and 1 in fit.selected_groups
+    assert fit.full_matvecs < fit.matvecs
+    # the certificate, recomputed on the unfolded design from beta alone
+    c = np.concatenate([sp.r_factors[gi] @ fit.beta[list(g)]
+                        for gi, g in enumerate(part.groups)])
+    norms = np.sqrt(np.add.reduceat(c * c, sp.offsets))
+    np.testing.assert_allclose(norms, fit.group_norms, rtol=1e-12, atol=1e-14)
+    r = y - sp.x_tilde @ c
+    obj = 0.5 * float(r @ r) + float(np.sort(part.weights * norms)[::-1] @ lam)
+    infeas, rel_gap = certificate_reference(y, r, obj, dual(sp.x_tilde.T @ r), lam, 1.0)
+    assert infeas <= 1e-8 and rel_gap <= 1e-8
+    _, Xt, wts, _ = _folded(X, part)
+    full = groups._block_problem(sp.offsets, np.asarray(sp.ranks), wts, lam)
+    d, _, stats = solver._fista(Xt, y, lam, 1.0, 1e-8, 20000, *full)
+    assert stats[3]
+    assert fit.selected_groups == {
+        int(gi) for gi in np.flatnonzero(np.add.reduceat(d * d, sp.offsets))}
+    assert fit.objective == pytest.approx(stats[2], rel=1e-8)
+
+
+def test_group_working_set_shares_the_iteration_cap():
+    X, y, part = _masked_group_problem()
+    fit = solve_group_slope(X, y, part, bh_schedule(len(part), 0.1).values, max_iter=2)
+    assert fit.rounds == 2
+    assert not fit.converged and fit.iterations <= 2 and fit.final_gap > 1e-8
 
 
 def test_group_step_backoff_recovers_from_underestimated_norm(monkeypatch):

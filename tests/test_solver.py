@@ -20,7 +20,7 @@ from stepslope.solver import (
 )
 from stepslope.sorted_l1 import prox_sorted_l1
 
-from oracles import fista_direct_reference, ista_reference
+from oracles import certificate_reference, fista_direct_reference, ista_reference
 
 
 def _unit_columns(X):
@@ -180,20 +180,21 @@ def test_carried_gradient_matches_direct_fista(seed, n, m, common):
     [(3, 200, 800, 1.0, True), (5, 60, 60, 1e-3, False)],
     ids=["sparse-support", "dense-support"],
 )
-def test_restricted_residual_matches_direct_fista(monkeypatch, seed, n, m, scale, sparse):
-    # the loop forms X @ b_new from the support's columns while the support
-    # is at most 1/16 of them; the oracle always uses the full product
+def test_restricted_residual_matches_direct_fista(seed, n, m, scale, sparse):
+    # _fista on the full design forms X @ b_new from all of X, also while
+    # the support is at most 1/16 of the columns, as the oracle does;
+    # solve_slope would fit the sparse case on gathered columns instead
     X, y = _gaussian_problem(seed, n, m)
     lam = scale * bh_schedule(m, 0.1).values
     sizes = []
 
-    def prox(v, w):
-        b = prox_sorted_l1(v, w)
+    def prox(v, step):
+        b = prox_sorted_l1(v, step * lam)
         sizes.append(np.count_nonzero(b))
         return b
 
-    monkeypatch.setattr(solver, "prox_sorted_l1", prox)
-    fit = solve_slope(X, y, lam)
+    b_fit, _, stats = solver._fista(X, y, lam, 1.0, 1e-8, 20000, prox, np.abs, np.abs)
+    fit = FitResult(b_fit, {int(i) for i in np.flatnonzero(b_fit)}, *stats)
     if sparse:
         assert max(sizes) * 16 <= m
     else:
@@ -321,6 +322,54 @@ def test_equicorrelated_operator_fit_matches_dense_matrix(method, rho):
             want.iterations, want.restarts, want.backoffs, want.matvecs)
         np.testing.assert_allclose(fit.beta, want.beta, rtol=0.0, atol=1e-10)
         assert slope_objective(W, y, fit.beta, lam) == pytest.approx(fit.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,rho", [(2, 0.5), (50, 0.0), (300, 0.8)])
+def test_equicorrelated_columns_equal_dense_columns(n, rho):
+    for M in _equicorr_matrices(n, rho):
+        dense = M @ np.eye(n)
+        for idx in ([0], [n - 1, 0], list(range(0, n, 3)), []):
+            got = M.columns(np.array(idx, dtype=int))
+            assert got.shape == (n, len(idx))
+            assert got.tobytes() == np.ascontiguousarray(dense[:, idx]).tobytes()
+
+
+def _masked_problem(seed=1, n=100, m=400):
+    """Column 1 is built at correlation -1/2 with column 0 and y gives it
+    half the coefficient, so x_1^T y nearly cancels at b = 0; once column 0
+    is fitted, the residual's correlation with column 1 is large."""
+    rng = np.random.default_rng(seed)
+    X = _unit_columns(rng.normal(size=(n, m)))
+    X[:, 1] = _unit_columns(-0.5 * X[:, 0] + np.sqrt(0.75) * _unit_columns(rng.normal(size=n)))
+    y = 12.0 * X[:, 0] + 8.0 * X[:, 1] + 0.3 * rng.normal(size=n)
+    return X, y
+
+
+def test_working_set_grows_to_a_column_masked_at_zero():
+    X, y = _masked_problem()
+    lam = bh_schedule(X.shape[1], 0.1).values
+    assert 1 not in solver._violators(np.abs(X.T @ y), np.cumsum(lam))
+    fit = solve_slope(X, y, lam)
+    assert fit.converged and fit.rounds >= 2 and 1 in fit.support
+    assert fit.full_matvecs < fit.matvecs
+    # the certificate, recomputed on the full design from beta alone
+    r = y - X @ fit.beta
+    obj = 0.5 * float(r @ r) + float(np.sort(np.abs(fit.beta))[::-1] @ lam)
+    infeas, rel_gap = certificate_reference(y, r, obj, np.abs(X.T @ r), lam, 1.0)
+    assert infeas <= 1e-8 and rel_gap <= 1e-8
+    b, _, stats = solver._fista(X, y, lam, 1.0, 1e-8, 20000,
+                                lambda v, step: prox_sorted_l1(v, step * lam),
+                                np.abs, np.abs)
+    assert stats[3]
+    assert fit.support == {int(i) for i in np.flatnonzero(b)}
+    assert fit.objective == pytest.approx(stats[2], rel=1e-8)
+
+
+def test_working_set_shares_the_iteration_cap():
+    X, y = _masked_problem()
+    fit = solve_slope(X, y, bh_schedule(X.shape[1], 0.1).values, max_iter=2)
+    assert fit.rounds == 2
+    assert not fit.converged and fit.iterations <= 2 and fit.final_gap > 1e-8
 
 
 @pytest.mark.parametrize(
