@@ -9,8 +9,10 @@ data generation, the group QR standardization (group-Gaussian designs
 only) and the fit.  Prints one JSON line with the stage seconds and the
 fit's counters: iterations, rounds, matvecs, full_matvecs, backoffs,
 restarts, the support size (selected groups for a group fit), converged
-and the final gap.  Stepdown cells and Monte Carlo corrected cells have no
-fixed-schedule fit to time and are refused.
+and the final gap, and the process's peak resident memory in MB
+(peak_rss_mb, from getrusage) after the replication.  Stepdown cells and
+Monte Carlo corrected cells have no fixed-schedule fit to time and are
+refused.
 """
 
 import sys
@@ -25,6 +27,7 @@ envinfo.pin_threads()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import time  # noqa: E402
 
 from stepslope import cli, simlab  # noqa: E402
@@ -63,6 +66,7 @@ def time_replication(config, rep):
         full_matvecs=fit.full_matvecs, backoffs=fit.backoffs, restarts=fit.restarts,
         support_size=len(support), converged=bool(fit.converged),
         final_gap=float(fit.final_gap),
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     )
 
 

@@ -143,7 +143,10 @@ class StandardizedProblem:
     """Per-group orthonormalized design.
 
     x_tilde : ndarray, shape (n, sum of ranks)
-        The concatenated orthonormal bases, one contiguous block per group.
+        The concatenated orthonormal bases, one contiguous block per group,
+        Fortran-ordered.  The layout is part of the byte contract: numpy's
+        product with a C-ordered copy takes a different BLAS kernel and
+        rounds the fit's matvecs differently.
     r_factors : tuple of ndarray
         For group i, the (rank_i x size_i) factor with
         X[:, group_i] = U_i @ r_factors[i].
@@ -175,20 +178,32 @@ def standardize(design, partition):
     least 1e-10 times the largest one.  An all-zero block is a degenerate
     group and rejected.
 
+    A DesignMatrix was validated when it was built, so only a raw array is
+    tested for finite entries here.  Each block's basis is written straight
+    into one Fortran-ordered n x m buffer, and x_tilde is its first
+    sum-of-ranks columns, a Fortran-contiguous view (the layout fixes the
+    fit's rounding; see StandardizedProblem): no list of bases and no
+    concatenated copy are kept, so standardization allocates one
+    design-sized array.
+
     Returns
     -------
     StandardizedProblem
     """
-    X = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, float)
-    if X.ndim != 2 or not np.all(np.isfinite(X)):
-        raise ValueError("design must be a finite 2-d array")
+    if isinstance(design, DesignMatrix):
+        X = design.entries
+    else:
+        X = np.asarray(design, float)
+        if X.ndim != 2 or not np.all(np.isfinite(X)):
+            raise ValueError("design must be a finite 2-d array")
     if partition.num_features != X.shape[1]:
         raise ValueError(
             f"partition covers {partition.num_features} features, design has {X.shape[1]}"
         )
-    bases = []
+    x_tilde = np.empty(X.shape, order="F")
     factors = []
     ranks = []
+    col = 0
     for gi, g in enumerate(partition.groups):
         A = X[:, g]
         Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
@@ -196,14 +211,15 @@ def standardize(design, partition):
         if d.size == 0 or d[0] == 0.0:
             raise ValueError(f"group {gi} has an all-zero design block")
         rank = int(np.sum(d >= 1e-10 * d[0]))
-        bases.append(Q[:, :rank])
+        x_tilde[:, col:col + rank] = Q[:, :rank]
+        col += rank
         unpivoted = np.zeros((rank, A.shape[1]))
         unpivoted[:, piv] = R[:rank, :]
         factors.append(unpivoted)
         ranks.append(rank)
     return StandardizedProblem(
         partition=partition,
-        x_tilde=np.hstack(bases),
+        x_tilde=x_tilde[:, :col],
         r_factors=tuple(factors),
         ranks=tuple(ranks),
     )
@@ -356,8 +372,7 @@ def solve_group_slope(
         ranks = np.asarray(partition.sizes)
         offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
     else:
-        X_raw = design.entries if isinstance(design, DesignMatrix) else np.asarray(design, float)
-        sp = standardized if standardized is not None else standardize(X_raw, partition)
+        sp = standardized if standardized is not None else standardize(design, partition)
         X, target = sp.x_tilde, y
         ranks = np.asarray(sp.ranks)
         offsets = sp.offsets

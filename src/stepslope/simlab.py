@@ -301,15 +301,26 @@ def gen_orthogonal(config, rep):
     return None, beta, y, {int(i) for i in support}, y, config.sigma
 
 
+def _unit_gaussian_design(rng, n, m):
+    """N(0, 1/n) entries, columns scaled to exactly unit norm, in one n x m
+    buffer: the draw is divided by sqrt(n) and then by its column norms in
+    place, so no second design-sized array is made."""
+    X = rng.standard_normal((n, m))
+    X /= math.sqrt(n)
+    X /= np.sqrt(np.einsum("ij,ij->j", X, X))
+    return X
+
+
 def gen_gaussian(config, rep):
     """N(0, 1/n) entries, columns scaled to exactly unit norm.
 
-    Draw order: design, then support, then noise.
+    The design is drawn and scaled in place (_unit_gaussian_design) and
+    validated by DesignMatrix in one pass, so a replication holds one
+    n x m array.  Draw order: design, then support, then noise.
     """
     rng = _rep_rng(config.seed, rep)
     n, m = config.n, config.m
-    X = rng.standard_normal((n, m)) / math.sqrt(n)
-    X /= np.sqrt((X * X).sum(axis=0))
+    X = _unit_gaussian_design(rng, n, m)
     amp = resolve_signal(config)
     support = rng.choice(m, size=config.t, replace=False)
     beta = np.zeros(m)
@@ -350,11 +361,13 @@ def gen_group(config, rep):
     """Group design; draw order: design (gaussian case), relevant groups,
     per-group coefficients in sorted group order, then noise.
 
-    Relevant group g gets uniform [0.1, 1.1] coefficients rescaled so the
-    image norm ||X_g beta_g|| equals amplitude * sqrt(|g|).  The
-    group-orthogonal design is the identity, returned as None; its image
-    norm is still summed over a length-m image vector, as the product with
-    a dense identity was, so the drawn bytes are the same.
+    The group-Gaussian design is drawn and scaled in place, as
+    gen_gaussian's is, in one n x m buffer.  Relevant group g gets uniform
+    [0.1, 1.1] coefficients rescaled so the image norm ||X_g beta_g||
+    equals amplitude * sqrt(|g|).  The group-orthogonal design is the
+    identity, returned as None; its image norm is still summed over a
+    length-m image vector, as the product with a dense identity was, so
+    the drawn bytes are the same.
     """
     rng = _rep_rng(config.seed, rep)
     sizes = config.expanded_group_sizes()
@@ -363,8 +376,7 @@ def gen_group(config, rep):
     if config.design == "group-orthogonal":
         design = X = None
     else:
-        X = rng.standard_normal((config.n, m)) / math.sqrt(config.n)
-        X /= np.sqrt((X * X).sum(axis=0))
+        X = _unit_gaussian_design(rng, config.n, m)
         design = DesignMatrix(X)
     amp = resolve_group_amplitude(config)
     relevant = rng.choice(config.num_groups, size=config.t, replace=False)

@@ -40,6 +40,12 @@ class DesignMatrix:
         CLI reads with --allow-unnormalized; column_norms_validated records
         which contract the instance carries.  The whitened equicorrelated
         design of the simulations is an _Equicorrelated operator instead.
+
+    Validation reads the entries once: the column sums of squares are the
+    unit-norm input and also the finiteness screen, since a NaN or +-inf
+    entry makes its column's sum non-finite.  Only when a sum is not
+    finite are the entries themselves tested; finite entries whose squares
+    overflow pass that test and fail the unit-norm check.
     """
 
     entries: np.ndarray
@@ -50,10 +56,11 @@ class DesignMatrix:
         X = np.asarray(self.entries, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("design must be a 2-d array with at least one row and column")
-        if not np.all(np.isfinite(X)):
+        sq = np.einsum("ij,ij->j", X, X)
+        if not np.all(np.isfinite(sq)) and not np.all(np.isfinite(X)):
             raise ValueError("design contains non-finite entries")
         if self.require_unit_columns:
-            norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+            norms = np.sqrt(sq)
             worst = float(np.abs(norms - 1.0).max())
             if worst > 1e-8:
                 raise ValueError(

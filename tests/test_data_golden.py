@@ -1,5 +1,6 @@
-"""Generated data bytes of the matrix-free designs, frozen in
-tests/data/orthogonal_data_golden.json.
+"""Generated data bytes, frozen in tests/data/orthogonal_data_golden.json
+(the matrix-free designs) and tests/data/gaussian_data_golden.json (the
+Gaussian designs).
 
 For a few (seed, rep) pairs of feature- and group-orthogonal configs the
 file holds the sha256 of the coefficient vector and the response that
@@ -10,20 +11,33 @@ hash the mean, the whitened response and the raw observation ybar, all
 three drawn through the O(n) equicorrelation operators; they were frozen
 when those replaced the dense matrices, whose products rounded
 differently.
+
+Gaussian entries hash the design X, beta and y that gen_gaussian and the
+group-Gaussian gen_group draw, and for group designs the bytes of
+standardize's x_tilde, its Fortran layout (the layout picks the BLAS
+kernel of the fit's products, so it changes fitted bytes), the R factors
+and the ranks.  One group design has two collinear columns in a block, so
+x_tilde has fewer columns than X.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
+from stepslope.groups import standardize
 from stepslope.simlab import (
     ExperimentConfig,
     gen_correlated_means,
+    gen_gaussian,
     gen_group,
     gen_orthogonal,
 )
+from stepslope.solver import DesignMatrix
 
 GOLDEN = Path(__file__).parent / "data" / "orthogonal_data_golden.json"
+GAUSSIAN_GOLDEN = Path(__file__).parent / "data" / "gaussian_data_golden.json"
 
 CONFIGS = {
     "feature-1000": dict(design="orthogonal-identity", method="k-slope", n=1000, m=1000,
@@ -43,6 +57,21 @@ CONFIGS = {
 }
 
 SEED_REPS = ((0, 0), (11007, 3), (4207, 17))
+
+GAUSSIAN_CONFIGS = {
+    "gaussian-800x1600": dict(design="gaussian", method="k-slope", n=800, m=1600, t=20,
+                              k=2, signal="weak"),
+    "gaussian-400x200": dict(design="gaussian", method="k-slope", n=400, m=200, t=10,
+                             k=2, signal="weak", correction="monte-carlo"),
+    "group-gaussian-mixed-inv-sqrt": dict(design="group-gaussian", method="gk-slope",
+                                          n=1000, m=1000, t=10, k=6, num_groups=200,
+                                          group_sizes=(3, 4, 5, 6, 7),
+                                          weight_scheme="inv-sqrt"),
+}
+
+# (group, column offset inside it) whose next column is overwritten by the
+# column's negative, a block of rank one less than its size
+COLLINEAR = (57, 1)
 
 
 def _digest(*arrays):
@@ -66,6 +95,48 @@ def orthogonal_data_golden_doc():
                 arrays = beta, y
             doc[f"{name} seed={seed} rep={rep}"] = _digest(*arrays)
     return doc
+
+
+def _standardized_entry(design, part):
+    sp = standardize(design, part)
+    return {
+        "x_tilde": _digest(sp.x_tilde),
+        "x_tilde_f_contiguous": bool(sp.x_tilde.flags.f_contiguous),
+        "x_tilde_shape": list(sp.x_tilde.shape),
+        "r_factors": _digest(*sp.r_factors),
+        "ranks": _digest(np.asarray(sp.ranks, dtype=np.int64)),
+    }
+
+
+def gaussian_data_golden_doc():
+    """The document the Gaussian golden file holds, computed from the current code."""
+    doc = {}
+    for name, kw in GAUSSIAN_CONFIGS.items():
+        for seed, rep in SEED_REPS:
+            config = ExperimentConfig(replications=rep + 1, seed=seed, **kw)
+            if config.design == "gaussian":
+                design, beta, y, *_ = gen_gaussian(config, rep)
+                entry = {"data": _digest(design.entries, beta, y)}
+            else:
+                design, part, beta, y, _ = gen_group(config, rep)
+                entry = {"data": _digest(design.entries, beta, y),
+                         **_standardized_entry(design, part)}
+            doc[f"{name} seed={seed} rep={rep}"] = entry
+    config = ExperimentConfig(replications=1, seed=0,
+                              **GAUSSIAN_CONFIGS["group-gaussian-mixed-inv-sqrt"])
+    design, part, *_ = gen_group(config, 0)
+    X = design.entries.copy()
+    g, j = COLLINEAR
+    col = part.groups[g][j]
+    X[:, col + 1] = -X[:, col]
+    doc["group-gaussian-mixed-inv-sqrt collinear seed=0 rep=0"] = {
+        "data": _digest(X), **_standardized_entry(DesignMatrix(X), part)}
+    return doc
+
+
+def test_gaussian_data_bytes_match_golden():
+    want = json.loads(GAUSSIAN_GOLDEN.read_text())
+    assert gaussian_data_golden_doc() == want
 
 
 def test_orthogonal_data_bytes_match_golden():

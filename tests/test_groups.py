@@ -1,5 +1,6 @@
 """Group partition, standardization, block prox, and the group solver."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,7 @@ def test_standardize_detects_rank_deficiency():
     X = np.hstack([col, 2.0 * col, rng.normal(size=(15, 2))])
     sp = standardize(X, GroupPartition.from_sizes((2, 2)))
     assert sp.ranks == (1, 2)
+    assert sp.x_tilde.shape == (15, 3) and sp.x_tilde.flags.f_contiguous
     U = sp.x_tilde[:, sp.block(0)]
     assert np.allclose(U @ sp.r_factors[0], X[:, :2], atol=1e-12)
 
@@ -105,6 +107,30 @@ def test_standardize_rejects_zero_block():
 def test_standardize_rejects_partition_mismatch():
     with pytest.raises(ValueError, match="partition covers"):
         standardize(np.eye(4), GroupPartition.from_sizes((2, 3)))
+
+
+def test_standardize_rejects_a_non_finite_raw_array():
+    X = np.eye(4)
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite 2-d array"):
+        standardize(X, GroupPartition.from_sizes((2, 2)))
+
+
+def test_standardize_design_matrix_allocates_one_design():
+    # a shape no other test uses; the peak counts only what standardize
+    # allocates, as the design exists before tracing starts
+    n, sizes = 700, (3, 4, 5, 6, 7) * 36
+    part = GroupPartition.from_sizes(sizes)
+    design = DesignMatrix(_unit_columns(np.random.default_rng(3).normal(
+        size=(n, part.num_features))))
+    tracemalloc.start()
+    try:
+        sp = standardize(design, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sp.ranks) == part.num_features
+    assert peak < 1.1 * design.entries.nbytes
 
 
 def test_group_prox_equal_weights_closed_form():

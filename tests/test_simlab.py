@@ -331,6 +331,25 @@ def test_group_orthogonal_run_allocates_no_dense_identity():
         assert peak < 50 * 2**20
 
 
+@pytest.mark.parametrize("design, n, m, extra", [
+    ("gaussian", 600, 1200, dict(method="k-slope", t=10, k=2)),
+    ("group-gaussian", 900, 900, dict(method="gk-slope", t=10, k=6, num_groups=180,
+                                      group_sizes=(3, 4, 5, 6, 7))),
+])
+def test_gaussian_generation_allocates_one_design(design, n, m, extra):
+    config = ExperimentConfig(design=design, n=n, m=m, replications=1, seed=41, **extra)
+    gen = gen_gaussian if design == "gaussian" else gen_group
+    gen(config, 0)  # warm gen_group's partition cache
+    tracemalloc.start()
+    try:
+        out = gen(config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[0].shape == (n, m)
+    assert peak < 1.1 * 8 * n * m
+
+
 def test_package_builds_no_dense_identity():
     src = Path(simlab.__file__).parent
     hits = [p.name for p in sorted(src.glob("*.py"))

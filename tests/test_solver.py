@@ -416,6 +416,25 @@ def test_design_matrix_validation():
         DesignMatrix(np.ones(4))
 
 
+@pytest.mark.parametrize("unit", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_design_matrix_rejects_a_single_non_finite_entry(bad, unit):
+    X = np.eye(3)
+    X[1, 2] = bad
+    with pytest.raises(ValueError, match="design contains non-finite entries"):
+        DesignMatrix(X, require_unit_columns=unit)
+
+
+def test_design_matrix_overflowing_finite_column_fails_only_the_unit_norm_check():
+    # every entry is finite but the column's sum of squares overflows to inf
+    X = np.eye(3)
+    X[:, 1] = 1e200
+    with pytest.raises(ValueError, match="unit norm"):
+        DesignMatrix(X)
+    waived = DesignMatrix(X, require_unit_columns=False)
+    assert np.array_equal(waived.entries, X)
+
+
 def test_solve_input_validation():
     X = np.eye(4)
     y = np.zeros(4)
