@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .solver import DesignMatrix, _weights_for, _working_set, solve_slope, support_metrics
-from .sorted_l1 import prox_sorted_l1
+from .solver import DesignMatrix, _working_set, solve_slope, support_metrics
+from .sorted_l1 import _weights, prox_sorted_l1
 
 
 def _scheme_weights(sizes, scheme):
@@ -271,7 +271,7 @@ def group_prox(v, weights, lam, step):
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(getattr(weights, "values", weights), dtype=float)
-    lamv = np.asarray(getattr(lam, "values", lam), dtype=float)
+    lamv = _weights(lam, v.size)
     if v.shape != w.shape or v.shape != lamv.shape:
         raise ValueError("v, weights, and lam must have matching lengths")
     if np.any(v < 0.0):
@@ -361,7 +361,7 @@ def solve_group_slope(
         group_norms holds the standardized block norms; its zeros are
         exact and selected_groups is read off literally.
     """
-    lamv = _weights_for(lam, len(partition))
+    lamv = _weights(lam, len(partition))
     if design is None:
         y = np.asarray(y, dtype=float)
         m = partition.num_features

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .quantiles import ChiMixture, chi_quantile, mixture_quantile, normal_quantile
+from .solver import DesignMatrix
 from .stepdown import _check_count, _check_level, fdp_thresholds, kfwer_thresholds
 
 
@@ -183,17 +184,23 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
     own derived random stream, so the result does not depend on evaluation
     order.
 
+    design is a DesignMatrix, whose entries were validated when it was
+    built, or a raw array, which is checked to be 2-d and finite here.
+
     Raises
     ------
     NumericalError
         If a sampled Gram matrix X_S^T X_S stays singular after 10 redraws.
     """
     rule = _corrected_rule(base, "-MonteCarlo", "Monte Carlo")
-    X = np.asarray(design, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("design must be a 2-d array")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("design contains non-finite entries")
+    if isinstance(design, DesignMatrix):
+        X = design.entries
+    else:
+        X = np.asarray(design, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("design must be a 2-d array")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("design contains non-finite entries")
     replicates = _check_count("replicates", replicates)
     if seed < 0 or int(seed) != seed:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")

@@ -482,7 +482,7 @@ def _run_rep(config, rep, mode, payload):
             np.random.SeedSequence((int(config.seed), int(rep))).generate_state(1)[0]
         )
         schedule = monte_carlo_corrected_schedule(
-            payload, design.entries, config.mc_replicates, seed=mc_seed
+            payload, design, config.mc_replicates, seed=mc_seed
         )
     fit = solve_slope(
         design,

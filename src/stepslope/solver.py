@@ -12,20 +12,22 @@ that violate dual feasibility at zero, grown by the violators of each
 fit until the certificate holds on the full design (the strong rule for
 SLOPE of Larsson, Bogdan & Wallin, with the working-set gap check of
 Massias, Gramfort & Salmon's Celer); past 1/16 of the columns it runs on
-all of them.  The group solver runs the same loop and working set with a
-block prox, on blocks.  The identity design is passed as None and fitted
-by one certified prox; the whitened equicorrelated design is an O(n)
-operator, _Equicorrelated.
+all of them.  The working set is the one way into the loop: it checks
+the arguments once per fit, gives every round its start, and keeps one
+counter record for the fit; the identity design, passed as None, never
+reaches the loop, since one certified prox solves it.  The group solver
+runs the same working set and loop with a block prox, on blocks.  The
+whitened equicorrelated design is an O(n) operator, _Equicorrelated.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
-from .sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
+from .sorted_l1 import _weights, dual_infeasibility, prox_sorted_l1, sorted_l1_norm
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,7 @@ class DesignMatrix:
         When True (the default) every column norm must be within 1e-8 of
         one.  Pass False for designs that are deliberately unnormalized,
         e.g. the diagonal design of groups.group_prox or a design file the
-        CLI reads with --allow-unnormalized; column_norms_validated records
-        which contract the instance carries.  The whitened equicorrelated
+        CLI reads with --allow-unnormalized.  The whitened equicorrelated
         design of the simulations is an _Equicorrelated operator instead.
 
     Validation reads the entries once: the column sums of squares are the
@@ -50,7 +51,6 @@ class DesignMatrix:
 
     entries: np.ndarray
     require_unit_columns: bool = True
-    column_norms_validated: bool = field(init=False)
 
     def __post_init__(self):
         X = np.asarray(self.entries, dtype=float)
@@ -68,7 +68,6 @@ class DesignMatrix:
                     "pass require_unit_columns=False for unnormalized designs"
                 )
         object.__setattr__(self, "entries", X)
-        object.__setattr__(self, "column_norms_validated", bool(self.require_unit_columns))
 
     @property
     def shape(self):
@@ -148,13 +147,6 @@ def operator_norm_sq(X):
     return float(np.einsum("ij,ij->j", X, X).max())
 
 
-def _weights_for(lam, m):
-    w = np.asarray(getattr(lam, "values", lam), dtype=float)
-    if w.ndim != 1 or w.size != m:
-        raise ValueError(f"schedule has length {w.size}, expected {m}")
-    return w
-
-
 def slope_objective(design, y, beta, lam, sigma=1.0):
     """0.5*||y - X beta||^2 + sigma * J_lam(beta) for any design solve_slope
     takes: None is the identity, r = y - beta, and a raw array is read
@@ -184,8 +176,10 @@ def _checked(X, y, sigma, tol, max_iter):
     return y, sigma
 
 
-def _certify(y, r, h, obj, sigma, w):
-    """(dual infeasibility, relative primal-dual gap) of a fit.
+def _certify(y, r, h, obj, sigma, w, tol):
+    """(gap, certified) of a fit: gap is the larger of its dual
+    infeasibility and relative primal-dual gap, and certified whether both
+    are at most tol.
 
     r is the fit's residual, obj its objective, h = dual(X^T r) the
     magnitudes whose sorted prefix sums must stay below those of sigma * w.
@@ -202,7 +196,8 @@ def _certify(y, r, h, obj, sigma, w):
         s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
     u = s * r
     dual_obj = float(u @ y) - 0.5 * float(u @ u)
-    return infeas, max(obj - dual_obj, 0.0) / max(obj, 1e-300)
+    rel_gap = max(obj - dual_obj, 0.0) / max(obj, 1e-300)
+    return float(max(infeas, rel_gap)), bool(infeas <= tol and rel_gap <= tol)
 
 
 def _violators(h, cum_w):
@@ -215,17 +210,14 @@ def _violators(h, cum_w):
     return order[: top + 1] if excess[top] > 0.0 else order[:0]
 
 
-def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start=None):
+def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start, counts):
     """FISTA with restarts on 0.5*||y - X b||^2 + sigma * J_w(primal(b)).
 
     prox(point, step) is the prox of step * J_w(primal(.)) at point;
     primal(b) gives the magnitudes the penalty sorts, and dual(g) the
     magnitudes whose sorted prefix sums certify dual feasibility of a
-    gradient g = X^T (y - X b), through _certify.
-
-    X=None means the identity design, whose problem one prox solves
-    exactly: b = prox(y, sigma) goes through the same certificate with
-    g = r = y - b, as one iteration with no matvecs.
+    gradient g = X^T (y - X b), through _certify.  The only caller,
+    _working_set, has checked y, sigma, tol and max_iter.
 
     X is an array or an _Equicorrelated operator.  The step starts at
     1/L for L = operator_norm_sq(X), a lower bound on ||X||^2, and a step
@@ -237,9 +229,8 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start=None):
     objective is replaced by a plain step from the last accepted point,
     which that test keeps from raising it.
 
-    start is None for the zero start, which forms g = X^T y, or a tuple
-    (b, g, r) of a start point with its gradient g = X^T r and residual
-    r = y - X b already formed, which costs no product here.
+    start is (b, g, r): the start point with its gradient g = X^T r and
+    residual r = y - X b already formed, which costs no product here.
 
     The gradient and residual at the accepted point, g_b and r_b, are
     carried from the certificate step, and the momentum point's are the
@@ -248,56 +239,40 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start=None):
     both from scratch.  A sparse fit reaches this loop on the gathered
     columns of _working_set, so every product here is with all of X.
 
+    counts is the fit's [iterations, restarts, backoffs, matvecs], advanced
+    in place: restarts counts every plain step retried from the last
+    accepted point, backoffs every doubling of L (each retries a step), and
+    matvecs every product with X or X^T, so a call adds
+    iterations + restarts + backoffs + iterations to it.  The loop runs
+    while counts[0] < max_iter, so max_iter caps the iterations of all of a
+    fit's calls together.
+
     Returns
     -------
-    (b, r, stats)
-        b is the last prox output and r = y - X b its residual; stats
-        holds, in FitResult order, iterations, final_gap, objective,
-        converged, restarts, backoffs and matvecs.  restarts counts every
-        plain step retried from the last accepted point, backoffs every
-        doubling of L (each retries a step), and matvecs every product with
-        X or X^T: 1 + iterations + restarts + backoffs + iterations from
-        the zero start, without the leading 1 from a given start.
+    (b, r, final_gap, objective, converged)
+        b is the last prox output and r = y - X b its residual.
     """
-    y, sigma = _checked(X, y, sigma, tol, max_iter)
 
     def objective(b_new, r):
         """(least-squares term, full objective) at b_new with residual r."""
         f = 0.5 * float(r @ r)
         return f, f + sigma * sorted_l1_norm(primal(b_new), w)
 
-    if X is None:
-        b = prox(y, sigma)
-        r = y - b
-        obj = objective(b, r)[1]
-        infeas, rel_gap = _certify(y, r, dual(r), obj, sigma, w)
-        converged = bool(infeas <= tol and rel_gap <= tol)
-        return b, r, (1, float(max(infeas, rel_gap)), obj, converged, 0, 0, 0)
-
     L = operator_norm_sq(X)
     t = 1.0 / L if L > 0.0 else 1.0
-
-    if start is None:
-        b, g_b, r_b = np.zeros(X.shape[1]), X.T @ y, y
-        obj = 0.5 * float(y @ y)
-        matvecs = 1
-    else:
-        b, g_b, r_b = start
-        obj = objective(b, r_b)[1]
-        matvecs = 0
+    b, g_b, r_b = start
+    obj = objective(b, r_b)[1]
     a, g_a, r_a = b, g_b, r_b
     theta = 1.0
     rise = 1e-12 * max(1.0, abs(obj))
-    infeas = rel_gap = math.inf
-    converged = False
-    it = restarts = backoffs = 0
+    gap, converged = math.inf, False
 
     def step_from(point, g_point, r_point):
         """Prox step from point, halving t until the quadratic bound holds."""
-        nonlocal matvecs, backoffs, t
+        nonlocal t
         f_point = 0.5 * float(r_point @ r_point)
         while True:
-            matvecs += 1
+            counts[3] += 1
             b_new = prox(point + t * g_point, t * sigma)
             r = y - X @ b_new
             f_new, obj_new = objective(b_new, r)
@@ -308,22 +283,22 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start=None):
                 return b_new, r, obj_new
             # the step overshot the smooth part's quadratic upper bound, so
             # 1/t was below its curvature along d: double the estimate
-            backoffs += 1
+            counts[2] += 1
             t *= 0.5
 
-    while it < max_iter:
-        it += 1
+    while counts[0] < max_iter:
+        counts[0] += 1
         b_new, r, obj_new = step_from(a, g_a, r_a)
         if obj_new > obj + rise:
             # momentum overshoot: plain prox step from the last accepted
             # point, which the quadratic bound keeps from raising the objective
             theta = 1.0
-            restarts += 1
+            counts[1] += 1
             b_new, r, obj_new = step_from(b, g_b, r_b)
 
         g = X.T @ r
-        matvecs += 1
-        infeas, rel_gap = _certify(y, r, dual(g), obj_new, sigma, w)
+        counts[3] += 1
+        gap, converged = _certify(y, r, dual(g), obj_new, sigma, w, tol)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         mom = theta_new * (1.0 / theta - 1.0)
@@ -334,16 +309,15 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start=None):
         obj = obj_new
         rise = 1e-12 * max(1.0, abs(obj))
         theta = theta_new
-        if infeas <= tol and rel_gap <= tol:
-            converged = True
+        if converged:
             break
 
-    final_gap = float(max(infeas, rel_gap))
-    return b, r_b, (it, final_gap, obj, converged, restarts, backoffs, matvecs)
+    return b, r_b, gap, obj, converged
 
 
 def _working_set(X, y, w, sigma, tol, max_iter, problem):
-    """_fista on a working set W of units, certified on the full design.
+    """Check a fit's arguments, then run _fista on a working set W of
+    units, certified on the full design.
 
     A unit is a column of X for a feature fit and a block of columns for a
     group fit; w holds one weight per unit.  problem(units) returns
@@ -352,19 +326,22 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
     callables for the first len(units) weights.  problem(None) returns
     those of the full problem, with cols None.
 
-    W starts at the violating prefix at b = 0, _violators of dual(X^T y).
-    A round fits the columns of W with the first |W| weights, which is
-    exact for the full problem since the zeros outside W sort last; later
-    rounds start from the previous coefficients.  After each round
-    g = X^T r is formed on the full design once and the fit goes through
-    _certify with all the weights.  If it holds at tol the fit is
-    reported.  Otherwise W gains the units of the violating prefix outside
-    it, or, when there are none, the |W| outside units with the largest
-    dual(g).  Once W is empty or would exceed 1/16 of the units, which is
-    where gathering its columns stops paying, the full design is fitted
-    from the current point instead: on the first round that is _fista's
-    zero start, with the X^T y formed here.  The identity design (None) is
-    fitted by _fista alone.
+    The identity design, X None, needs no loop: b = prox(y, sigma) solves
+    it exactly and goes through _certify with g = r = y - b, reported as
+    one iteration in one round with no matvecs.
+
+    Otherwise W starts at the violating prefix at b = 0, _violators of
+    dual(X^T y).  A round fits the columns of W with the first |W| weights,
+    which is exact for the full problem since the zeros outside W sort
+    last; every round starts from the current coefficients, the first from
+    b = 0 with the X^T y formed here.  After each round g = X^T r is formed
+    on the full design once and the fit goes through _certify with all the
+    weights.  If it holds at tol the fit is reported.  Otherwise W gains
+    the units of the violating prefix outside it, or, when there are none,
+    the |W| outside units with the largest dual(g).  Once W is empty or
+    would exceed 1/16 of the units, which is where gathering its columns
+    stops paying, the full design is fitted from the current point
+    instead.
 
     max_iter is shared across rounds, and a round that stops unconverged
     ends the fit with converged=False and the full-design gap.
@@ -373,48 +350,48 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
     -------
     (b, stats)
         stats in FitResult order.  iterations, restarts, backoffs and
-        matvecs are summed over the rounds, matvecs counting every product,
-        with the gathered columns or the full design; rounds counts the
-        _fista calls, and full_matvecs the products with the full design:
-        X^T y, one X^T r per working-set round, and every product of a
-        full-design round.  A fit that takes the full design at once has
-        matvecs == full_matvecs, the count of the zero-start _fista.
+        matvecs are one record over all rounds (see _fista), matvecs
+        counting every product, with the gathered columns or the full
+        design; rounds counts the _fista calls (the identity's prox is one
+        round), and full_matvecs the products with the full design: X^T y,
+        one X^T r per working-set round, and every product of a full-design
+        round.  A fit that takes the full design at once has
+        matvecs == full_matvecs.
     """
-    if X is None:
-        b, _, stats = _fista(None, y, w, sigma, tol, max_iter, *problem(None)[1:])
-        return b, stats + (1, 0)
     y, sigma = _checked(X, y, sigma, tol, max_iter)
+    _, prox, primal, dual = problem(None)
+    if X is None:
+        b = prox(y, sigma)
+        r = y - b
+        obj = 0.5 * float(r @ r) + sigma * sorted_l1_norm(primal(b), w)
+        gap, converged = _certify(y, r, dual(r), obj, sigma, w, tol)
+        return b, (1, gap, obj, converged, 0, 0, 0, 1, 0)
     cum_w = np.cumsum(sigma * w)
-    _, *full = problem(None)
-    dual = full[2]
     g = X.T @ y
     b, r = np.zeros(X.shape[1]), y
     units = np.sort(_violators(dual(g), cum_w))
-    it = restarts = backoffs = matvecs = rounds = 0
-    full_matvecs = 1
+    counts = [0, 0, 0, 1]  # iterations, restarts, backoffs, matvecs: X^T y
+    gathered = rounds = 0  # products with gathered columns, _fista calls
     while True:
         rounds += 1
         if not 0 < units.size * 16 <= w.size:
-            b, _, (k, gap, obj, conv, rs, bo, mv) = _fista(
-                X, y, w, sigma, tol, max_iter - it, *full, start=(b, g, r))
-            return b, (it + k, gap, obj, conv, restarts + rs, backoffs + bo,
-                       matvecs + full_matvecs + mv, rounds, full_matvecs + mv)
+            b, _, gap, obj, converged = _fista(
+                X, y, w, sigma, tol, max_iter, prox, primal, dual, (b, g, r), counts)
+            break
         cols, *sub = problem(units)
         Xw = X.columns(cols) if isinstance(X, _Equicorrelated) else X[:, cols]
-        bw, r, (k, _, obj, conv, rs, bo, mv) = _fista(
-            Xw, y, w[: units.size], sigma, tol, max_iter - it, *sub,
-            start=(b[cols], g[cols], r))
-        it, restarts, backoffs, matvecs = it + k, restarts + rs, backoffs + bo, matvecs + mv
+        before = counts[3]
+        bw, r, _, obj, round_converged = _fista(
+            Xw, y, w[: units.size], sigma, tol, max_iter, *sub, (b[cols], g[cols], r), counts)
+        gathered += counts[3] - before
         b = np.zeros(X.shape[1])
         b[cols] = bw
         g = X.T @ r
-        full_matvecs += 1
+        counts[3] += 1
         h = dual(g)
-        infeas, rel_gap = _certify(y, r, h, obj, sigma, w)
-        certified = bool(infeas <= tol and rel_gap <= tol)
-        if certified or not conv or it >= max_iter:
-            return b, (it, float(max(infeas, rel_gap)), obj, certified, restarts, backoffs,
-                       matvecs + full_matvecs, rounds, full_matvecs)
+        gap, converged = _certify(y, r, h, obj, sigma, w, tol)
+        if converged or not round_converged or counts[0] >= max_iter:
+            break
         inside = np.zeros(w.size, dtype=bool)
         inside[units] = True
         grow = _violators(h, cum_w)
@@ -423,15 +400,18 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
             outside = np.flatnonzero(~inside)
             grow = outside[np.argsort(-h[outside], kind="stable")[: units.size]]
         units = np.union1d(units, grow)
+    iterations, restarts, backoffs, matvecs = counts
+    return b, (iterations, gap, obj, converged, restarts, backoffs, matvecs,
+               rounds, matvecs - gathered)
 
 
 def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     """Solve the sorted-L1 penalized least-squares problem.
 
-    Arrays and _Equicorrelated operators are fitted by _working_set: FISTA
-    on the columns that violate dual feasibility, grown until the fit is
-    certified on the full design, or on all of it once they pass 1/16 of
-    the columns.
+    Every design is fitted by _working_set, which checks the arguments once.
+    Arrays and _Equicorrelated operators run FISTA on the columns that
+    violate dual feasibility, grown until the fit is certified on the full
+    design, or on all of it once they pass 1/16 of the columns.
 
     Parameters
     ----------
@@ -464,7 +444,7 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         X = design
     else:
         X = (design if isinstance(design, DesignMatrix) else DesignMatrix(design)).entries
-    w = _weights_for(lam, np.size(y) if X is None else X.shape[1])
+    w = _weights(lam, np.size(y) if X is None else X.shape[1])
 
     def problem(units):
         wk = w if units is None else w[: units.size]

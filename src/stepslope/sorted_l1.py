@@ -12,7 +12,7 @@ import numpy as np
 def _weights(lam, m):
     w = np.asarray(getattr(lam, "values", lam), dtype=float)
     if w.ndim != 1 or w.size != m:
-        raise ValueError(f"weight vector has length {w.size}, expected {m}")
+        raise ValueError(f"schedule has length {w.size}, expected {m}")
     return w
 
 

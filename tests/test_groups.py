@@ -260,6 +260,34 @@ def test_identity_without_matrix_equals_dense_identity(case, tmp_path):
     assert (fit.iterations, fit.matvecs) == (1, 0)
 
 
+def test_equal_weight_identity_fit_skips_the_fista_loop(monkeypatch):
+    # one certified block prox; unequal weights would enter the loop through
+    # group_prox's diagonal fit, so the weights here are equal
+    groups_ = ((0, 7, 3), (1,), (2, 8), (4, 5, 6, 9), (10, 11))
+    part = GroupPartition(groups_, np.full(len(groups_), 1.7))
+    rng = np.random.default_rng(22)
+    y = 0.5 * rng.normal(size=part.num_features)
+    y[[0, 7, 3]] += 4.0
+    lam = bh_schedule(len(part), 0.2).values
+
+    def no_loop(*args):
+        raise AssertionError("the identity design must not enter the FISTA loop")
+
+    monkeypatch.setattr(solver, "_fista", no_loop)
+    fit = solve_group_slope(None, y, part, lam, sigma=1.2)
+    order = np.concatenate(part.groups)
+    ranks = np.asarray(part.sizes)
+    offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
+    prox = groups._block_problem(offsets, ranks, part.weights, lam)[0]
+    want = np.zeros(part.num_features)
+    want[order] = prox(y[order], 1.2)
+    assert fit.beta.tobytes() == want.tobytes()
+    assert fit.selected_groups and len(fit.selected_groups) < len(part)
+    assert fit.converged and fit.final_gap <= 1e-8
+    assert (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs, fit.rounds,
+            fit.full_matvecs) == (1, 0, 0, 0, 1, 0)
+
+
 def test_identity_without_matrix_checks_lengths():
     part = GroupPartition.from_sizes((2, 2))
     with pytest.raises(ValueError, match="schedule has length"):
@@ -459,11 +487,12 @@ def test_group_working_set_grows_to_a_group_masked_at_zero():
     assert infeas <= 1e-8 and rel_gap <= 1e-8
     _, Xt, wts, _ = _folded(X, part)
     full = groups._block_problem(sp.offsets, np.asarray(sp.ranks), wts, lam)
-    d, _, stats = solver._fista(Xt, y, lam, 1.0, 1e-8, 20000, *full)
-    assert stats[3]
+    d, _, _, obj, converged = solver._fista(
+        Xt, y, lam, 1.0, 1e-8, 20000, *full, (np.zeros(Xt.shape[1]), Xt.T @ y, y), [0, 0, 0, 1])
+    assert converged
     assert fit.selected_groups == {
         int(gi) for gi in np.flatnonzero(np.add.reduceat(d * d, sp.offsets))}
-    assert fit.objective == pytest.approx(stats[2], rel=1e-8)
+    assert fit.objective == pytest.approx(obj, rel=1e-8)
 
 
 def test_group_working_set_shares_the_iteration_cap():

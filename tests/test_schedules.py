@@ -25,6 +25,7 @@ from stepslope.schedules import (
     schedule_to_json,
     schedule_values_from_csv,
 )
+from stepslope.solver import DesignMatrix
 
 from oracles import chi_quantile_bisect, normal_quantile_bisect
 
@@ -201,6 +202,24 @@ def test_monte_carlo_deterministic_and_inflating():
     assert a.values[1] >= base.values[1]
     c = monte_carlo_corrected_schedule(base, X, replicates=20, seed=8)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_monte_carlo_takes_a_validated_design_matrix():
+    # a DesignMatrix was checked when built, so its entries are read as they
+    # are; a raw array keeps every check
+    rng = np.random.default_rng(12)
+    Z = rng.normal(size=(300, 12))
+    X = Z / np.sqrt((Z * Z).sum(axis=0))
+    base = kfwer_schedule(10, 2, 0.1)
+    got = monte_carlo_corrected_schedule(base, DesignMatrix(X), replicates=15, seed=4)
+    want = monte_carlo_corrected_schedule(base, X, replicates=15, seed=4)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.rule == want.rule and got.params == want.params
+    X[3, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        monte_carlo_corrected_schedule(base, X, replicates=15, seed=4)
+    with pytest.raises(ValueError, match="2-d"):
+        monte_carlo_corrected_schedule(base, np.ones(12), replicates=15, seed=4)
 
 
 def test_monte_carlo_errors():

@@ -76,6 +76,28 @@ def test_identity_without_matrix_checks_lengths():
         solve_slope(None, np.array([1.0, np.nan]), np.ones(2))
 
 
+def _no_loop(*args):
+    raise AssertionError("the identity design must not enter the FISTA loop")
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.3])
+def test_identity_fit_skips_the_fista_loop(monkeypatch, sigma):
+    # one certified prox, with the counters of one iteration in one round
+    rng = np.random.default_rng(21)
+    y = 2.0 * rng.normal(size=30)
+    lam = bh_schedule(30, 0.1).values
+    monkeypatch.setattr(solver, "_fista", _no_loop)
+    fit = solve_slope(None, y, lam, sigma=sigma)
+    assert fit.beta.tobytes() == prox_sorted_l1(y, sigma * lam).tobytes()
+    assert fit.objective == slope_objective(None, y, fit.beta, lam, sigma)
+    r = y - fit.beta
+    infeas, rel_gap = certificate_reference(y, r, fit.objective, np.abs(r), lam, sigma)
+    assert fit.final_gap == pytest.approx(max(infeas, rel_gap), rel=1e-12, abs=1e-15)
+    assert fit.converged
+    assert (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs, fit.rounds,
+            fit.full_matvecs) == (1, 0, 0, 0, 1, 0)
+
+
 def test_orthonormal_columns_reduce_to_prox():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -193,8 +215,13 @@ def test_restricted_residual_matches_direct_fista(seed, n, m, scale, sparse):
         sizes.append(np.count_nonzero(b))
         return b
 
-    b_fit, _, stats = solver._fista(X, y, lam, 1.0, 1e-8, 20000, prox, np.abs, np.abs)
-    fit = FitResult(b_fit, {int(i) for i in np.flatnonzero(b_fit)}, *stats)
+    # the zero start, with the X^T y it forms counted as the first matvec
+    counts = [0, 0, 0, 1]
+    b_fit, _, gap, obj, converged = solver._fista(
+        X, y, lam, 1.0, 1e-8, 20000, prox, np.abs, np.abs, (np.zeros(m), X.T @ y, y), counts)
+    iters, restarts, backoffs, matvecs = counts
+    fit = FitResult(b_fit, {int(i) for i in np.flatnonzero(b_fit)}, iters, gap, obj, converged,
+                    restarts, backoffs, matvecs)
     if sparse:
         assert max(sizes) * 16 <= m
     else:
@@ -357,12 +384,27 @@ def test_working_set_grows_to_a_column_masked_at_zero():
     obj = 0.5 * float(r @ r) + float(np.sort(np.abs(fit.beta))[::-1] @ lam)
     infeas, rel_gap = certificate_reference(y, r, obj, np.abs(X.T @ r), lam, 1.0)
     assert infeas <= 1e-8 and rel_gap <= 1e-8
-    b, _, stats = solver._fista(X, y, lam, 1.0, 1e-8, 20000,
-                                lambda v, step: prox_sorted_l1(v, step * lam),
-                                np.abs, np.abs)
-    assert stats[3]
+    b, _, _, obj, converged = solver._fista(
+        X, y, lam, 1.0, 1e-8, 20000, lambda v, step: prox_sorted_l1(v, step * lam),
+        np.abs, np.abs, (np.zeros(X.shape[1]), X.T @ y, y), [0, 0, 0, 1])
+    assert converged
     assert fit.support == {int(i) for i in np.flatnonzero(b)}
-    assert fit.objective == pytest.approx(stats[2], rel=1e-8)
+    assert fit.objective == pytest.approx(obj, rel=1e-8)
+
+
+def test_working_set_checks_the_arguments_once(monkeypatch):
+    calls = []
+    checked = solver._checked
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(solver, "_checked", counted)
+    X, y = _masked_problem()
+    fit = solve_slope(X, y, bh_schedule(X.shape[1], 0.1).values)
+    assert fit.converged and fit.rounds >= 2
+    assert len(calls) == 1
 
 
 def test_working_set_shares_the_iteration_cap():
@@ -408,8 +450,8 @@ def test_design_matrix_validation():
     with pytest.raises(ValueError, match="unit norm"):
         DesignMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
     waived = DesignMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]), require_unit_columns=False)
-    assert not waived.column_norms_validated
-    assert DesignMatrix(np.eye(3)).column_norms_validated
+    assert not waived.require_unit_columns
+    assert DesignMatrix(np.eye(3)).require_unit_columns
     with pytest.raises(ValueError, match="non-finite"):
         DesignMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="2-d"):
