@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericalError
 from .solver import DesignMatrix, _working_set, solve_slope, support_metrics
@@ -144,12 +144,15 @@ class StandardizedProblem:
 
     x_tilde : ndarray, shape (n, sum of ranks)
         The concatenated orthonormal bases, one contiguous block per group,
-        Fortran-ordered.  The layout is part of the byte contract: numpy's
+        Fortran-ordered: each basis is the first rank columns of the
+        LAPACK orgqr factor computed in place in its block's slot (see
+        standardize).  The layout is part of the byte contract: numpy's
         product with a C-ordered copy takes a different BLAS kernel and
         rounds the fit's matvecs differently.
     r_factors : tuple of ndarray
         For group i, the (rank_i x size_i) factor with
-        X[:, group_i] = U_i @ r_factors[i].
+        X[:, group_i] = U_i @ r_factors[i]: the first rank_i rows of
+        geqp3's upper-triangular R, with the column pivoting undone.
     ranks : tuple of int
     offsets : ndarray
         Start index of each block inside x_tilde's columns.
@@ -171,6 +174,34 @@ class StandardizedProblem:
         return slice(self.offsets[i], self.offsets[i] + self.ranks[i])
 
 
+def _in_place(routine, name, gi, lworks, a, *args):
+    """LAPACK routine(a, *args) with overwrite_a=1 and the optimal workspace.
+
+    Like scipy.linalg's safecall, the workspace size is the optimum a
+    query (lwork=-1) returns, so LAPACK takes the same blocked or unblocked
+    path as scipy.linalg.qr; the query runs once per routine and block
+    shape, cached in lworks.  Returns the outputs but info.
+
+    Raises
+    ------
+    NumericalError
+        When LAPACK reports a non-zero info, naming group gi and the routine.
+    """
+    key = (name, a.shape)
+    if key not in lworks:
+        *_, work, info = routine(a, *args, lwork=-1, overwrite_a=1)
+        _check_info(info, name, gi)
+        lworks[key] = int(work[0])
+    *out, info = routine(a, *args, lwork=lworks[key], overwrite_a=1)
+    _check_info(info, name, gi)
+    return out
+
+
+def _check_info(info, name, gi):
+    if info != 0:
+        raise NumericalError(f"group {gi}: LAPACK {name} failed with info={info}")
+
+
 def standardize(design, partition):
     """Orthonormalize each group's design block by pivoted QR.
 
@@ -179,12 +210,30 @@ def standardize(design, partition):
     group and rejected.
 
     A DesignMatrix was validated when it was built, so only a raw array is
-    tested for finite entries here.  Each block's basis is written straight
-    into one Fortran-ordered n x m buffer, and x_tilde is its first
+    tested for finite entries here.  Each block is copied straight into its
+    slot of one Fortran-ordered n x m buffer (a slice of X for a contiguous
+    group, a gather otherwise) and factored there in place by the LAPACK
+    routines scipy.linalg.qr(mode="economic", pivoting=True) wraps: geqp3,
+    then orgqr on the reflectors, both with the optimal workspace, queried
+    once per block shape (_in_place).  The rank and the R factor are read
+    off the factored slot before orgqr overwrites it with the basis, and
+    the next block's slot starts after the rank columns kept, so a
+    rank-deficient block's surplus columns are overwritten.  The bytes are
+    those of scipy.linalg.qr's wrapper, without its per-call checks,
+    workspace queries and copies.  x_tilde is the buffer's first
     sum-of-ranks columns, a Fortran-contiguous view (the layout fixes the
     fit's rounding; see StandardizedProblem): no list of bases and no
     concatenated copy are kept, so standardization allocates one
     design-sized array.
+
+    Raises
+    ------
+    ValueError
+        For a non-finite raw array, a partition of another width, or an
+        all-zero block.
+    NumericalError
+        When geqp3 or orgqr reports a non-zero info; the message names the
+        group and the routine.
 
     Returns
     -------
@@ -200,21 +249,36 @@ def standardize(design, partition):
         raise ValueError(
             f"partition covers {partition.num_features} features, design has {X.shape[1]}"
         )
+    n = X.shape[0]
+    if n == 0:
+        # LAPACK rejects a block without rows
+        raise ValueError("group 0 has an all-zero design block")
     x_tilde = np.empty(X.shape, order="F")
+    geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
+    lworks = {}
     factors = []
     ranks = []
     col = 0
     for gi, g in enumerate(partition.groups):
-        A = X[:, g]
-        Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-        d = np.abs(np.diag(R))
-        if d.size == 0 or d[0] == 0.0:
+        size = len(g)
+        slot = x_tilde[:, col:col + size]
+        if g == tuple(range(g[0], g[0] + size)):
+            slot[...] = X[:, g[0]:g[0] + size]
+        else:
+            slot[...] = X[:, g]
+        qr, jpvt, tau, _ = _in_place(geqp3, "geqp3", gi, lworks, slot)
+        d = np.abs(qr.diagonal())
+        if d[0] == 0.0:
             raise ValueError(f"group {gi} has an all-zero design block")
-        rank = int(np.sum(d >= 1e-10 * d[0]))
-        x_tilde[:, col:col + rank] = Q[:, :rank]
+        rank = int(np.count_nonzero(d >= 1e-10 * d[0]))
+        # R is read before orgqr overwrites the slot
+        unpivoted = np.zeros((rank, size))
+        unpivoted[:, jpvt - 1] = np.triu(qr[:rank])
+        # a wide block (n < size) has only n reflectors and basis columns
+        q, _ = _in_place(orgqr, "orgqr", gi, lworks, qr[:, :min(n, size)], tau)
+        if not np.shares_memory(q, slot):
+            slot[:, :rank] = q[:, :rank]
         col += rank
-        unpivoted = np.zeros((rank, A.shape[1]))
-        unpivoted[:, piv] = R[:rank, :]
         factors.append(unpivoted)
         ranks.append(rank)
     return StandardizedProblem(

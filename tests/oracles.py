@@ -11,6 +11,7 @@ import math
 
 import mpmath
 import numpy as np
+import scipy.linalg
 from scipy.optimize import isotonic_regression
 
 
@@ -377,6 +378,37 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
             converged = True
             break
     return c, it, restarts, float(max(infeas, rel_gap)), obj, converged
+
+
+def standardize_reference(X, groups):
+    """Per-group orthonormalization through scipy.linalg.qr's wrapper.
+
+    One economic pivoted QR per group of column indices, the numerical rank
+    the count of |R| diagonal entries at least 1e-10 times the largest.
+    Returns (x_tilde, r_factors, ranks): the first sum-of-ranks columns of
+    a Fortran-ordered n x m buffer holding each group's basis in turn, each
+    group's (rank x size) factor with X[:, g] = basis @ factor, and the
+    ranks.
+    """
+    X = np.asarray(X, dtype=float)
+    x_tilde = np.empty(X.shape, order="F")
+    factors = []
+    ranks = []
+    col = 0
+    for gi, g in enumerate(groups):
+        A = X[:, list(g)]
+        Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        d = np.abs(np.diag(R))
+        if d.size == 0 or d[0] == 0.0:
+            raise ValueError(f"group {gi} has an all-zero design block")
+        rank = int(np.sum(d >= 1e-10 * d[0]))
+        x_tilde[:, col:col + rank] = Q[:, :rank]
+        col += rank
+        unpivoted = np.zeros((rank, A.shape[1]))
+        unpivoted[:, piv] = R[:rank, :]
+        factors.append(unpivoted)
+        ranks.append(rank)
+    return x_tilde[:, :col], tuple(factors), tuple(ranks)
 
 
 def stepdown_bruteforce(p, thresholds):

@@ -18,7 +18,12 @@ from stepslope.schedules import bh_schedule, gf_schedule
 from stepslope.solver import DesignMatrix, solve_slope
 from stepslope.sorted_l1 import prox_sorted_l1, sorted_l1_norm
 
-from oracles import certificate_reference, group_fista_direct_reference, group_prox_grid
+from oracles import (
+    certificate_reference,
+    group_fista_direct_reference,
+    group_prox_grid,
+    standardize_reference,
+)
 
 
 def _unit_columns(X):
@@ -102,6 +107,8 @@ def test_standardize_rejects_zero_block():
     X[:, 1] = 1.0
     with pytest.raises(ValueError, match="all-zero design block"):
         standardize(X, GroupPartition.from_sizes((1, 1)))
+    with pytest.raises(ValueError, match="group 0 has an all-zero design block"):
+        standardize(np.zeros((0, 3)), GroupPartition.from_sizes((2, 1)))
 
 
 def test_standardize_rejects_partition_mismatch():
@@ -122,6 +129,114 @@ def test_standardize_design_matrix_allocates_one_design():
     n, sizes = 700, (3, 4, 5, 6, 7) * 36
     part = GroupPartition.from_sizes(sizes)
     design = DesignMatrix(_unit_columns(np.random.default_rng(3).normal(
+        size=(n, part.num_features))))
+    tracemalloc.start()
+    try:
+        sp = standardize(design, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(sp.ranks) == part.num_features
+    assert peak < 1.1 * design.entries.nbytes
+
+
+def _shuffled_partition(rng, sizes):
+    idx = rng.permutation(sum(sizes))
+    ends = np.cumsum(sizes)
+    return GroupPartition(tuple(tuple(idx[e - s:e]) for s, e in zip(sizes, ends)))
+
+
+def _collinear(rng, n, sizes, copies):
+    """Gaussian n x sum(sizes) design; column j repeats column j - 1 scaled, for j in copies."""
+    X = rng.normal(size=(n, sum(sizes)))
+    for j in copies:
+        X[:, j] = -3.0 * X[:, j - 1]
+    return X, GroupPartition.from_sizes(sizes)
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(11)
+    if name == "mixed-contiguous":
+        sizes = (3, 4, 5, 6, 7) * 2
+        return rng.normal(size=(33, sum(sizes))), GroupPartition.from_sizes(sizes)
+    if name == "shuffled":
+        sizes = (3, 1, 5, 2, 4, 6)
+        return rng.normal(size=(29, sum(sizes))), _shuffled_partition(rng, sizes)
+    if name == "wide":
+        # n < size: R is n x size and the basis has only n columns
+        return rng.normal(size=(4, 10)), GroupPartition.from_sizes((6, 4))
+    if name == "wide-collinear":
+        return _collinear(rng, 4, (5, 2), copies=(1, 2, 3))
+    if name == "large-blocks":
+        # past LAPACK's crossover to blocked geqp3 and orgqr (128 columns)
+        return rng.normal(size=(161, 183)), GroupPartition.from_sizes((40, 2, 141))
+    if name == "rank-deficient":
+        # block 1 (columns 3..6) and the last block (7..9) each lose a rank
+        return _collinear(rng, 21, (3, 4, 3), copies=(5, 9))
+    if name == "singletons":
+        return rng.normal(size=(10, 8)), GroupPartition.from_sizes((1,) * 8)
+    raise KeyError(name)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("case", ["mixed-contiguous", "shuffled", "wide", "wide-collinear",
+                                  "large-blocks", "rank-deficient", "singletons"])
+def test_standardize_matches_the_qr_wrapper_bytes(case, order):
+    X, part = _oracle_case(case)
+    X = np.asarray(X, order=order)
+    x_tilde, factors, ranks = standardize_reference(X, part.groups)
+    sp = standardize(X, part)
+    assert sp.ranks == ranks
+    assert sp.x_tilde.shape == x_tilde.shape and sp.x_tilde.flags.f_contiguous
+    assert sp.x_tilde.tobytes() == x_tilde.tobytes()
+    assert len(sp.r_factors) == len(factors)
+    for got, want in zip(sp.r_factors, factors):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if case == "rank-deficient":
+        assert ranks == (3, 3, 2)
+    if case == "wide-collinear":
+        assert ranks == (2, 2)
+
+
+def test_standardize_shuffled_zero_block_is_rejected():
+    X = np.random.default_rng(4).normal(size=(6, 5))
+    X[:, [1, 3]] = 0.0
+    with pytest.raises(ValueError, match="group 1 has an all-zero design block"):
+        standardize(X, GroupPartition(((0, 2), (3, 1), (4,))))
+
+
+@pytest.mark.parametrize("routine", ["geqp3", "orgqr"])
+def test_standardize_raises_on_a_lapack_failure(monkeypatch, routine):
+    # the routine reports an illegal second argument on group 1's factor call
+    real = groups.get_lapack_funcs
+    calls = []
+
+    def failing(names, *args, **kwargs):
+        funcs = real(names, *args, **kwargs)
+
+        def wrap(name, func):
+            def call(*a, **kw):
+                *out, info = func(*a, **kw)
+                if name == routine and kw["lwork"] != -1:
+                    calls.append(name)
+                    if len(calls) == 2:
+                        return (*out, -2)
+                return (*out, info)
+            return call
+
+        return tuple(wrap(name, func) for name, func in zip(names, funcs))
+
+    monkeypatch.setattr(groups, "get_lapack_funcs", failing)
+    X = np.random.default_rng(5).normal(size=(12, 7))
+    with pytest.raises(NumericalError, match=f"group 1: LAPACK {routine} failed with info=-2"):
+        standardize(X, GroupPartition.from_sizes((3, 2, 2)))
+
+
+def test_standardize_shuffled_partition_allocates_one_design():
+    # the gather path copies each block straight into its slot of x_tilde
+    n, sizes = 650, (3, 4, 5, 6, 7) * 36
+    part = _shuffled_partition(np.random.default_rng(6), sizes)
+    design = DesignMatrix(_unit_columns(np.random.default_rng(7).normal(
         size=(n, part.num_features))))
     tracemalloc.start()
     try:
