@@ -4,15 +4,17 @@
 
 pins BLAS and OpenMP to one thread (as the benchmark runs), resolves the
 schedule of experiment number --cell of the preset (0-based, in the order
-of its JSON file), and times replication --rep at the preset's own size:
-data generation, the group QR standardization (group-Gaussian designs
-only) and the fit.  Prints one JSON line with the stage seconds and the
-fit's counters: iterations, rounds, matvecs, full_matvecs, backoffs,
-restarts, the support size (selected groups for a group fit), converged
-and the final gap, and the process's peak resident memory in MB
-(peak_rss_mb, from getrusage) after the replication.  Stepdown cells and
-Monte Carlo corrected cells have no fixed-schedule fit to time and are
-refused.
+of its JSON file), and runs replication --rep at the preset's own size
+through the stages `stepslope simulate` runs, simlab._draw then
+simlab._fit, under perfbench's tracer.  Prints one JSON line with the
+stage seconds: data generation, the group QR standardization (the
+groups.standardize span; 0 on feature and identity designs) and the rest
+of the fit.  Then the fit's counters: iterations, rounds, matvecs,
+full_matvecs, backoffs, restarts, the support size (selected groups for a
+group fit), converged and the final gap, and the process's peak resident
+memory in MB (peak_rss_mb, from getrusage) after the replication.
+Stepdown cells and Monte Carlo corrected cells have no fixed-schedule fit
+to time and are refused.
 """
 
 import sys
@@ -30,15 +32,8 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
 
+import tracing  # noqa: E402
 from stepslope import cli, simlab  # noqa: E402
-from stepslope.groups import solve_group_slope, standardize  # noqa: E402
-from stepslope.solver import solve_slope  # noqa: E402
-
-GENERATORS = {
-    "orthogonal-identity": simlab.gen_orthogonal,
-    "gaussian": simlab.gen_gaussian,
-    "correlated-means": simlab.gen_correlated_means,
-}
 
 
 def time_replication(config, rep):
@@ -46,22 +41,17 @@ def time_replication(config, rep):
     mode, schedule, _ = simlab.resolve_schedule(config)
     if mode != "schedule":
         raise ValueError(f"the cell runs in {mode!r} mode, which has no fixed-schedule fit")
-    fit_args = dict(sigma=config.sigma, tol=config.fit_tol, max_iter=config.fit_max_iter)
-    t0 = time.perf_counter()
-    if config.design in simlab.GROUP_DESIGNS:
-        design, part, _, y, _ = simlab.gen_group(config, rep)
+    with tracing.Tracer(config.design) as tracer:
+        t0 = time.perf_counter()
+        data = simlab._draw(config, rep)
         t1 = time.perf_counter()
-        sp = None if design is None else standardize(design, part)
+        fit = simlab._fit(config, rep, data, mode, schedule)
         t2 = time.perf_counter()
-        fit = solve_group_slope(design, y, part, schedule, standardized=sp, **fit_args)
-    else:
-        design, _, y, *_ = GENERATORS[config.design](config, rep)
-        t1 = t2 = time.perf_counter()
-        fit = solve_slope(design, y, schedule, **fit_args)
-    t3 = time.perf_counter()
-    support = fit.selected_groups if hasattr(fit, "selected_groups") else fit.support
+    qr_s = sum(s[tracing.END] - s[tracing.START] for s in tracer.spans
+               if s[tracing.NAME] == "groups.standardize")
+    support = fit.support if data.partition is None else fit.selected_groups
     return dict(
-        gen_s=t1 - t0, standardize_s=t2 - t1, fit_s=t3 - t2,
+        gen_s=t1 - t0, standardize_s=qr_s, fit_s=t2 - t1 - qr_s,
         iterations=fit.iterations, rounds=fit.rounds, matvecs=fit.matvecs,
         full_matvecs=fit.full_matvecs, backoffs=fit.backoffs, restarts=fit.restarts,
         support_size=len(support), converged=bool(fit.converged),

@@ -279,7 +279,7 @@ def _group_tails(variant, m, alpha, k=None, gamma=None):
     else:
         raise ValueError(f"variant must be 'gk' or 'gf', got {variant!r}")
     # the two-sided normal tail alpha_i/2 in a one-sided chi tail: the group
-    # levels are halved twice (ROADMAP item 4)
+    # levels are halved twice (ROADMAP, "the group-level halving")
     return levels / 2.0, params
 
 

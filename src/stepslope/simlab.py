@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,8 +290,24 @@ def _rep_rng(seed, rep):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(rep))))
 
 
+class Replication(NamedTuple):
+    """One replication's data, as every generator returns it.
+
+    partition is None on feature designs; truth holds the relevant features
+    or groups; stats are the stepdown's marginal statistics (noise level
+    config.sigma), or None where no stepdown runs.
+    """
+
+    design: object
+    partition: object
+    beta: np.ndarray
+    y: np.ndarray
+    truth: set
+    stats: object
+
+
 def gen_orthogonal(config, rep):
-    """Identity design, returned as None; draw order: support, then noise."""
+    """Identity design as None, y as its stats; draw order: support, noise."""
     rng = _rep_rng(config.seed, rep)
     m = config.m
     amp = resolve_signal(config)
@@ -298,7 +315,7 @@ def gen_orthogonal(config, rep):
     beta = np.zeros(m)
     beta[support] = amp
     y = beta + config.sigma * rng.standard_normal(m)
-    return None, beta, y, {int(i) for i in support}, y, config.sigma
+    return Replication(None, None, beta, y, {int(i) for i in support}, y)
 
 
 def _unit_gaussian_design(rng, n, m):
@@ -316,7 +333,7 @@ def gen_gaussian(config, rep):
 
     The design is drawn and scaled in place (_unit_gaussian_design) and
     validated by DesignMatrix in one pass, so a replication holds one
-    n x m array.  Draw order: design, then support, then noise.
+    n x m array; no stats.  Draw order: design, then support, then noise.
     """
     rng = _rep_rng(config.seed, rep)
     n, m = config.n, config.m
@@ -326,21 +343,22 @@ def gen_gaussian(config, rep):
     beta = np.zeros(m)
     beta[support] = amp
     y = X @ beta + config.sigma * rng.standard_normal(n)
-    return DesignMatrix(X), beta, y, {int(i) for i in support}, None, None
+    return Replication(DesignMatrix(X), None, beta, y, {int(i) for i in support},
+                       None)
 
 
 def gen_correlated_means(config, rep):
     """Estimate a sparse mean under equicorrelated noise via whitening.
 
-    The raw observation ybar ~ N(mu, sigma^2 * Sigma) feeds the stepdown
-    baselines directly (unit marginal variances); the sorted-L1 methods
-    see the whitened regression y = W ybar against the design W, whose
-    columns are deliberately not unit-norm.  W and the root of Sigma are
-    _Equicorrelated operators, so no n x n matrix is formed, and W is
-    returned as the design.  mu's nonzero value is scaled by the norm of
-    W's first column, built as the dense matrix held it, so that the
-    effective per-column signal matches the named strength.  Draw order:
-    support, then noise.
+    The raw observation ybar ~ N(mu, sigma^2 * Sigma), returned as stats
+    (beta is mu), feeds the stepdown baselines directly (unit marginal
+    variances); the sorted-L1 methods see the whitened regression y = W ybar
+    against the design W, whose columns are deliberately not unit-norm.  W
+    and the root of Sigma are _Equicorrelated operators, so no n x n
+    matrix is formed, and W is returned as the design.  mu's nonzero value
+    is scaled by the norm of W's first column, built as the dense matrix
+    held it, so that the effective per-column signal matches the named
+    strength.  Draw order: support, then noise.
     """
     rng = _rep_rng(config.seed, rep)
     n = config.m
@@ -354,12 +372,13 @@ def gen_correlated_means(config, rep):
     mu[support] = amp
     ybar = mu + config.sigma * (root @ rng.standard_normal(n))
     y = W @ ybar
-    return W, mu, y, {int(i) for i in support}, ybar, config.sigma
+    return Replication(W, None, mu, y, {int(i) for i in support}, ybar)
 
 
 def gen_group(config, rep):
-    """Group design; draw order: design (gaussian case), relevant groups,
-    per-group coefficients in sorted group order, then noise.
+    """Group design and its partition; truth holds groups, no stats.  Draw
+    order: design (gaussian case), relevant groups, per-group coefficients
+    in sorted group order, then noise.
 
     The group-Gaussian design is drawn and scaled in place, as
     gen_gaussian's is, in one n x m buffer.  Relevant group g gets uniform
@@ -393,7 +412,7 @@ def gen_group(config, rep):
         beta[idx] = u * (amp * math.sqrt(len(idx)) / norm)
     mean = beta if X is None else X @ beta
     y = mean + config.sigma * rng.standard_normal(mean.size)
-    return design, part, beta, y, {int(i) for i in relevant}
+    return Replication(design, part, beta, y, {int(i) for i in relevant}, None)
 
 
 # method -> base schedule rule on feature designs and on group designs
@@ -449,56 +468,42 @@ def _build(rule, values):
     return build_schedule(rule, ScheduleRequest(**fields))
 
 
-def _run_rep(config, rep, mode, payload):
+def _draw(config, rep):
+    """Replication rep of config; the generators are read as module globals,
+    so a wrapper installed over one sees every draw."""
     if config.design in GROUP_DESIGNS:
-        design, part, beta, y, truth = gen_group(config, rep)
-        fit = solve_group_slope(
-            design,
-            y,
-            part,
-            payload,
-            sigma=config.sigma,
-            tol=config.fit_tol,
-            max_iter=config.fit_max_iter,
-        )
-        sm = group_support_metrics(fit, truth, config.k, config.gamma)
-        return sm, fit.converged
+        return gen_group(config, rep)
+    if config.design == "gaussian":
+        return gen_gaussian(config, rep)
+    if config.design == "correlated-means":
+        return gen_correlated_means(config, rep)
+    return gen_orthogonal(config, rep)
 
-    if config.design == "orthogonal-identity":
-        design, beta, y, truth, stats, scale = gen_orthogonal(config, rep)
-    elif config.design == "gaussian":
-        design, beta, y, truth, stats, scale = gen_gaussian(config, rep)
-    else:
-        design, beta, y, truth, stats, scale = gen_correlated_means(config, rep)
 
+def _fit(config, rep, data, mode, payload):
+    """The stepdown's rejected set ("thresholds" mode) or the fit of data;
+    "mc" first corrects the base schedule against data.design."""
     if mode == "thresholds":
-        p = two_sided_pvalues(stats, scale)
-        support = stepdown_reject(p, payload)
-        return support_metrics(support, truth, config.k, config.gamma), True
-
-    schedule = payload
+        return stepdown_reject(two_sided_pvalues(data.stats, config.sigma), payload)
+    fit_args = dict(sigma=config.sigma, tol=config.fit_tol, max_iter=config.fit_max_iter)
+    if data.partition is not None:
+        return solve_group_slope(data.design, data.y, data.partition, payload, **fit_args)
     if mode == "mc":
-        mc_seed = int(
-            np.random.SeedSequence((int(config.seed), int(rep))).generate_state(1)[0]
-        )
-        schedule = monte_carlo_corrected_schedule(
-            payload, design, config.mc_replicates, seed=mc_seed
-        )
-    fit = solve_slope(
-        design,
-        y,
-        schedule,
-        sigma=config.sigma,
-        tol=config.fit_tol,
-        max_iter=config.fit_max_iter,
-    )
-    return support_metrics(fit, truth, config.k, config.gamma), fit.converged
+        mc_seed = int(np.random.SeedSequence((int(config.seed), int(rep))).generate_state(1)[0])
+        payload = monte_carlo_corrected_schedule(payload, data.design, config.mc_replicates,
+                                                 seed=mc_seed)
+    return solve_slope(data.design, data.y, payload, **fit_args)
 
 
 def _rep_worker(args):
+    """(SupportMetrics, converged) of one replication: draw, fit, score."""
     config, rep, mode, payload = args
     try:
-        return _run_rep(config, rep, mode, payload)
+        data = _draw(config, rep)
+        fit = _fit(config, rep, data, mode, payload)
+        score = group_support_metrics if data.partition is not None else support_metrics
+        converged = mode == "thresholds" or fit.converged
+        return score(fit, data.truth, config.k, config.gamma), converged
     except Exception as exc:
         # a failed replication must name its position in the stream
         exc.args = (f"replication {rep} (base seed {config.seed}): {exc}",)
@@ -580,17 +585,12 @@ def run_experiment(config, threads=1, resolved=None):
         "fdr": _aggregate(report.fdp),
         "power": _aggregate(report.power),
     }
+    report.extras = {"schedule": provenance, "all_converged": bool(report.converged.all())}
     if config.design in GROUP_DESIGNS:
-        amp = resolve_group_amplitude(config)
+        report.extras.update(signal_value=resolve_group_amplitude(config),
+                             group_scale_mode=config.group_scale_mode)
     else:
-        amp = resolve_signal(config)
-    report.extras = {
-        "signal_value": amp,
-        "schedule": provenance,
-        "all_converged": bool(report.converged.all()),
-    }
-    if config.design in GROUP_DESIGNS:
-        report.extras["group_scale_mode"] = config.group_scale_mode
+        report.extras["signal_value"] = resolve_signal(config)
     return report
 
 

@@ -181,9 +181,10 @@ def test_criterion_07_group_power(group_desk_reports):
         _, schedule, _ = resolve_schedule(config)
         crit = config.sigma * w * schedule.values
         for rep in range(config.replications):
-            _, part, _, y, truth = gen_group(config, rep)
-            norms = np.array([np.linalg.norm(y[list(g)]) for g in part.groups])
-            r, tp = _stepdown_counts(norms, crit, truth)
+            data = gen_group(config, rep)
+            norms = np.array([np.linalg.norm(data.y[list(g)])
+                              for g in data.partition.groups])
+            r, tp = _stepdown_counts(norms, crit, data.truth)
             assert report.r[rep] >= r, (config.method, rep)
             assert report.tp[rep] >= tp, (config.method, rep)
 

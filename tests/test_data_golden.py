@@ -85,14 +85,14 @@ def orthogonal_data_golden_doc():
         for seed, rep in SEED_REPS:
             config = ExperimentConfig(replications=rep + 1, seed=seed, **kw)
             if config.design == "orthogonal-identity":
-                _, beta, y, *_ = gen_orthogonal(config, rep)
-                arrays = beta, y
+                data = gen_orthogonal(config, rep)
+                arrays = data.beta, data.y
             elif config.design == "correlated-means":
-                _, mu, y, _, ybar, _ = gen_correlated_means(config, rep)
-                arrays = mu, y, ybar
+                data = gen_correlated_means(config, rep)
+                arrays = data.beta, data.y, data.stats
             else:
-                _, _, beta, y, _ = gen_group(config, rep)
-                arrays = beta, y
+                data = gen_group(config, rep)
+                arrays = data.beta, data.y
             doc[f"{name} seed={seed} rep={rep}"] = _digest(*arrays)
     return doc
 
@@ -115,17 +115,17 @@ def gaussian_data_golden_doc():
         for seed, rep in SEED_REPS:
             config = ExperimentConfig(replications=rep + 1, seed=seed, **kw)
             if config.design == "gaussian":
-                design, beta, y, *_ = gen_gaussian(config, rep)
-                entry = {"data": _digest(design.entries, beta, y)}
+                data = gen_gaussian(config, rep)
+                entry = {"data": _digest(data.design.entries, data.beta, data.y)}
             else:
-                design, part, beta, y, _ = gen_group(config, rep)
-                entry = {"data": _digest(design.entries, beta, y),
-                         **_standardized_entry(design, part)}
+                data = gen_group(config, rep)
+                entry = {"data": _digest(data.design.entries, data.beta, data.y),
+                         **_standardized_entry(data.design, data.partition)}
             doc[f"{name} seed={seed} rep={rep}"] = entry
     config = ExperimentConfig(replications=1, seed=0,
                               **GAUSSIAN_CONFIGS["group-gaussian-mixed-inv-sqrt"])
-    design, part, *_ = gen_group(config, 0)
-    X = design.entries.copy()
+    data = gen_group(config, 0)
+    X, part = data.design.entries.copy(), data.partition
     g, j = COLLINEAR
     col = part.groups[g][j]
     X[:, col + 1] = -X[:, col]

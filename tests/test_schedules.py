@@ -276,7 +276,7 @@ def test_gf_matches_quantile_oracle():
 @pytest.mark.xfail(
     strict=True,
     reason="group k-FWER/FDP levels are halved twice: a two-sided normal tail "
-    "alpha_i/2 goes into a one-sided chi tail (ROADMAP item 4)",
+    "alpha_i/2 goes into a one-sided chi tail (ROADMAP, \"the group-level halving\")",
 )
 def test_singleton_group_stepdown_schedules_match_feature_schedules():
     # a unit-weight singleton group norm is |z|, whose chi_1 tail is the

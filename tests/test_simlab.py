@@ -179,37 +179,37 @@ def test_group_amplitude_explicit_and_errors():
 
 def test_gen_orthogonal_shape_and_determinism():
     c = _feature_config()
-    design, beta, y, truth, stats, scale = gen_orthogonal(c, 2)
-    assert design is None
-    assert len(truth) == c.t
-    assert set(np.flatnonzero(beta)) == truth
+    data = gen_orthogonal(c, 2)
+    assert data.design is None and data.partition is None
+    assert len(data.truth) == c.t
+    assert set(np.flatnonzero(data.beta)) == data.truth
     amp = resolve_signal(c)
-    assert np.array_equal(beta[sorted(truth)], np.full(c.t, amp))
-    assert stats is y and scale == c.sigma
+    assert np.array_equal(data.beta[sorted(data.truth)], np.full(c.t, amp))
+    assert data.stats is data.y
     again = gen_orthogonal(c, 2)
-    assert np.array_equal(again[2], y) and again[3] == truth
+    assert np.array_equal(again.y, data.y) and again.truth == data.truth
     other = gen_orthogonal(c, 3)
-    assert not np.array_equal(other[2], y)
+    assert not np.array_equal(other.y, data.y)
 
 
 def test_gen_orthogonal_pure_noise_when_t_zero():
     c = _feature_config(t=0)
-    _, beta, y, truth, _, _ = gen_orthogonal(c, 0)
-    assert truth == set()
-    assert np.array_equal(beta, np.zeros(40))
-    assert abs(y.mean()) < 1.0
+    data = gen_orthogonal(c, 0)
+    assert data.truth == set()
+    assert np.array_equal(data.beta, np.zeros(40))
+    assert abs(data.y.mean()) < 1.0
 
 
 def test_gen_gaussian_unit_columns():
     c = ExperimentConfig(design="gaussian", method="f-slope", n=60, m=30, t=4,
                          replications=4, seed=9)
-    design, beta, y, truth, stats, scale = gen_gaussian(c, 1)
-    X = design.entries
+    data = gen_gaussian(c, 1)
+    X = data.design.entries
     assert X.shape == (60, 30)
     assert np.allclose((X * X).sum(axis=0), 1.0, atol=1e-12)
-    assert len(truth) == 4 and truth <= set(range(30))
-    assert stats is None and scale is None
-    assert np.array_equal(gen_gaussian(c, 1)[0].entries, X)
+    assert len(data.truth) == 4 and data.truth <= set(range(30))
+    assert data.partition is None and data.stats is None
+    assert np.array_equal(gen_gaussian(c, 1).design.entries, X)
 
 
 def _dense_equicorr(n, rho):
@@ -238,15 +238,15 @@ def test_equicorr_matrices_invert_the_covariance():
 def test_gen_correlated_means_whitens():
     c = ExperimentConfig(design="correlated-means", method="sd-kfwer", n=16, m=16,
                          t=3, replications=4, seed=11, rho=0.5)
-    design, mu, y, truth, ybar, scale = gen_correlated_means(c, 0)
-    W = design @ np.eye(16)
+    data = gen_correlated_means(c, 0)
+    W = data.design @ np.eye(16)
     assert np.allclose(W, _dense_equicorr(16, 0.5)[0], rtol=0.0, atol=1e-15)
-    assert np.allclose(y, W @ ybar, atol=1e-12)
-    assert scale == c.sigma
+    assert np.allclose(data.y, W @ data.stats, atol=1e-12)
+    assert data.partition is None
     # signal scaled so the effective per-column amplitude is the named one
     col = math.sqrt(float((W[:, 0] ** 2).sum()))
     amp = resolve_signal(c) / col
-    assert np.allclose(mu[sorted(truth)], amp, atol=1e-12)
+    assert np.allclose(data.beta[sorted(data.truth)], amp, atol=1e-12)
     # the whitened columns are deliberately not unit-norm
     assert abs(col - 1.0) > 0.1
 
@@ -266,12 +266,12 @@ def test_gen_correlated_means_matches_dense_products(rho, seed):
         ybar_ref = mu_ref + c.sigma * (root @ rng.standard_normal(c.m))
         y_ref = W @ ybar_ref
 
-        _, mu, y, truth, ybar, _ = gen_correlated_means(c, rep)
-        assert mu.tobytes() == mu_ref.tobytes()
-        assert truth == {int(i) for i in support}
+        data = gen_correlated_means(c, rep)
+        assert data.beta.tobytes() == mu_ref.tobytes()
+        assert data.truth == {int(i) for i in support}
         # O(n) products round differently from the dense ones, by a few ulps
         # of the vector's largest entry
-        for got, want in ((ybar, ybar_ref), (y, y_ref)):
+        for got, want in ((data.stats, ybar_ref), (data.y, y_ref)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -282,8 +282,8 @@ def test_correlated_means_replication_allocates_no_dense_matrix():
     _, schedule, _ = resolve_schedule(c)
     tracemalloc.start()
     try:
-        design, mu, y, truth, ybar, scale = gen_correlated_means(c, 0)
-        fit = simlab.solve_slope(design, y, schedule, sigma=scale)
+        data = gen_correlated_means(c, 0)
+        fit = simlab.solve_slope(data.design, data.y, schedule, sigma=c.sigma)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -293,10 +293,10 @@ def test_correlated_means_replication_allocates_no_dense_matrix():
 
 def test_gen_group_image_norms_match_amplitude():
     c = _group_config(design="group-gaussian", n=50, correction="none")
-    design, part, beta, y, relevant = gen_group(c, 0)
-    X = design.entries
+    data = gen_group(c, 0)
+    X, part, beta, relevant = data.design.entries, data.partition, data.beta, data.truth
     assert np.allclose((X * X).sum(axis=0), 1.0, atol=1e-12)
-    assert len(relevant) == c.t
+    assert len(relevant) == c.t and data.stats is None
     amp = resolve_group_amplitude(c)
     for g in relevant:
         idx = list(part.groups[g])
@@ -308,9 +308,9 @@ def test_gen_group_image_norms_match_amplitude():
 
 
 def test_gen_group_orthogonal_uses_identity():
-    design, part, beta, y, relevant = gen_group(_group_config(), 1)
-    assert design is None
-    assert part.num_features == 25 and len(part) == 10
+    data = gen_group(_group_config(), 1)
+    assert data.design is None
+    assert data.partition.num_features == 25 and len(data.partition) == 10
 
 
 def test_group_orthogonal_run_allocates_no_dense_identity():
@@ -346,7 +346,7 @@ def test_gaussian_generation_allocates_one_design(design, n, m, extra):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out[0].shape == (n, m)
+    assert out.design.shape == (n, m)
     assert peak < 1.1 * 8 * n * m
 
 

@@ -339,7 +339,8 @@ def test_equicorrelated_operator_fit_matches_dense_matrix(method, rho):
                               t=8, k=3, rho=rho, seed=5, replications=3)
     _, lam, _ = resolve_schedule(config)
     for rep in range(config.replications):
-        W, _, y, _, _, _ = gen_correlated_means(config, rep)
+        data = gen_correlated_means(config, rep)
+        W, y = data.design, data.y
         dense = DesignMatrix(W @ np.eye(300), require_unit_columns=False)
         fit = solve_slope(W, y, lam)
         want = solve_slope(dense, y, lam)
