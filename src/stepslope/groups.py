@@ -10,7 +10,8 @@ with unit weights, so every prox is one exact sorted-L1 prox of the block
 norms.  The fit runs on a working set of blocks, certified on the full
 standardized design (see solver._working_set).  Group selection is read
 off the exact zeros of the block norms.  The identity design is passed as
-None and needs no QR.
+None and needs no QR.  scipy.linalg is imported on the first QR
+(get_lapack_funcs), so feature-design runs never load it.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import NumericalError
 from .solver import DesignMatrix, _working_set, solve_slope, support_metrics
@@ -172,6 +172,13 @@ class StandardizedProblem:
 
     def block(self, i):
         return slice(self.offsets[i], self.offsets[i] + self.ranks[i])
+
+
+def get_lapack_funcs(names, dtype):
+    """scipy.linalg.lapack.get_lapack_funcs, importing scipy.linalg on first call."""
+    from scipy.linalg import lapack
+
+    return lapack.get_lapack_funcs(names, dtype=dtype)
 
 
 def _in_place(routine, name, gi, lworks, a, *args):

@@ -3,14 +3,15 @@
 Normal and chi quantiles plus inversion of equal-weight mixtures of scaled
 chi CDFs.  All quantiles are deterministic scalar routines accurate to far
 below the tolerances the regularization schedules need (1e-12 normal,
-1e-10 chi and mixtures).
+1e-10 chi and mixtures).  Only the chi routines need scipy.special, which
+is imported on their first call (_special), so feature schedules never
+load it.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-
-from scipy.special import gammainc, gammaincinv
+from functools import cache
 
 _SQRT2 = math.sqrt(2.0)
 _CLAMP = 1e-15
@@ -65,13 +66,23 @@ def normal_quantile(p):
     return x if p > 0.5 else -x
 
 
+@cache
+def _special():
+    # the import costs more time and memory than the rest of the package
+    # (it pulls in numpy.f2py and numpy.testing); cached, since one group
+    # schedule makes thousands of chi calls
+    import scipy.special
+
+    return scipy.special
+
+
 def chi_cdf(x, dof):
     """CDF of the chi distribution (square root of a chi-square variable)."""
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof!r}")
     if x <= 0.0:
         return 0.0
-    return float(gammainc(0.5 * dof, 0.5 * x * x))
+    return float(_special().gammainc(0.5 * dof, 0.5 * x * x))
 
 
 def chi_quantile(p, dof):
@@ -83,7 +94,7 @@ def chi_quantile(p, dof):
     if dof < 1 or int(dof) != dof:
         raise ValueError(f"dof must be a positive integer, got {dof!r}")
     p = _checked_prob(p)
-    return math.sqrt(2.0 * float(gammaincinv(0.5 * dof, p)))
+    return math.sqrt(2.0 * float(_special().gammaincinv(0.5 * dof, p)))
 
 
 @dataclass(frozen=True)

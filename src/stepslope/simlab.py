@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -131,7 +130,9 @@ class ExperimentConfig:
             if self.num_groups is None or self.group_sizes is None:
                 raise ValueError("group designs require num_groups and group_sizes")
             if int(self.num_groups) != self.num_groups or self.num_groups < 1:
-                raise ValueError(f"num_groups must be a positive integer")
+                raise ValueError(
+                    f"num_groups must be a positive integer, got {self.num_groups!r}"
+                )
             sizes = tuple(int(s) for s in self.group_sizes)
             if not sizes or any(s < 1 for s in sizes):
                 raise ValueError("group_sizes must be positive integers")
@@ -565,6 +566,9 @@ def run_experiment(config, threads=1, resolved=None):
     if threads == 1:
         rows = [_rep_worker((config, r, mode, payload)) for r in range(reps)]
     else:
+        # imported here: a serial run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:
             rows = list(
                 pool.map(

@@ -1,23 +1,78 @@
-"""Import weight of the package."""
+"""Import weight of the package.
+
+scipy serves only the chi quantiles of the group schedules and the group QR,
+so it is imported on first use; a serial run never loads the process pool.
+Each check runs in a fresh interpreter and reads sys.modules afterwards.
+"""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# scipy.special alone costs more import time and memory than the package
+DEFERRED = ("scipy", "concurrent.futures.process")
+
+
+def _loaded(code, prefixes):
+    """Modules starting with one of prefixes after running code in a new process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = (
+        f"{code}\n"
+        "import sys\n"
+        f"print('\\n'.join(sorted(m for m in sys.modules if m.startswith({prefixes!r}))))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.split()
 
 
 def test_import_loads_no_heavy_scipy_subpackages():
     # scipy.optimize alone adds ~16 MB of resident memory and ~0.2 s to
     # every process that imports the package, simulation workers included
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    assert _loaded("import stepslope", ("scipy.optimize", "scipy.stats", "scipy.sparse")) == []
+
+
+@pytest.mark.parametrize("module", ["stepslope", "stepslope.cli"])
+def test_import_loads_no_scipy_and_no_process_pool(module):
+    assert _loaded(f"import {module}", DEFERRED) == []
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        "design='gaussian', method='k-slope', n=60, m=120, t=5, k=2, signal='weak'",
+        "design='orthogonal-identity', method='f-slope', n=40, m=40, t=5",
+        "design='correlated-means', method='k-slope', n=40, m=40, t=5, k=2",
+    ],
+    ids=["gaussian", "orthogonal-identity", "correlated-means"],
+)
+def test_serial_feature_run_loads_no_scipy_and_no_process_pool(cell):
     code = (
-        "import sys, stepslope\n"
-        "heavy = ('scipy.optimize', 'scipy.stats', 'scipy.sparse')\n"
-        "print('\\n'.join(sorted(m for m in sys.modules if m.startswith(heavy))))\n"
+        "from stepslope import simlab\n"
+        f"config = simlab.ExperimentConfig({cell}, replications=2, seed=3)\n"
+        "simlab.run_experiment(config, threads=1, resolved=simlab.resolve_schedule(config))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _loaded(code, DEFERRED) == []
+
+
+def test_first_chi_quantile_loads_scipy_special_only():
+    loaded = _loaded("from stepslope.quantiles import chi_quantile\nchi_quantile(0.9, 3)",
+                     ("scipy",))
+    assert "scipy.special" in loaded
+    assert not any(m.startswith("scipy.linalg") for m in loaded)
+
+
+def test_first_standardize_loads_scipy_linalg():
+    code = (
+        "import numpy as np\n"
+        "from stepslope.groups import GroupPartition, standardize\n"
+        "X = np.random.default_rng(0).normal(size=(8, 5))\n"
+        "standardize(X, GroupPartition.from_sizes((2, 3)))\n"
     )
-    assert out.stdout.split() == []
+    assert "scipy.linalg" in _loaded(code, ("scipy",))

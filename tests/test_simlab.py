@@ -91,6 +91,8 @@ def test_feature_config_validation(kw, msg):
         (dict(group_scale_mode="max"), "unknown group_scale_mode"),
         (dict(correction="monte-carlo"), "feature designs only"),
         (dict(group_sizes=(2, 0)), "positive integers"),
+        (dict(num_groups=0), "num_groups must be a positive integer, got 0"),
+        (dict(num_groups=2.5), r"num_groups must be a positive integer, got 2\.5"),
     ],
 )
 def test_group_config_validation(kw, msg):
