@@ -184,6 +184,17 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
     own derived random stream, so the result does not depend on evaluation
     order.
 
+    The draws of an entry stop as soon as its rise is proven: after draw r
+    the candidate is formed from the running total over the full count,
+    base(i) * sqrt(1 + total_r / replicates).  Every term is non-negative
+    and each float operation rounds monotonically, so this never exceeds
+    the candidate of all draws; once it exceeds the predecessor, the full
+    candidate does too, and the schedule truncates at i either way.  An
+    entry that does not rise takes every draw, so the stored values are
+    those of the every-draw loop, bit for bit.  On a k >= 2 base, whose
+    entries 1 and 2 are equal, any inflation rises at entry 2, typically
+    at its first draw.
+
     design is a DesignMatrix, whose entries were validated when it was
     built, or a raw array, which is checked to be 2-d and finite here.
 
@@ -191,6 +202,8 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
     ------
     NumericalError
         If a sampled Gram matrix X_S^T X_S stays singular after 10 redraws.
+        Only the draws that are reached are checked: a singular draw after
+        an entry's rise is proven is never taken.
     """
     rule = _corrected_rule(base, "-MonteCarlo", "Monte Carlo")
     if isinstance(design, DesignMatrix):
@@ -214,6 +227,7 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
     def step(out, i):
         s = i - 1
         lam = np.array(out)
+        head = float(bv[i - 1])
         total = 0.0
         for r in range(replicates):
             rng = np.random.default_rng(np.random.SeedSequence((int(seed), i, r)))
@@ -233,7 +247,11 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
                 raise NumericalError(
                     f"singular column Gram matrix after 10 redraws at entry {i}"
                 )
-        return float(bv[i - 1]) * math.sqrt(1.0 + total / replicates)
+            cand = head * math.sqrt(1.0 + total / replicates)
+            if cand > out[-1]:
+                # the later draws can only raise the candidate further
+                return cand
+        return cand
 
     params = dict(base.params)
     params.update({"replicates": replicates, "seed": int(seed)})

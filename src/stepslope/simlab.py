@@ -95,10 +95,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown design {self.design!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        for name in ("n", "m", "replications"):
+        for name in ("n", "m", "replications", "mc_replicates", "fit_max_iter"):
             v = getattr(self, name)
             if int(v) != v or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if not self.fit_tol > 0.0:
+            raise ValueError(f"fit_tol must be positive, got {self.fit_tol!r}")
         if int(self.t) != self.t or self.t < 0:
             raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -189,11 +191,7 @@ class ExperimentConfig:
 
     def expanded_group_sizes(self):
         """Per-group sizes: each size class repeated over a contiguous block."""
-        per = self.num_groups // len(self.group_sizes)
-        out = []
-        for s in self.group_sizes:
-            out.extend([s] * per)
-        return tuple(out)
+        return _expand_sizes(self.num_groups, self.group_sizes)
 
     def group_weights(self):
         return _scheme_weights(self.expanded_group_sizes(), self.weight_scheme)
@@ -215,6 +213,11 @@ class ExperimentConfig:
         """First 12 hex digits of the sha256 of the canonical config JSON."""
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _expand_sizes(num_groups, group_sizes):
+    per = num_groups // len(group_sizes)
+    return tuple(s for s in group_sizes for _ in range(per))
 
 
 def resolve_signal(config):
@@ -239,7 +242,8 @@ def resolve_group_amplitude(config):
     a equates the average target norm with the average of
     sqrt(4*ln(T)/(1 - T^(-2/l)) - l) over groups, where T is the total
     group count and l is each group's size class (or the mean size when
-    group_scale_mode is "mean-size").
+    group_scale_mode is "mean-size").  The scaled amplitude is computed
+    once per (num_groups, group_sizes, group_scale_mode) and cached.
     """
     s = config.signal
     if isinstance(s, (int, float)) and not isinstance(s, bool):
@@ -249,11 +253,17 @@ def resolve_group_amplitude(config):
             f"signal {s!r} applies to feature designs; group designs use "
             "'group-scaled', 'auto', or an explicit amplitude"
         )
-    sizes = config.expanded_group_sizes()
-    T = config.num_groups
+    return _scaled_group_amplitude(config.num_groups, config.group_sizes,
+                                   config.group_scale_mode)
+
+
+@lru_cache(maxsize=8)
+def _scaled_group_amplitude(num_groups, group_sizes, group_scale_mode):
+    sizes = _expand_sizes(num_groups, group_sizes)
+    T = num_groups
     if T < 2:
         raise ValueError("group-scaled signal needs at least two groups")
-    if config.group_scale_mode == "mean-size":
+    if group_scale_mode == "mean-size":
         ls = [sum(sizes) / len(sizes)] * len(sizes)
     else:
         ls = list(sizes)

@@ -411,6 +411,48 @@ def standardize_reference(X, groups):
     return x_tilde[:, :col], tuple(factors), tuple(ranks)
 
 
+def monte_carlo_reference(base, X, replicates, seed):
+    """Monte Carlo corrected values of the base values, every draw taken.
+
+    Entry i (i >= 2) is base[i-1] * sqrt(1 + mean_r (x_a^T X_S (X_S^T
+    X_S)^{-1} lam)^2) over `replicates` draws, draw r of entry i coming from
+    the stream SeedSequence((seed, i, r)): S the first i-1 of i columns
+    chosen without replacement, a the last, lam the values so far.  A
+    singular Gram matrix redraws from the same stream, up to 10 times.  The
+    first candidate above its predecessor ends the recursion, and the rest
+    repeat the predecessor.
+    """
+    base = np.asarray(base, dtype=float)
+    X = np.asarray(X, dtype=float)
+    m_cols = X.shape[1]
+    out = [float(base[0])]
+    for i in range(2, base.size + 1):
+        s = i - 1
+        lam = np.array(out)
+        total = 0.0
+        for r in range(replicates):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), i, r)))
+            for _ in range(10):
+                pick = rng.choice(m_cols, size=s + 1, replace=False)
+                sub = X[:, pick[:s]]
+                try:
+                    coef = np.linalg.solve(sub.T @ sub, lam)
+                except np.linalg.LinAlgError:
+                    continue
+                if not np.all(np.isfinite(coef)):
+                    continue
+                total += float(X[:, pick[s]] @ (sub @ coef)) ** 2
+                break
+            else:
+                raise np.linalg.LinAlgError(f"singular Gram matrix at entry {i}")
+        cand = float(base[i - 1]) * math.sqrt(1.0 + total / replicates)
+        if cand > out[-1]:
+            out.extend([out[-1]] * (base.size - i + 1))
+            break
+        out.append(cand)
+    return np.array(out)
+
+
 def stepdown_bruteforce(p, thresholds):
     """Largest r with p_(j) <= alpha_j for every j <= r, checked prefix by prefix."""
     p = np.asarray(p, dtype=float)

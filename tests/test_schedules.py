@@ -27,7 +27,7 @@ from stepslope.schedules import (
 )
 from stepslope.solver import DesignMatrix
 
-from oracles import chi_quantile_bisect, normal_quantile_bisect
+from oracles import chi_quantile_bisect, monte_carlo_reference, normal_quantile_bisect
 
 
 def test_bh_spot_values():
@@ -232,6 +232,80 @@ def test_monte_carlo_errors():
         monte_carlo_corrected_schedule(
             fdp_schedule(3, 0.1, 0.1), np.zeros((4, 3)), replicates=2, seed=0
         )
+
+
+def _mc_bases(m):
+    # kFWER with k = 1, 2, 5 and two FDP settings, one decaying fast
+    return [kfwer_schedule(m, 1, 0.1), kfwer_schedule(m, 2, 0.1), kfwer_schedule(m, 5, 0.1),
+            fdp_schedule(m, 0.1, 0.1), fdp_schedule(m, 0.2, 0.5)]
+
+
+def _unit_gaussian(n, m, seed):
+    Z = np.random.default_rng(seed).normal(size=(n, m))
+    return Z / np.sqrt((Z * Z).sum(axis=0))
+
+
+def _duplicated_column(n, m, seed):
+    X = _unit_gaussian(n, m, seed)
+    X[:, 7] = X[:, 2]
+    return X
+
+
+@pytest.mark.parametrize(
+    "design,replicates,duplicated",
+    [
+        (_unit_gaussian(400, 200, 21), 100, False),
+        (_unit_gaussian(60, 12, 22), 20, False),
+        (np.eye(20)[:, :8], 20, False),
+        (_duplicated_column(60, 12, 5), 20, True),
+    ],
+    ids=["gaussian-400x200", "gaussian-60x12", "identity-20x8", "duplicated-60x12"],
+)
+def test_monte_carlo_matches_every_draw_oracle(design, replicates, duplicated, monkeypatch):
+    # stopping an entry's draws once its rise is proven keeps every byte;
+    # the duplicated column makes some sampled Gram matrices singular, so
+    # the redraw path is taken
+    singular = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    for base in _mc_bases(design.shape[1]):
+        for seed in (0, 1, 2, 3):
+            got = monte_carlo_corrected_schedule(base, design, replicates, seed)
+            want = monte_carlo_reference(base.values, design, replicates, seed)
+            assert got.values.tobytes() == want.tobytes(), (base.rule, base.params, seed)
+    assert bool(singular) == duplicated
+
+
+def test_monte_carlo_opens_a_stream_only_for_the_draws_it_takes(monkeypatch):
+    # a k = 2 base rises at entry 2 on any Gaussian design, proven at the
+    # first draw; on orthonormal columns nothing rises, so every draw of
+    # every entry is taken
+    gaussian = _unit_gaussian(400, 200, 21)
+    opened = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(entropy, *args, **kwargs):
+        opened.append(tuple(entropy))
+        return seed_sequence(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    base = kfwer_schedule(200, 2, 0.1)
+    got = monte_carlo_corrected_schedule(base, gaussian, replicates=100, seed=9)
+    assert opened == [(9, 2, 0)]
+    assert np.all(got.values == base.values[0])
+    opened.clear()
+    base = kfwer_schedule(8, 2, 0.1)
+    got = monte_carlo_corrected_schedule(base, np.eye(20)[:, :8], replicates=7, seed=9)
+    assert opened == [(9, i, r) for i in range(2, 9) for r in range(7)]
+    assert got.values.tobytes() == base.values.tobytes()
 
 
 def test_group_max_matches_quantile_oracle():

@@ -71,6 +71,12 @@ def _group_config(**kw):
         (dict(correction="gaussian"), "does not apply to design"),
         (dict(signal=float("nan")), "signal must be a finite amplitude"),
         (dict(signal=float("inf")), "signal must be a finite amplitude"),
+        (dict(mc_replicates=0), "mc_replicates must be a positive integer, got 0"),
+        (dict(mc_replicates=2.5), r"mc_replicates must be a positive integer, got 2\.5"),
+        (dict(fit_tol=-1.0), r"fit_tol must be positive, got -1\.0"),
+        (dict(fit_tol=0.0), r"fit_tol must be positive, got 0\.0"),
+        (dict(fit_tol=float("nan")), "fit_tol must be positive, got nan"),
+        (dict(fit_max_iter=0), "fit_max_iter must be a positive integer, got 0"),
     ],
 )
 def test_feature_config_validation(kw, msg):
@@ -93,6 +99,8 @@ def test_feature_config_validation(kw, msg):
         (dict(group_sizes=(2, 0)), "positive integers"),
         (dict(num_groups=0), "num_groups must be a positive integer, got 0"),
         (dict(num_groups=2.5), r"num_groups must be a positive integer, got 2\.5"),
+        (dict(fit_tol=-1.0), r"fit_tol must be positive, got -1\.0"),
+        (dict(fit_max_iter=0), "fit_max_iter must be a positive integer, got 0"),
     ],
 )
 def test_group_config_validation(kw, msg):
@@ -174,6 +182,24 @@ def test_group_amplitude_explicit_and_errors():
     assert resolve_group_amplitude(_group_config(signal=2.5)) == 2.5
     with pytest.raises(ValueError, match="feature designs"):
         resolve_group_amplitude(_group_config(signal="strong"))
+
+
+def test_group_amplitude_computed_once_per_amplitude_key():
+    # the loop over groups runs once per (num_groups, group_sizes,
+    # group_scale_mode), whatever the seed, the replication or the method
+    shape = dict(num_groups=14, n=35, m=35)
+    simlab._scaled_group_amplitude.cache_clear()
+    for seed in (5, 6):
+        config = _group_config(seed=seed, signal="group-scaled", **shape)
+        report = run_experiment(config)
+        for rep in range(2):
+            gen_group(config, rep)
+    assert simlab._scaled_group_amplitude.cache_info().misses == 1
+    auto = resolve_group_amplitude(_group_config(method="gf-slope", **shape))
+    assert auto == report.extras["signal_value"]
+    assert simlab._scaled_group_amplitude.cache_info().misses == 1
+    resolve_group_amplitude(_group_config(group_scale_mode="mean-size", **shape))
+    assert simlab._scaled_group_amplitude.cache_info().misses == 2
 
 
 # ------------------------------------------------------------- generators
