@@ -10,12 +10,8 @@ import json
 import subprocess
 import sys
 import time
-from importlib import resources
 
-
-def available_presets():
-    base = resources.files("stepslope").joinpath("presets")
-    return sorted(p.name[:-5] for p in base.iterdir() if p.name.endswith(".json"))
+from stepslope.cli import _available_presets
 
 
 def main():
@@ -28,7 +24,7 @@ def main():
                         help="comma-separated preset names (default: all)")
     args = parser.parse_args()
 
-    names = available_presets()
+    names = _available_presets()
     if args.only is not None:
         wanted = [w.strip() for w in args.only.split(",") if w.strip()]
         unknown = sorted(set(wanted) - set(names))

@@ -27,7 +27,6 @@ from .quantiles import (
 from .schedules import (
     RULES,
     LambdaSchedule,
-    ScheduleRequest,
     bh_schedule,
     build_schedule,
     fdp_schedule,
@@ -79,7 +78,6 @@ __all__ = [
     "LambdaSchedule",
     "NumericalError",
     "RULES",
-    "ScheduleRequest",
     "StandardizedProblem",
     "SupportMetrics",
     "TrialReport",

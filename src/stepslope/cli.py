@@ -20,7 +20,6 @@ from .errors import NumericalError
 from .groups import GroupPartition, _scheme_weights, solve_group_slope, standardize
 from .schedules import (
     _RULE_TABLE,
-    ScheduleRequest,
     build_schedule,
     schedule_csv_text,
     schedule_from_json,
@@ -141,8 +140,8 @@ def main():
 def lambda_cmd(rule, group_sizes, weight_scheme, design_path, out, **fields):
     """Build a regularization schedule and print or save it.
 
-    The other options set the same-named ScheduleRequest field (--mc-seed
-    sets seed); --group-sizes and --weight-scheme set ranks and weights.
+    The other options set the same-named rule parameter (--mc-seed sets
+    seed); --group-sizes and --weight-scheme set ranks and weights.
     """
     row = _resolve_rule(rule)
     weights = design = None
@@ -160,8 +159,8 @@ def lambda_cmd(rule, group_sizes, weight_scheme, design_path, out, **fields):
         design = _read_matrix(design_path)
     elif design_path is not None:
         raise click.UsageError("--design only applies to monte-carlo rules")
-    request = ScheduleRequest(ranks=group_sizes, weights=weights, design=design, **fields)
-    schedule = build_schedule(row.name, request)
+    schedule = build_schedule(row.name, ranks=group_sizes, weights=weights, design=design,
+                              **fields)
     if out is not None and out.endswith(".json"):
         _write_or_echo(schedule_json_text(schedule), out)
     else:
@@ -204,8 +203,8 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
           max_iter, allow_unnormalized, out, **fields):
     """Fit the sorted-L1 estimator (optionally with a group penalty).
 
-    --k, --alpha, --gamma and --q set the same-named ScheduleRequest fields
-    of an inline --rule and are refused with --schedule; --allow-unnormalized
+    --k, --alpha, --gamma and --q set the same-named parameters of an
+    inline --rule and are refused with --schedule; --allow-unnormalized
     is refused with --groups, whose fits never check column norms.
     """
     X = _read_matrix(design_path)
@@ -227,7 +226,8 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
         for name, value in fields.items():
             if value is not None:
                 raise click.UsageError(
-                    f"--{name} does not apply with --schedule; it sets a field of an inline --rule"
+                    f"--{name} does not apply with --schedule; "
+                    "it sets a parameter of an inline --rule"
                 )
         lam = _load_schedule_file(schedule_path)
     else:
@@ -242,8 +242,7 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
         for name, value in (("m", X.shape[1]), ("n", X.shape[0]), ("design", X)):
             if name in row.required:
                 fields[name] = value
-        request = ScheduleRequest(**fields)
-        lam = build_schedule(row.name, request).values
+        lam = build_schedule(row.name, **fields).values
 
     grouped = partition is not None
     design = DesignMatrix(X, require_unit_columns=not (grouped or allow_unnormalized))

@@ -12,7 +12,7 @@ import inspect
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -380,34 +380,11 @@ def group_corrected_schedule(variant, n, ranks, weights, alpha, k=None, gamma=No
     return LambdaSchedule(vals, rule, dict(params, n=n))
 
 
-@dataclass(frozen=True)
-class ScheduleRequest:
-    """Bag of parameters for building a schedule by rule name.
-
-    Leave fields that the requested rule does not use at None;
-    build_schedule rejects extraneous settings so a request never silently
-    drops a parameter.
-    """
-
-    m: int = None
-    n: int = None
-    k: int = None
-    alpha: float = None
-    gamma: float = None
-    q: float = None
-    sigma: float = None
-    ranks: tuple = None
-    weights: tuple = None
-    design: np.ndarray = None
-    replicates: int = None
-    seed: int = None
-
-
 class _Rule(NamedTuple):
     """One row of the rule table.
 
     aliases are the command-line tokens, the lower-cased name first.
-    required and optional name ScheduleRequest fields; they are read off
+    required and optional name the rule's parameters; they are read off
     build's signature, whose defaults are the generator defaults.  build
     reaches the generators through module globals at call time.
     corrected is the rule a random design calls for in place of this one.
@@ -475,21 +452,17 @@ _RULE_TABLE = {
 RULES = tuple(_RULE_TABLE)
 
 
-def build_schedule(rule, request):
-    """Dispatch a ScheduleRequest to the matching generator.
+def build_schedule(rule, **params):
+    """Build the schedule of a rule from its parameters, given as keywords.
 
-    Required fields must be set and fields foreign to the rule must be
-    None; optional fields (sigma, replicates, seed) fall back to their
-    generator defaults.
+    A parameter given as None counts as not given.  Required parameters
+    must be given and parameters foreign to the rule must not be; optional
+    ones (sigma, replicates, seed) fall back to their generator defaults.
     """
     row = _RULE_TABLE.get(rule)
     if row is None:
         raise ValueError(f"unknown schedule rule {rule!r}")
-    given = {
-        f.name: getattr(request, f.name)
-        for f in fields(request)
-        if getattr(request, f.name) is not None
-    }
+    given = {name: value for name, value in params.items() if value is not None}
     for name in row.required:
         if name not in given:
             raise ValueError(f"rule {rule!r} requires parameter {name!r}")

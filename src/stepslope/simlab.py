@@ -22,7 +22,6 @@ import numpy as np
 from .groups import GroupPartition, _scheme_weights, group_support_metrics, solve_group_slope
 from .schedules import (
     _RULE_TABLE,
-    ScheduleRequest,
     build_schedule,
     monte_carlo_corrected_schedule,
 )
@@ -48,7 +47,6 @@ DESIGNS = (
     "group-gaussian",
 )
 METHODS = ("slope-bh", "k-slope", "f-slope", "sd-kfwer", "sd-fdp", "gk-slope", "gf-slope")
-FEATURE_DESIGNS = ("orthogonal-identity", "gaussian", "correlated-means")
 GROUP_DESIGNS = ("group-orthogonal", "group-gaussian")
 GROUP_METHODS = ("slope-bh", "gk-slope", "gf-slope")
 STEPDOWN_METHODS = ("sd-kfwer", "sd-fdp")
@@ -475,8 +473,7 @@ def resolve_schedule(config):
 
 
 def _build(rule, values):
-    fields = {name: values[name] for name in _RULE_TABLE[rule].required}
-    return build_schedule(rule, ScheduleRequest(**fields))
+    return build_schedule(rule, **{name: values[name] for name in _RULE_TABLE[rule].required})
 
 
 def _draw(config, rep):

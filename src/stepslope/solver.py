@@ -399,7 +399,8 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
         if grow.size == 0:
             outside = np.flatnonzero(~inside)
             grow = outside[np.argsort(-h[outside], kind="stable")[: units.size]]
-        units = np.union1d(units, grow)
+        # grow is disjoint from units; np.union1d would import numpy.ma
+        units = np.sort(np.concatenate((units, grow)))
     iterations, restarts, backoffs, matvecs = counts
     return b, (iterations, gap, obj, converged, restarts, backoffs, matvecs,
                rounds, matvecs - gathered)

@@ -11,7 +11,7 @@ from stepslope import cli
 from stepslope.cli import main
 from stepslope.groups import GroupPartition, solve_group_slope, standardize
 from stepslope.schedules import (
-    ScheduleRequest,
+    _RULE_TABLE,
     bh_schedule,
     gk_schedule,
     kfwer_schedule,
@@ -668,15 +668,16 @@ def test_simulate_config_file_with_a_list(runner, tmp_path):
 
 
 def test_option_names_are_config_and_request_fields():
-    # each such option is passed straight through as the same-named field
+    # each such option is passed straight through as the same-named
+    # config field or rule parameter
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for param in cli.simulate.params:
         if param.name not in ("preset", "config_path", "threads", "out_root"):
             assert param.name in config_fields, param.name
-    request_fields = {f.name for f in dataclasses.fields(ScheduleRequest)}
+    rule_params = {name for row in _RULE_TABLE.values() for name in row.required + row.optional}
     for param in cli.lambda_cmd.params:
         if param.name not in ("rule", "group_sizes", "weight_scheme", "design_path", "out"):
-            assert param.name in request_fields, param.name
+            assert param.name in rule_params, param.name
 
 
 # ------------------------------------------------------------------ misc

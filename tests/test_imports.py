@@ -76,3 +76,20 @@ def test_first_standardize_loads_scipy_linalg():
         "standardize(X, GroupPartition.from_sizes((2, 3)))\n"
     )
     assert "scipy.linalg" in _loaded(code, ("scipy",))
+
+
+def test_working_set_growth_loads_no_numpy_ma():
+    # np.union1d imports numpy.ma through np.unique; a growth round that
+    # used it would charge that import to the first fit that needs one
+    code = (
+        "from stepslope import simlab\n"
+        "c = simlab.ExperimentConfig(design='correlated-means', method='k-slope', n=4000,\n"
+        "                            m=4000, t=20, k=6, replications=1, seed=3)\n"
+        "_, schedule, _ = simlab.resolve_schedule(c)\n"
+        "data = simlab.gen_correlated_means(c, 0)\n"
+        "fit = simlab.solve_slope(data.design, data.y, schedule, sigma=c.sigma)\n"
+        "print(f'rounds={fit.rounds}')\n"
+    )
+    rounds, *loaded = _loaded(code, ("numpy.ma",))
+    assert rounds == "rounds=2"
+    assert "numpy.ma" not in loaded

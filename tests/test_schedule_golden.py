@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stepslope.schedules import RULES, ScheduleRequest, build_schedule, schedule_json_text
+from stepslope.schedules import RULES, build_schedule, schedule_json_text
 from stepslope.simlab import ExperimentConfig, resolve_schedule
 
 GOLDEN = Path(__file__).parent / "data" / "schedule_golden.json"
@@ -34,22 +34,18 @@ def _small_requests():
     ranks, weights = (1, 2, 2, 3, 5), (1.0, 2.0**0.5, 2.0**0.5, 3.0**0.5, 5.0**0.5)
     mc = dict(design=_mc_design(), replicates=20, seed=3)
     return {
-        "BH": ScheduleRequest(m=12, q=0.1, sigma=1.5),
-        "kFWER": ScheduleRequest(m=12, k=3, alpha=0.1),
-        "FDP": ScheduleRequest(m=12, alpha=0.1, gamma=0.25, sigma=0.5),
-        "kFWER-Gaussian": ScheduleRequest(m=12, k=1, alpha=0.05, n=200),
-        "FDP-Gaussian": ScheduleRequest(m=12, alpha=0.1, gamma=0.3, n=200),
-        "kFWER-MonteCarlo": ScheduleRequest(m=8, k=2, alpha=0.1, **mc),
-        "FDP-MonteCarlo": ScheduleRequest(m=8, alpha=0.1, gamma=0.2, **mc),
-        "group-max-FDR": ScheduleRequest(q=0.1, ranks=ranks, weights=weights),
-        "group-kFWER": ScheduleRequest(k=2, alpha=0.1, ranks=ranks, weights=weights),
-        "group-FDP": ScheduleRequest(alpha=0.1, gamma=0.25, ranks=ranks, weights=weights),
-        "group-kFWER-corrected": ScheduleRequest(
-            k=2, alpha=0.1, n=300, ranks=ranks, weights=weights
-        ),
-        "group-FDP-corrected": ScheduleRequest(
-            alpha=0.1, gamma=0.25, n=300, ranks=ranks, weights=weights
-        ),
+        "BH": dict(m=12, q=0.1, sigma=1.5),
+        "kFWER": dict(m=12, k=3, alpha=0.1),
+        "FDP": dict(m=12, alpha=0.1, gamma=0.25, sigma=0.5),
+        "kFWER-Gaussian": dict(m=12, k=1, alpha=0.05, n=200),
+        "FDP-Gaussian": dict(m=12, alpha=0.1, gamma=0.3, n=200),
+        "kFWER-MonteCarlo": dict(m=8, k=2, alpha=0.1, **mc),
+        "FDP-MonteCarlo": dict(m=8, alpha=0.1, gamma=0.2, **mc),
+        "group-max-FDR": dict(q=0.1, ranks=ranks, weights=weights),
+        "group-kFWER": dict(k=2, alpha=0.1, ranks=ranks, weights=weights),
+        "group-FDP": dict(alpha=0.1, gamma=0.25, ranks=ranks, weights=weights),
+        "group-kFWER-corrected": dict(k=2, alpha=0.1, n=300, ranks=ranks, weights=weights),
+        "group-FDP-corrected": dict(alpha=0.1, gamma=0.25, n=300, ranks=ranks, weights=weights),
     }
 
 
@@ -73,7 +69,7 @@ def schedule_golden_doc():
             if key not in presets:
                 presets[key] = _digest(*resolve_schedule(ExperimentConfig.from_dict(d)))
     rules = {
-        rule: schedule_json_text(build_schedule(rule, request))
+        rule: schedule_json_text(build_schedule(rule, **request))
         for rule, request in _small_requests().items()
     }
     return {"presets": presets, "rules": rules}

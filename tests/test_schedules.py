@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stepslope.errors import NumericalError
 from stepslope.schedules import (
     LambdaSchedule,
-    ScheduleRequest,
     bh_schedule,
     build_schedule,
     fdp_schedule,
@@ -450,18 +449,22 @@ def test_group_corrected_variant_validation():
 
 
 def test_build_schedule_dispatch_and_field_checks():
-    req = ScheduleRequest(m=100, k=5, alpha=0.1)
-    got = build_schedule("kFWER", req)
+    req = dict(m=100, k=5, alpha=0.1)
+    got = build_schedule("kFWER", **req)
     assert np.array_equal(got.values, kfwer_schedule(100, 5, 0.1).values)
     with pytest.raises(ValueError, match="requires parameter"):
-        build_schedule("kFWER", ScheduleRequest(m=100, alpha=0.1))
+        build_schedule("kFWER", m=100, alpha=0.1)
     with pytest.raises(ValueError, match="does not accept parameter"):
-        build_schedule("BH", ScheduleRequest(m=100, q=0.1, k=5))
+        build_schedule("BH", m=100, q=0.1, k=5)
+    with pytest.raises(ValueError, match="does not accept parameter 'foo'"):
+        build_schedule("kFWER", foo=1, **req)
     with pytest.raises(ValueError, match="unknown schedule rule"):
-        build_schedule("nope", req)
+        build_schedule("nope", **req)
+    # None stands for an unset option, so it is neither foreign nor required
+    unset = build_schedule("kFWER", q=None, sigma=None, **req)
+    assert np.array_equal(unset.values, got.values)
     grp = build_schedule(
-        "group-FDP",
-        ScheduleRequest(alpha=0.1, gamma=0.2, ranks=(2, 3), weights=(1.0, 1.5)),
+        "group-FDP", alpha=0.1, gamma=0.2, ranks=(2, 3), weights=(1.0, 1.5)
     )
     assert np.array_equal(grp.values, gf_schedule(0.1, 0.2, (2, 3), (1.0, 1.5)).values)
 
