@@ -27,6 +27,9 @@ from .schedules import (
     schedule_values_from_csv,
 )
 from .simlab import (
+    CORRECTIONS,
+    GROUP_SCALE_MODES,
+    WEIGHT_SCHEMES,
     ExperimentConfig,
     resolve_schedule,
     run_experiment,
@@ -34,7 +37,7 @@ from .simlab import (
     write_report_csv,
 )
 from .solver import DesignMatrix, solve_slope
-from .stepdown import fdp_thresholds, kfwer_thresholds, stepdown_reject
+from .stepdown import _STEPDOWN_RULES, stepdown_reject
 
 _RULE_ROWS = {alias: row for row in _RULE_TABLE.values() for alias in row.aliases}
 _RULE_CHOICES = ", ".join(_RULE_ROWS)
@@ -128,7 +131,7 @@ def main():
 @click.option("--sigma", type=float, default=None, help="Noise scale multiplier (feature rules).")
 @click.option("--group-sizes", default=None, callback=_sizes_option,
               help="Comma-separated group sizes, required for group rules.")
-@click.option("--weight-scheme", type=click.Choice(["sqrt", "inv-sqrt"]), default=None,
+@click.option("--weight-scheme", type=click.Choice(WEIGHT_SCHEMES), default=None,
               help="Group weights from sizes; group rules only, sqrt when omitted.")
 @click.option("--design", "design_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Design CSV, required for monte-carlo rules.")
@@ -274,15 +277,11 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
     _write_or_echo(json.dumps(doc, indent=1) + "\n", out)
 
 
-# stepdown rule -> (the option it needs, the option it rejects)
-_STEPDOWN_OPTIONS = {"kfwer": ("k", "gamma"), "fdp": ("gamma", "k")}
-
-
 @main.command()
 @click.option("--pvalues", "pvalues_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="P-value CSV, one value per line.")
-@click.option("--rule", type=click.Choice(list(_STEPDOWN_OPTIONS)), required=True)
+@click.option("--rule", type=click.Choice(list(_STEPDOWN_RULES)), required=True)
 @click.option("--k", type=int, default=None, help="Familywise order (kfwer rule).")
 @click.option("--alpha", type=float, required=True)
 @click.option("--gamma", type=float, default=None, help="Exceedance fraction (fdp rule).")
@@ -290,23 +289,26 @@ _STEPDOWN_OPTIONS = {"kfwer": ("k", "gamma"), "fdp": ("gamma", "k")}
               help="Result JSON path; stdout when omitted.")
 @_guarded
 def stepdown(pvalues_path, rule, k, alpha, gamma, out):
-    """Run a stepdown multiple test and report the rejected indices."""
+    """Run a stepdown multiple test and report the rejected indices.
+
+    The kfwer rule takes --k and the fdp rule --gamma, and each refuses the
+    other's option.  The JSON records the rule, its parameters (m is the
+    p-value count), the stepdown thresholds and the rejected 0-based indices.
+    """
     p = _read_vector(pvalues_path)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError(f"{pvalues_path}: p-values must lie in [0, 1]")
-    m = p.size
+    levels, names = _STEPDOWN_RULES[rule]
     options = {"k": k, "gamma": gamma}
-    need, foreign = _STEPDOWN_OPTIONS[rule]
-    if options[need] is None:
-        raise click.UsageError(f"rule {rule} requires --{need}")
-    if options[foreign] is not None:
-        raise click.UsageError(f"--{foreign} does not apply to rule {rule}")
-    if k is not None:
-        thresholds = kfwer_thresholds(m, k, alpha)
-        params = {"m": m, "k": k, "alpha": alpha}
-    else:
-        thresholds = fdp_thresholds(m, alpha, gamma)
-        params = {"m": m, "alpha": alpha, "gamma": gamma}
+    for name, value in options.items():
+        if name in names and value is None:
+            raise click.UsageError(f"rule {rule} requires --{name}")
+    for name, value in options.items():
+        if name not in names and value is not None:
+            raise click.UsageError(f"--{name} does not apply to rule {rule}")
+    values = dict(options, m=p.size, alpha=alpha)
+    params = {name: values[name] for name in names}
+    thresholds = levels(**params)
     rejected = sorted(stepdown_reject(p, thresholds))
     doc = {
         "rule": rule,
@@ -363,11 +365,9 @@ def _signal_option(ctx, param, text):
 @click.option("--num-groups", type=int, default=None)
 @click.option("--group-sizes", default=None, callback=_sizes_option,
               help="Comma-separated size classes.")
-@click.option("--weight-scheme", type=click.Choice(["sqrt", "inv-sqrt"]), default=None)
-@click.option("--group-scale-mode", type=click.Choice(["per-class", "mean-size"]),
-              default=None)
-@click.option("--correction", type=click.Choice(["auto", "gaussian", "monte-carlo", "none"]),
-              default=None)
+@click.option("--weight-scheme", type=click.Choice(WEIGHT_SCHEMES), default=None)
+@click.option("--group-scale-mode", type=click.Choice(GROUP_SCALE_MODES), default=None)
+@click.option("--correction", type=click.Choice(CORRECTIONS), default=None)
 @click.option("--mc-replicates", type=int, default=None)
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker processes; results do not depend on this.")
@@ -382,6 +382,8 @@ def simulate(preset, config_path, threads, out_root, **fields):
     """
     if preset is not None and config_path is not None:
         raise click.UsageError("pass --preset or --config, not both")
+    if threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     overrides = {name: value for name, value in fields.items() if value is not None}
 
     doc = None
@@ -458,19 +460,16 @@ def simulate(preset, config_path, threads, out_root, **fields):
     ))
 
 
-_K_SPECIFIC = ("k-slope", "gk-slope", "sd-kfwer")
-
-
 def _write_grid_csv(reports, grid_ks, path):
     """Probability of at least k false selections, tabulated over k and t.
 
-    Methods tuned to a specific k contribute one row at their own k;
-    the rest are evaluated at every k in the grid.
+    Methods whose schedule or thresholds take a k contribute one row at
+    their own k; the rest are evaluated at every k in the grid.
     """
     lines = ["config_id,design,method,t,k,estimate,se"]
     for report in reports:
         c = report.config
-        ks = [c.k] if c.method in _K_SPECIFIC else list(grid_ks)
+        ks = [c.k] if "k" in report.extras["schedule"]["params"] else list(grid_ks)
         for k in ks:
             est, se = report.kfwer_at(k)
             lines.append(

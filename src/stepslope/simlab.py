@@ -32,26 +32,54 @@ from .solver import (
     solve_slope,
     support_metrics,
 )
-from .stepdown import (
-    fdp_thresholds,
-    kfwer_thresholds,
-    stepdown_reject,
-    two_sided_pvalues,
-)
+from .stepdown import _STEPDOWN_RULES, stepdown_reject, two_sided_pvalues
 
-DESIGNS = (
-    "orthogonal-identity",
-    "gaussian",
-    "correlated-means",
-    "group-orthogonal",
-    "group-gaussian",
-)
-METHODS = ("slope-bh", "k-slope", "f-slope", "sd-kfwer", "sd-fdp", "gk-slope", "gf-slope")
-GROUP_DESIGNS = ("group-orthogonal", "group-gaussian")
-GROUP_METHODS = ("slope-bh", "gk-slope", "gf-slope")
-STEPDOWN_METHODS = ("sd-kfwer", "sd-fdp")
-CORRECTIONS = ("auto", "none", "gaussian", "monte-carlo")
+
+class _Design(NamedTuple):
+    """A design: generator names its draw function, read as a module global
+    at call time so that a wrapper installed over it sees every draw; fixed
+    marks a fixed n x n operator (n == m, no design correction) where the
+    rest are random matrices; stats marks replications that carry marginal
+    statistics for the stepdown baselines; auto is the signal "auto" names."""
+
+    generator: str
+    grouped: bool
+    fixed: bool
+    stats: bool
+    auto: str
+
+
+_DESIGNS = {
+    "orthogonal-identity": _Design("gen_orthogonal", False, True, True, "strong"),
+    "gaussian": _Design("gen_gaussian", False, False, False, "moderate"),
+    "correlated-means": _Design("gen_correlated_means", False, True, True, "moderate"),
+    "group-orthogonal": _Design("gen_group", True, True, False, "group-scaled"),
+    "group-gaussian": _Design("gen_group", True, False, False, "group-scaled"),
+}
+
+
+class _Method(NamedTuple):
+    """A method's schedule rule on feature designs and on group designs (None
+    where it does not run), or the stepdown rule of a baseline."""
+
+    feature: str = None
+    group: str = None
+    stepdown: str = None
+
+
+_METHODS = {
+    "slope-bh": _Method("BH", "group-max-FDR"),
+    "k-slope": _Method("kFWER"),
+    "f-slope": _Method("FDP"),
+    "sd-kfwer": _Method(stepdown="kfwer"),
+    "sd-fdp": _Method(stepdown="fdp"),
+    "gk-slope": _Method(group="group-kFWER"),
+    "gf-slope": _Method(group="group-FDP"),
+}
+CORRECTIONS = ("auto", "gaussian", "monte-carlo", "none")
 NAMED_SIGNALS = ("auto", "strong", "moderate", "weak", "group-scaled")
+WEIGHT_SCHEMES = ("sqrt", "inv-sqrt")
+GROUP_SCALE_MODES = ("per-class", "mean-size")
 
 
 @dataclass(frozen=True)
@@ -59,10 +87,10 @@ class ExperimentConfig:
     """One simulation cell: a design, a method, and their parameters.
 
     t counts relevant features on feature designs and relevant groups on
-    group designs.  signal is a named strength or an explicit amplitude;
-    "auto" picks the design's default.  correction selects how design
-    randomness enters the schedule ("auto" maps each design to its
-    standard treatment).
+    group designs.  signal is a named strength or an explicit amplitude,
+    resolved here: "auto" picks the design's default.  correction selects
+    how design randomness enters the schedule ("auto" maps each design to
+    its standard treatment).
     """
 
     design: str
@@ -89,10 +117,11 @@ class ExperimentConfig:
     fit_max_iter: int = 20000
 
     def __post_init__(self):
-        if self.design not in DESIGNS:
+        if self.design not in _DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
-        if self.method not in METHODS:
+        if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        design, method = _DESIGNS[self.design], _METHODS[self.method]
         for name in ("n", "m", "replications", "mc_replicates", "fit_max_iter"):
             v = getattr(self, name)
             if int(v) != v or v < 1:
@@ -121,9 +150,8 @@ class ExperimentConfig:
         elif not abs(self.signal) <= sys.float_info.max:
             raise ValueError(f"signal must be a finite amplitude, got {self.signal!r}")
 
-        grouped = self.design in GROUP_DESIGNS
-        if grouped:
-            if self.method not in GROUP_METHODS:
+        if design.grouped:
+            if method.group is None:
                 raise ValueError(
                     f"method {self.method!r} does not apply to group designs"
                 )
@@ -150,14 +178,14 @@ class ExperimentConfig:
                 raise ValueError(f"t={self.t} exceeds num_groups={self.num_groups}")
             if self.k > self.num_groups:
                 raise ValueError(f"k={self.k} exceeds num_groups={self.num_groups}")
-            if self.weight_scheme not in ("sqrt", "inv-sqrt"):
+            if self.weight_scheme not in WEIGHT_SCHEMES:
                 raise ValueError(f"unknown weight_scheme {self.weight_scheme!r}")
-            if self.group_scale_mode not in ("per-class", "mean-size"):
+            if self.group_scale_mode not in GROUP_SCALE_MODES:
                 raise ValueError(f"unknown group_scale_mode {self.group_scale_mode!r}")
             if self.correction == "monte-carlo":
                 raise ValueError("monte-carlo correction applies to feature designs only")
         else:
-            if self.method in ("gk-slope", "gf-slope"):
+            if method.feature is None and method.stepdown is None:
                 raise ValueError(f"method {self.method!r} requires a group design")
             if self.num_groups is not None or self.group_sizes is not None:
                 raise ValueError("num_groups/group_sizes apply to group designs only")
@@ -165,27 +193,18 @@ class ExperimentConfig:
                 raise ValueError(f"t={self.t} exceeds m={self.m}")
             if self.k > self.m:
                 raise ValueError(f"k={self.k} exceeds m={self.m}")
-        if self.method in STEPDOWN_METHODS and self.design not in (
-            "orthogonal-identity",
-            "correlated-means",
-        ):
-            raise ValueError(
-                f"method {self.method!r} needs marginal statistics; it runs on "
-                "the orthogonal-identity and correlated-means designs only"
-            )
-        if (
-            self.design in ("orthogonal-identity", "group-orthogonal", "correlated-means")
-            and self.n != self.m
-        ):
-            raise ValueError(
-                f"design {self.design!r} is square and needs n == m, "
-                f"got n={self.n}, m={self.m}"
-            )
-        if self.design in ("orthogonal-identity", "correlated-means", "group-orthogonal"):
-            if self.correction not in ("auto", "none"):
-                raise ValueError(
-                    f"correction {self.correction!r} does not apply to design {self.design!r}"
-                )
+        if method.stepdown is not None and not design.stats:
+            marginal = " and ".join(name for name, row in _DESIGNS.items() if row.stats)
+            raise ValueError(f"method {self.method!r} needs marginal statistics; it runs "
+                             f"on the {marginal} designs only")
+        if design.fixed and self.n != self.m:
+            raise ValueError(f"design {self.design!r} is square and needs n == m, "
+                             f"got n={self.n}, m={self.m}")
+        if design.fixed and self.correction not in ("auto", "none"):
+            raise ValueError(f"correction {self.correction!r} does not apply to design "
+                             f"{self.design!r}")
+        # a signal the design cannot resolve is refused before any replication
+        (resolve_group_amplitude if design.grouped else resolve_signal)(self)
 
     def expanded_group_sizes(self):
         """Per-group sizes: each size class repeated over a contiguous block."""
@@ -226,7 +245,7 @@ def resolve_signal(config):
     if s == "group-scaled":
         raise ValueError("group-scaled signal applies to group designs only")
     if s == "auto":
-        s = "strong" if config.design == "orthogonal-identity" else "moderate"
+        s = _DESIGNS[config.design].auto
     if s == "strong":
         return 3.0 * math.sqrt(2.0 * math.log(config.n))
     if s == "moderate":
@@ -267,12 +286,8 @@ def _scaled_group_amplitude(num_groups, group_sizes, group_scale_mode):
         ls = list(sizes)
     num = 0.0
     for l in ls:
-        val = 4.0 * math.log(T) / (1.0 - T ** (-2.0 / l)) - l
-        if val <= 0.0:
-            raise ValueError(
-                f"group-scaled amplitude undefined for size {l} with {T} groups"
-            )
-        num += math.sqrt(val)
+        # 1 - T^(-2/l) < 2 ln(T)/l, so the root's argument exceeds l > 0
+        num += math.sqrt(4.0 * math.log(T) / (1.0 - T ** (-2.0 / l)) - l)
     den = sum(math.sqrt(s) for s in sizes)
     return num / den
 
@@ -401,7 +416,7 @@ def gen_group(config, rep):
     sizes = config.expanded_group_sizes()
     part = _cached_partition(sizes, config.weight_scheme)
     m = config.m
-    if config.design == "group-orthogonal":
+    if _DESIGNS[config.design].fixed:
         design = X = None
     else:
         X = _unit_gaussian_design(rng, config.n, m)
@@ -424,16 +439,6 @@ def gen_group(config, rep):
     return Replication(design, part, beta, y, {int(i) for i in relevant}, None)
 
 
-# method -> base schedule rule on feature designs and on group designs
-_METHOD_RULES = {
-    "slope-bh": ("BH", "group-max-FDR"),
-    "k-slope": ("kFWER", None),
-    "f-slope": ("FDP", None),
-    "gk-slope": (None, "group-kFWER"),
-    "gf-slope": (None, "group-FDP"),
-}
-
-
 def resolve_schedule(config):
     """Build the schedule (or stepdown thresholds) a config calls for.
 
@@ -441,31 +446,24 @@ def resolve_schedule(config):
     LambdaSchedule, "thresholds" a stepdown level array, and "mc" a base
     schedule corrected per replication against that replication's design.
     """
-    if config.method == "sd-kfwer":
-        params = {"m": config.m, "k": config.k, "alpha": config.alpha}
-        thr = kfwer_thresholds(**params)
-        return "thresholds", thr, {"type": "thresholds", "rule": "kfwer", "params": params}
-    if config.method == "sd-fdp":
-        params = {"m": config.m, "alpha": config.alpha, "gamma": config.gamma}
-        thr = fdp_thresholds(**params)
-        return "thresholds", thr, {"type": "thresholds", "rule": "fdp", "params": params}
-
-    grouped = config.design in GROUP_DESIGNS
     values = {"m": config.m, "n": config.n, "k": config.k, "alpha": config.alpha,
               "gamma": config.gamma, "q": config.q}
-    if grouped:
+    method, design = _METHODS[config.method], _DESIGNS[config.design]
+    if method.stepdown is not None:
+        levels, names = _STEPDOWN_RULES[method.stepdown]
+        params = {name: values[name] for name in names}
+        return "thresholds", levels(**params), {"type": "thresholds",
+                                                "rule": method.stepdown, "params": params}
+    if design.grouped:
         values.update(ranks=config.expanded_group_sizes(),
                       weights=tuple(config.group_weights()))
-    rule = _METHOD_RULES[config.method][grouped]
+    rule = method.group if design.grouped else method.feature
     corrected = _RULE_TABLE[rule].corrected
-    if corrected and config.design in ("gaussian", "group-gaussian"):
+    if corrected and not design.fixed:
         if config.correction == "monte-carlo":
             base = _build(rule, values)
-            return "mc", base, {
-                "type": "monte-carlo",
-                "rule": base.rule,
-                "params": dict(base.params, replicates=config.mc_replicates),
-            }
+            return "mc", base, {"type": "monte-carlo", "rule": base.rule,
+                                "params": dict(base.params, replicates=config.mc_replicates)}
         if config.correction != "none":
             rule = corrected
     sched = _build(rule, values)
@@ -477,15 +475,8 @@ def _build(rule, values):
 
 
 def _draw(config, rep):
-    """Replication rep of config; the generators are read as module globals,
-    so a wrapper installed over one sees every draw."""
-    if config.design in GROUP_DESIGNS:
-        return gen_group(config, rep)
-    if config.design == "gaussian":
-        return gen_gaussian(config, rep)
-    if config.design == "correlated-means":
-        return gen_correlated_means(config, rep)
-    return gen_orthogonal(config, rep)
+    """Replication rep of config, drawn by the generator its design row names."""
+    return globals()[_DESIGNS[config.design].generator](config, rep)
 
 
 def _fit(config, rep, data, mode, payload):
@@ -597,7 +588,7 @@ def run_experiment(config, threads=1, resolved=None):
         "power": _aggregate(report.power),
     }
     report.extras = {"schedule": provenance, "all_converged": bool(report.converged.all())}
-    if config.design in GROUP_DESIGNS:
+    if _DESIGNS[config.design].grouped:
         report.extras.update(signal_value=resolve_group_amplitude(config),
                              group_scale_mode=config.group_scale_mode)
     else:

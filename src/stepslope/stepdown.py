@@ -7,6 +7,7 @@ are the one source of the stepdown levels: the schedule generators map
 them through normal or chi quantiles.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -48,6 +49,15 @@ def fdp_thresholds(m, alpha, gamma):
     i = np.arange(1, m + 1)
     f = np.floor(gamma * i)
     return (f + 1) * alpha / (m + f + 1 - i)
+
+
+# stepdown rule -> (its levels, the parameters read off their signature), for the
+# simulations and the command line; levels reach the generators as module globals
+_STEPDOWN_RULES = {
+    rule: (levels, tuple(inspect.signature(levels).parameters))
+    for rule, levels in (("kfwer", lambda m, k, alpha: kfwer_thresholds(m, k, alpha)),
+                         ("fdp", lambda m, alpha, gamma: fdp_thresholds(m, alpha, gamma)))
+}
 
 
 def stepdown_reject(pvalues, thresholds):

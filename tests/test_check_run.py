@@ -1,0 +1,48 @@
+"""scripts/check_run.py replays a run directory's manifest and compares bytes.
+
+The run has a kfwer grid and puts a config whose schedule takes a k ahead
+of two that do not, so the grid the checker reads back from
+kfwer_grid.csv is exercised too.
+"""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from stepslope.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _check(run_dir):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_run.py"),
+                           str(run_dir)], capture_output=True, text=True, timeout=300)
+
+
+def test_check_run_passes_a_clean_run_and_names_a_changed_file(tmp_path):
+    cell = dict(design="orthogonal-identity", n=20, m=20, t=2, k=2, replications=3, seed=1)
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "experiments": [dict(cell, method=method)
+                        for method in ("k-slope", "slope-bh", "f-slope")],
+        "kfwer_grid": [1, 3, 4],
+    }))
+    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg),
+                                    "--out", str(tmp_path / "runs")])
+    assert res.exit_code == 0, res.output
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert (run_dir / "kfwer_grid.csv").exists()
+
+    clean = _check(run_dir)
+    assert clean.returncode == 0, clean.stdout + clean.stderr
+    assert clean.stdout.strip() == "ok"
+
+    details = run_dir / "details.json"
+    data = bytearray(details.read_bytes())
+    data[len(data) // 2] ^= 1
+    details.write_bytes(bytes(data))
+    changed = _check(run_dir)
+    assert changed.returncode == 1
+    assert changed.stdout.strip() == "details.json differs"

@@ -651,6 +651,38 @@ def test_simulate_non_finite_signal_is_rejected_before_the_run(runner, tmp_path)
     assert not out.exists()
 
 
+_GROUP_SIM_ARGS = ["simulate", "--design", "group-orthogonal", "--method", "gk-slope",
+                   "--n", "8", "--m", "8", "--t", "1", "--k", "1", "--reps", "2"]
+
+
+@pytest.mark.parametrize(
+    "args,fragment",
+    [
+        (_SIM_ARGS[:2] + ["gaussian"] + _SIM_ARGS[3:] + ["--signal", "group-scaled"],
+         "group-scaled signal applies to group designs only"),
+        (_GROUP_SIM_ARGS + ["--num-groups", "2", "--group-sizes", "4",
+                            "--signal", "strong"], "applies to feature designs"),
+        (_GROUP_SIM_ARGS + ["--num-groups", "1", "--group-sizes", "8",
+                            "--signal", "group-scaled"], "needs at least two groups"),
+    ],
+)
+def test_simulate_unresolvable_signal_is_rejected_before_the_run(runner, tmp_path, args,
+                                                                 fragment):
+    out = tmp_path / "runs"
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 2
+    assert fragment in res.output
+    assert not out.exists()
+
+
+def test_simulate_bad_threads_is_rejected_before_the_run(runner, tmp_path):
+    out = tmp_path / "runs"
+    res = runner.invoke(main, _SIM_ARGS + ["--threads", "0", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "threads must be a positive integer" in res.output
+    assert not out.exists()
+
+
 def test_simulate_config_file_with_a_list(runner, tmp_path):
     cfg = tmp_path / "list.json"
     cfg.write_text(json.dumps([

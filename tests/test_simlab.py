@@ -1,5 +1,6 @@
 """Simulation laboratory: configs, generators, schedule routing, reports."""
 import csv
+import itertools
 import json
 import math
 import re
@@ -453,6 +454,111 @@ def test_resolve_schedule_group_rules():
         assert payload.rule == rule
         assert len(payload.values) == config.num_groups
         json.dumps(prov)
+
+
+# refusal fragments of the applicability matrix
+_FIXED = "does not apply to design"
+_NEEDS_GROUPS = "requires a group design"
+_NOT_GROUPED = "does not apply to group designs"
+_MARGINAL = "needs marginal statistics; it runs on the orthogonal-identity and " \
+            "correlated-means designs only"
+_NO_MC = "monte-carlo correction applies to feature designs only"
+
+# (design, method) -> outcome under corrections auto, none, gaussian, monte-carlo:
+# resolve_schedule's (mode, rule, provenance has k), or the refusal's fragment
+_APPLICABILITY = {
+    ("orthogonal-identity", "slope-bh"):
+        (("schedule", "BH", False), ("schedule", "BH", False), _FIXED, _FIXED),
+    ("orthogonal-identity", "k-slope"):
+        (("schedule", "kFWER", True), ("schedule", "kFWER", True), _FIXED, _FIXED),
+    ("orthogonal-identity", "f-slope"):
+        (("schedule", "FDP", False), ("schedule", "FDP", False), _FIXED, _FIXED),
+    ("orthogonal-identity", "sd-kfwer"):
+        (("thresholds", "kfwer", True), ("thresholds", "kfwer", True), _FIXED, _FIXED),
+    ("orthogonal-identity", "sd-fdp"):
+        (("thresholds", "fdp", False), ("thresholds", "fdp", False), _FIXED, _FIXED),
+    ("orthogonal-identity", "gk-slope"): (_NEEDS_GROUPS,) * 4,
+    ("orthogonal-identity", "gf-slope"): (_NEEDS_GROUPS,) * 4,
+    ("gaussian", "slope-bh"):
+        (("schedule", "BH", False), ("schedule", "BH", False),
+         ("schedule", "BH", False), ("schedule", "BH", False)),
+    ("gaussian", "k-slope"):
+        (("schedule", "kFWER-Gaussian", True), ("schedule", "kFWER", True),
+         ("schedule", "kFWER-Gaussian", True), ("mc", "kFWER", True)),
+    ("gaussian", "f-slope"):
+        (("schedule", "FDP-Gaussian", False), ("schedule", "FDP", False),
+         ("schedule", "FDP-Gaussian", False), ("mc", "FDP", False)),
+    ("gaussian", "sd-kfwer"): (_MARGINAL,) * 4,
+    ("gaussian", "sd-fdp"): (_MARGINAL,) * 4,
+    ("gaussian", "gk-slope"): (_NEEDS_GROUPS,) * 4,
+    ("gaussian", "gf-slope"): (_NEEDS_GROUPS,) * 4,
+    ("correlated-means", "slope-bh"):
+        (("schedule", "BH", False), ("schedule", "BH", False), _FIXED, _FIXED),
+    ("correlated-means", "k-slope"):
+        (("schedule", "kFWER", True), ("schedule", "kFWER", True), _FIXED, _FIXED),
+    ("correlated-means", "f-slope"):
+        (("schedule", "FDP", False), ("schedule", "FDP", False), _FIXED, _FIXED),
+    ("correlated-means", "sd-kfwer"):
+        (("thresholds", "kfwer", True), ("thresholds", "kfwer", True), _FIXED, _FIXED),
+    ("correlated-means", "sd-fdp"):
+        (("thresholds", "fdp", False), ("thresholds", "fdp", False), _FIXED, _FIXED),
+    ("correlated-means", "gk-slope"): (_NEEDS_GROUPS,) * 4,
+    ("correlated-means", "gf-slope"): (_NEEDS_GROUPS,) * 4,
+    ("group-orthogonal", "slope-bh"):
+        (("schedule", "group-max-FDR", False), ("schedule", "group-max-FDR", False),
+         _FIXED, _NO_MC),
+    ("group-orthogonal", "k-slope"): (_NOT_GROUPED,) * 4,
+    ("group-orthogonal", "f-slope"): (_NOT_GROUPED,) * 4,
+    ("group-orthogonal", "sd-kfwer"): (_NOT_GROUPED,) * 4,
+    ("group-orthogonal", "sd-fdp"): (_NOT_GROUPED,) * 4,
+    ("group-orthogonal", "gk-slope"):
+        (("schedule", "group-kFWER", True), ("schedule", "group-kFWER", True),
+         _FIXED, _NO_MC),
+    ("group-orthogonal", "gf-slope"):
+        (("schedule", "group-FDP", False), ("schedule", "group-FDP", False),
+         _FIXED, _NO_MC),
+    ("group-gaussian", "slope-bh"):
+        (("schedule", "group-max-FDR", False), ("schedule", "group-max-FDR", False),
+         ("schedule", "group-max-FDR", False), _NO_MC),
+    ("group-gaussian", "k-slope"): (_NOT_GROUPED,) * 4,
+    ("group-gaussian", "f-slope"): (_NOT_GROUPED,) * 4,
+    ("group-gaussian", "sd-kfwer"): (_NOT_GROUPED,) * 4,
+    ("group-gaussian", "sd-fdp"): (_NOT_GROUPED,) * 4,
+    ("group-gaussian", "gk-slope"):
+        (("schedule", "group-kFWER-corrected", True), ("schedule", "group-kFWER", True),
+         ("schedule", "group-kFWER-corrected", True), _NO_MC),
+    ("group-gaussian", "gf-slope"):
+        (("schedule", "group-FDP-corrected", False), ("schedule", "group-FDP", False),
+         ("schedule", "group-FDP-corrected", False), _NO_MC),
+}
+_MATRIX_CORRECTIONS = ("auto", "none", "gaussian", "monte-carlo")
+_MATRIX_CASES = [
+    (design, method, correction, outcome)
+    for (design, method), outcomes in _APPLICABILITY.items()
+    for correction, outcome in zip(_MATRIX_CORRECTIONS, outcomes)
+]
+
+
+def test_applicability_matrix_covers_every_combination():
+    designs = {d for d, _ in _APPLICABILITY}
+    methods = {m for _, m in _APPLICABILITY}
+    assert (len(designs), len(methods)) == (5, 7)
+    assert set(_APPLICABILITY) == set(itertools.product(designs, methods))
+    assert len(_MATRIX_CASES) == 140
+    accepted = [case for case in _MATRIX_CASES if isinstance(case[3], tuple)]
+    assert len(accepted) == 47
+
+
+@pytest.mark.parametrize("design,method,correction,outcome", _MATRIX_CASES)
+def test_applicability_matrix(design, method, correction, outcome):
+    make = _group_config if design.startswith("group-") else _feature_config
+    kw = dict(design=design, method=method, correction=correction)
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=re.escape(outcome)):
+            make(**kw)
+        return
+    mode, _, prov = resolve_schedule(make(**kw))
+    assert (mode, prov["rule"], "k" in prov["params"]) == outcome
 
 
 # ------------------------------------------------------------- experiments
