@@ -29,6 +29,7 @@ from .schedules import (
 from .simlab import (
     CORRECTIONS,
     GROUP_SCALE_MODES,
+    REQUIRED_FIELDS,
     WEIGHT_SCHEMES,
     ExperimentConfig,
     resolve_schedule,
@@ -396,30 +397,30 @@ def simulate(preset, config_path, threads, out_root, **fields):
             raise ValueError(f"{config_path}: invalid JSON ({exc})")
         if isinstance(doc, list):
             doc = {"experiments": doc}
-        elif "experiments" not in doc and "configs" in doc:
-            # a run manifest replays as the experiment list it recorded
-            doc = {"experiments": [
+        elif isinstance(doc, dict) and "experiments" not in doc and "configs" in doc:
+            # a run manifest replays as the experiment list it recorded, and its grid
+            doc = dict(doc, experiments=[
                 {k: v for k, v in c.items() if k != "config_id"}
                 for c in doc["configs"]
-            ]}
-        elif "experiments" not in doc:
+            ])
+        elif not isinstance(doc, dict) or "experiments" not in doc:
             doc = {"experiments": [doc]}
 
     if doc is not None:
-        dicts = [dict(d, **overrides) for d in doc["experiments"]]
+        if not isinstance(doc["experiments"], list):
+            raise ValueError("experiments must be a list of experiment objects")
+        configs = [ExperimentConfig.from_dict(d, **overrides) for d in doc["experiments"]]
         grid = doc.get("kfwer_grid")
     else:
-        required = ("design", "method", "n", "m", "t")
-        missing = [name for name in required if name not in overrides]
+        missing = [name for name in REQUIRED_FIELDS if name not in overrides]
         if missing:
             raise click.UsageError(
                 "without --preset or --config these options are required: "
                 + ", ".join(f"--{name}" for name in missing)
             )
-        dicts = [overrides]
+        configs = [ExperimentConfig.from_dict(overrides)]
         grid = None
 
-    configs = [ExperimentConfig.from_dict(d) for d in dicts]
     resolved = [resolve_schedule(c) for c in configs]
 
     run_id = hashlib.sha256(
@@ -429,8 +430,6 @@ def simulate(preset, config_path, threads, out_root, **fields):
     run_dir.mkdir(parents=True, exist_ok=True)
 
     outputs = {"report": "report.csv", "details": "details.json"}
-    if grid:
-        outputs["grid"] = "kfwer_grid.csv"
     manifest = {
         "command": "simulate",
         "code_version": __version__,
@@ -443,6 +442,9 @@ def simulate(preset, config_path, threads, out_root, **fields):
         "schedules": [prov for _, _, prov in resolved],
         "outputs": outputs,
     }
+    if grid:
+        manifest["kfwer_grid"] = grid
+        outputs["grid"] = "kfwer_grid.csv"
     (run_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n"
     )

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -220,16 +220,26 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if d.get("group_sizes") is not None:
-            d["group_sizes"] = tuple(d["group_sizes"])
+    def from_dict(cls, d, **overrides):
+        """One experiment object's config, overrides replacing its same-named fields."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an experiment must be an object, got {type(d).__name__}")
+        d = dict(d, **overrides)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment field(s): {', '.join(unknown)}")
+        missing = [name for name in REQUIRED_FIELDS if name not in d]
+        if missing:
+            raise ValueError(f"experiment lacks required field(s): {', '.join(missing)}")
         return cls(**d)
 
     def config_id(self):
         """First 12 hex digits of the sha256 of the canonical config JSON."""
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def _expand_sizes(num_groups, group_sizes):

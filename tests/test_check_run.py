@@ -1,8 +1,8 @@
 """scripts/check_run.py replays a run directory's manifest and compares bytes.
 
 The run has a kfwer grid and puts a config whose schedule takes a k ahead
-of two that do not, so the grid the checker reads back from
-kfwer_grid.csv is exercised too.
+of two that do not, so the replay must take the grid from the manifest
+and write kfwer_grid.csv too.
 """
 import json
 import subprocess
@@ -21,7 +21,7 @@ def _check(run_dir):
                            str(run_dir)], capture_output=True, text=True, timeout=300)
 
 
-def test_check_run_passes_a_clean_run_and_names_a_changed_file(tmp_path):
+def _grid_run(tmp_path):
     cell = dict(design="orthogonal-identity", n=20, m=20, t=2, k=2, replications=3, seed=1)
     cfg = tmp_path / "grid.json"
     cfg.write_text(json.dumps({
@@ -34,6 +34,11 @@ def test_check_run_passes_a_clean_run_and_names_a_changed_file(tmp_path):
     assert res.exit_code == 0, res.output
     (run_dir,) = (tmp_path / "runs").iterdir()
     assert (run_dir / "kfwer_grid.csv").exists()
+    return run_dir
+
+
+def test_check_run_passes_a_clean_run_and_names_a_changed_file(tmp_path):
+    run_dir = _grid_run(tmp_path)
 
     clean = _check(run_dir)
     assert clean.returncode == 0, clean.stdout + clean.stderr
@@ -46,3 +51,22 @@ def test_check_run_passes_a_clean_run_and_names_a_changed_file(tmp_path):
     changed = _check(run_dir)
     assert changed.returncode == 1
     assert changed.stdout.strip() == "details.json differs"
+
+
+def test_check_run_names_an_output_the_replay_did_not_write(tmp_path):
+    # a manifest without the grid, as simulate wrote before it recorded one
+    run_dir = _grid_run(tmp_path)
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["kfwer_grid"]
+    path.write_text(json.dumps(manifest))
+    res = _check(run_dir)
+    assert res.returncode == 1
+    assert res.stdout.strip() == "kfwer_grid.csv missing from the replay"
+
+
+def test_check_run_without_a_manifest_prints_usage(tmp_path):
+    res = _check(tmp_path)
+    assert res.returncode == 2
+    assert "python3 scripts/check_run.py RUN_DIR" in res.stderr
+    assert "Traceback" not in res.stderr

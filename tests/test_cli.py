@@ -543,6 +543,7 @@ def test_simulate_config_file_with_grid(runner, tmp_path):
     assert ks == [("k-slope", 2), ("slope-bh", 1), ("slope-bh", 2), ("slope-bh", 3)]
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["outputs"]["grid"] == "kfwer_grid.csv"
+    assert manifest["kfwer_grid"] == [1, 2, 3]
 
 
 def test_simulate_replays_from_manifest(runner, tmp_path):
@@ -556,6 +557,31 @@ def test_simulate_replays_from_manifest(runner, tmp_path):
     assert replay_id == run_id
     assert (dir_a / "report.csv").read_bytes() == (dir_b / "report.csv").read_bytes()
     assert (dir_a / "details.json").read_bytes() == (dir_b / "details.json").read_bytes()
+
+
+def test_simulate_replay_of_a_replay_keeps_the_grid(runner, tmp_path):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({
+        "experiments": [dict(design="orthogonal-identity", method=method, n=20, m=20,
+                             t=2, k=2, replications=3, seed=4)
+                        for method in ("k-slope", "slope-bh")],
+        "kfwer_grid": [1, 3],
+    }))
+    res = _invoke(runner, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "0")])
+    assert res.exit_code == 0
+    dirs = [_run_dir(tmp_path / "0", res)[0]]
+    for generation in (1, 2):
+        res = _invoke(runner, ["simulate", "--config", str(dirs[-1] / "manifest.json"),
+                               "--out", str(tmp_path / str(generation))])
+        assert res.exit_code == 0
+        dirs.append(_run_dir(tmp_path / str(generation), res)[0])
+    for run_dir in dirs:
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["kfwer_grid"] == [1, 3]
+        assert manifest["outputs"] == {"report": "report.csv", "details": "details.json",
+                                       "grid": "kfwer_grid.csv"}
+        for name in manifest["outputs"].values():
+            assert (run_dir / name).read_bytes() == (dirs[0] / name).read_bytes(), name
 
 
 def test_simulate_single_config_document(runner, tmp_path):
@@ -618,6 +644,30 @@ def test_simulate_invalid_config_json(runner, tmp_path):
                                "--out", str(tmp_path)])
     assert res.exit_code == 2
     assert "invalid JSON" in res.output
+
+
+_CELL = {"design": "orthogonal-identity", "method": "slope-bh", "n": 20, "m": 20, "t": 2}
+
+
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        (dict(_CELL, reps=3), "unknown experiment field(s): reps"),
+        ({k: v for k, v in _CELL.items() if k != "design"},
+         "experiment lacks required field(s): design"),
+        ({"experiments": [[1, 2]]}, "an experiment must be an object, got list"),
+        ({"experiments": _CELL}, "experiments must be a list of experiment objects"),
+    ],
+)
+def test_simulate_malformed_config_is_rejected_before_the_run(runner, tmp_path, doc,
+                                                              fragment):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert fragment in res.output
+    assert not out.exists()
 
 
 def _manifest_config(runner, tmp_path, args):
