@@ -399,8 +399,10 @@ def simulate(preset, config_path, threads, out_root, **fields):
             doc = {"experiments": doc}
         elif isinstance(doc, dict) and "experiments" not in doc and "configs" in doc:
             # a run manifest replays as the experiment list it recorded, and its grid
+            if not isinstance(doc["configs"], list):
+                raise ValueError("configs must be a list of experiment objects")
             doc = dict(doc, experiments=[
-                {k: v for k, v in c.items() if k != "config_id"}
+                {k: v for k, v in c.items() if k != "config_id"} if isinstance(c, dict) else c
                 for c in doc["configs"]
             ])
         elif not isinstance(doc, dict) or "experiments" not in doc:

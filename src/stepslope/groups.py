@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .solver import DesignMatrix, _working_set, solve_slope, support_metrics
-from .sorted_l1 import _weights, prox_sorted_l1
+from .sorted_l1 import _weights, prox_sorted_l1, sorted_l1_norm
 
 
 def _scheme_weights(sizes, scheme):
@@ -43,10 +43,23 @@ class GroupPartition:
         0-based feature indices; together they must tile 0..m-1 exactly.
     weights : ndarray
         One positive weight per group.  Defaults to sqrt(group size).
+
+    Derived once at construction:
+
+    sizes : tuple of int
+        The length of each group.
+    num_features : int
+        m, the number of features the groups tile.
+    order : ndarray of int
+        The feature indices group by group, np.concatenate(groups): the
+        order in which an identity-design fit gathers y.
     """
 
     groups: tuple
     weights: np.ndarray = None
+    sizes: tuple = field(init=False, repr=False, compare=False)
+    num_features: int = field(init=False, repr=False, compare=False)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         groups = tuple(tuple(int(i) for i in g) for g in self.groups)
@@ -69,19 +82,16 @@ class GroupPartition:
             if not np.all(w > 0.0):
                 raise ValueError("group weights must be positive")
         w.flags.writeable = False
+        order = np.array(flat, dtype=int)
+        order.flags.writeable = False
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "sizes", tuple(len(g) for g in groups))
+        object.__setattr__(self, "num_features", m)
+        object.__setattr__(self, "order", order)
 
     def __len__(self):
         return len(self.groups)
-
-    @property
-    def num_features(self):
-        return sum(len(g) for g in self.groups)
-
-    @property
-    def sizes(self):
-        return tuple(len(g) for g in self.groups)
 
     @classmethod
     def from_sizes(cls, sizes, weights=None):
@@ -372,17 +382,19 @@ def _block_norms(vec, offsets):
 
 
 def _block_problem(offsets, ranks, wts, lamv):
-    """_fista's (prox, primal, dual) for blocks at offsets of the given
-    ranks, with group weights wts and schedule lamv."""
+    """_fista's (prox, dual) for blocks at offsets of the given ranks, with
+    group weights wts and schedule lamv.  The prox's penalty is
+    J_lamv(wts * block norms) of its output, as the objective defines it:
+    the norms the block prox works with internally round differently."""
 
     def prox(z, step):
         gz = _block_norms(z, offsets)
         gstar = group_prox(gz, wts, lamv, step)
         scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
-        return z * np.repeat(scale, ranks)
+        b = z * np.repeat(scale, ranks)
+        return b, sorted_l1_norm(wts * _block_norms(b, offsets), lamv)
 
-    return (prox, lambda cv: wts * _block_norms(cv, offsets),
-            lambda g: _block_norms(g, offsets) / wts)
+    return prox, lambda g: _block_norms(g, offsets) / wts
 
 
 def solve_group_slope(
@@ -438,7 +450,7 @@ def solve_group_slope(
         m = partition.num_features
         if y.shape != (m,):
             raise ValueError(f"response has shape {y.shape}, expected ({m},)")
-        order = np.concatenate(partition.groups)
+        order = partition.order
         X, target = None, y[order]
         ranks = np.asarray(partition.sizes)
         offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))

@@ -11,6 +11,7 @@ estimates with standard errors.
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import lru_cache
@@ -117,6 +118,25 @@ class ExperimentConfig:
     fit_max_iter: int = 20000
 
     def __post_init__(self):
+        # JSON types first, so that a null, string, list or boolean in a
+        # field is refused by name instead of failing a comparison below
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue
+            if f.type is str and not isinstance(v, str):
+                raise ValueError(f"{f.name} must be a string, got {v!r}")
+            if f.type in (int, float):
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{f.name} must be a number, got {v!r}")
+                if f.type is int and not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if self.group_sizes is not None and not (
+                isinstance(self.group_sizes, (list, tuple)) and all(
+                    isinstance(s, numbers.Real) and not isinstance(s, bool)
+                    and math.isfinite(s) and int(s) == s for s in self.group_sizes)):
+            raise ValueError(f"group_sizes must be a list of positive integers, "
+                             f"got {self.group_sizes!r}")
         if self.design not in _DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         if self.method not in _METHODS:
@@ -242,6 +262,7 @@ class ExperimentConfig:
 REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
+@lru_cache(maxsize=8)
 def _expand_sizes(num_groups, group_sizes):
     per = num_groups // len(group_sizes)
     return tuple(s for s in group_sizes for _ in range(per))

@@ -13,11 +13,16 @@ fit until the certificate holds on the full design (the strong rule for
 SLOPE of Larsson, Bogdan & Wallin, with the working-set gap check of
 Massias, Gramfort & Salmon's Celer); past 1/16 of the columns it runs on
 all of them.  The working set is the one way into the loop: it checks
-the arguments once per fit, gives every round its start, and keeps one
-counter record for the fit; the identity design, passed as None, never
-reaches the loop, since one certified prox solves it.  The group solver
-runs the same working set and loop with a block prox, on blocks.  The
-whitened equicorrelated design is an O(n) operator, _Equicorrelated.
+the arguments, the weights' order included, once per fit, gives every
+round its start, and keeps one counter record for the fit; the identity
+design, passed as None, never reaches the loop, since one certified prox
+solves it.  What is constant for a fit is formed once: the weight prefix
+sums of the certificate, and step * w per step size.  The prox returns
+the penalty with the prox point (for features, its sorted |b| dotted
+with the weights), so the objective sorts nothing, and the certificate
+sorts the dual magnitudes once.  The group solver runs the same working
+set and loop with a block prox, on blocks.  The whitened equicorrelated
+design is an O(n) operator, _Equicorrelated.
 """
 
 import math
@@ -27,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .sorted_l1 import _weights, dual_infeasibility, prox_sorted_l1, sorted_l1_norm
+from .sorted_l1 import _check_order, _infeasibility, _prox_kernel, _weights, sorted_l1_norm
 
 
 @dataclass(frozen=True)
@@ -176,25 +181,39 @@ def _checked(X, y, sigma, tol, max_iter):
     return y, sigma
 
 
-def _certify(y, r, h, obj, sigma, w, tol):
+def _prefix_sums(w, sigma):
+    """_certify's weight sums for weights w and noise scale sigma:
+    (cumsum(w), cumsum(sigma * w), the bound the prefix sums of sorted h
+    must stay under for the unscaled dual point to be feasible)."""
+    cum_w = np.cumsum(w)
+    cum_sw = np.cumsum(sigma * w)
+    return cum_w, cum_sw, cum_sw + 1e-12 * max(1.0, float(cum_sw[-1]))
+
+
+def _certify(y, r, h, obj, sigma, sums, tol):
     """(gap, certified) of a fit: gap is the larger of its dual
     infeasibility and relative primal-dual gap, and certified whether both
     are at most tol.
 
-    r is the fit's residual, obj its objective, h = dual(X^T r) the
-    magnitudes whose sorted prefix sums must stay below those of sigma * w.
-    The dual point is r, scaled by the largest s <= 1 that makes it
-    feasible when h is not.
+    r is the fit's residual, obj its objective, h = dual(X^T r) >= 0 the
+    magnitudes whose sorted prefix sums must stay below those of sigma * w,
+    and sums = _prefix_sums(w, sigma), formed once by the caller.  h is
+    sorted once: dividing by sigma > 0 keeps the order, so the sorted h/sigma
+    the infeasibility reads is the sorted h divided by sigma, and at
+    sigma == 1 its prefix sums are those of h.  The dual point is r, scaled
+    by the largest s <= 1 that makes it feasible when h is not; s == 1 uses
+    r itself.  An h past the bound has a positive largest entry (the bound
+    is >= 0 for the checked w >= 0), so its prefix sums, which never
+    decrease, are positive throughout and every ratio enters the minimum.
     """
-    cum_w = np.cumsum(sigma * w)
-    infeas = dual_infeasibility(h / sigma, w)
-    cum_h = np.cumsum(np.sort(h)[::-1])
-    if bool(np.all(cum_h <= cum_w + 1e-12 * max(1.0, float(cum_w[-1])))):
-        s = 1.0
-    else:
-        pos = cum_h > 0.0
-        s = min(1.0, float(np.min(cum_w[pos] / cum_h[pos])))
-    u = s * r
+    cum_w, cum_sw, bound = sums
+    hs = np.sort(h)[::-1]
+    cum_h = hs.cumsum()
+    infeas = _infeasibility(cum_h if sigma == 1.0 else (hs / sigma).cumsum(), cum_w)
+    s = 1.0
+    if not (cum_h <= bound).all():
+        s = min(1.0, float((cum_sw / cum_h).min()))
+    u = r if s == 1.0 else s * r
     dual_obj = float(u @ y) - 0.5 * float(u @ u)
     rel_gap = max(obj - dual_obj, 0.0) / max(obj, 1e-300)
     return float(max(infeas, rel_gap)), bool(infeas <= tol and rel_gap <= tol)
@@ -210,14 +229,16 @@ def _violators(h, cum_w):
     return order[: top + 1] if excess[top] > 0.0 else order[:0]
 
 
-def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start, counts):
-    """FISTA with restarts on 0.5*||y - X b||^2 + sigma * J_w(primal(b)).
+def _fista(X, y, w, sigma, tol, max_iter, prox, dual, start, counts):
+    """FISTA with restarts on 0.5*||y - X b||^2 + sigma * J(b).
 
-    prox(point, step) is the prox of step * J_w(primal(.)) at point;
-    primal(b) gives the magnitudes the penalty sorts, and dual(g) the
-    magnitudes whose sorted prefix sums certify dual feasibility of a
-    gradient g = X^T (y - X b), through _certify.  The only caller,
-    _working_set, has checked y, sigma, tol and max_iter.
+    prox(point, step) returns (b, J(b)) for b the prox of step * J at
+    point, so the penalty comes with the prox and is never re-sorted here;
+    dual(g) gives the magnitudes whose sorted prefix sums certify dual
+    feasibility of a gradient g = X^T (y - X b) against the weights w,
+    through _certify, with the weight sums formed once per call.  The only
+    caller, _working_set, has checked y, sigma, tol, max_iter and the
+    order of w.
 
     X is an array or an _Equicorrelated operator.  The step starts at
     1/L for L = operator_norm_sq(X), a lower bound on ||X||^2, and a step
@@ -229,8 +250,9 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start, counts):
     objective is replaced by a plain step from the last accepted point,
     which that test keeps from raising it.
 
-    start is (b, g, r): the start point with its gradient g = X^T r and
-    residual r = y - X b already formed, which costs no product here.
+    start is (b, g, r, obj): the start point with its gradient g = X^T r,
+    residual r = y - X b and objective obj already formed, which costs no
+    product or penalty here.
 
     The gradient and residual at the accepted point, g_b and r_b, are
     carried from the certificate step, and the momentum point's are the
@@ -252,16 +274,10 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start, counts):
     (b, r, final_gap, objective, converged)
         b is the last prox output and r = y - X b its residual.
     """
-
-    def objective(b_new, r):
-        """(least-squares term, full objective) at b_new with residual r."""
-        f = 0.5 * float(r @ r)
-        return f, f + sigma * sorted_l1_norm(primal(b_new), w)
-
     L = operator_norm_sq(X)
     t = 1.0 / L if L > 0.0 else 1.0
-    b, g_b, r_b = start
-    obj = objective(b, r_b)[1]
+    sums = _prefix_sums(w, sigma)
+    b, g_b, r_b, obj = start
     a, g_a, r_a = b, g_b, r_b
     theta = 1.0
     rise = 1e-12 * max(1.0, abs(obj))
@@ -273,9 +289,10 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start, counts):
         f_point = 0.5 * float(r_point @ r_point)
         while True:
             counts[3] += 1
-            b_new = prox(point + t * g_point, t * sigma)
+            b_new, penalty = prox(point + t * g_point, t * sigma)
             r = y - X @ b_new
-            f_new, obj_new = objective(b_new, r)
+            f_new = 0.5 * float(r @ r)
+            obj_new = f_new + sigma * penalty
             if not math.isfinite(obj_new):
                 raise NumericalError("objective became non-finite during iteration")
             d = b_new - point
@@ -298,7 +315,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, primal, dual, start, counts):
 
         g = X.T @ r
         counts[3] += 1
-        gap, converged = _certify(y, r, dual(g), obj_new, sigma, w, tol)
+        gap, converged = _certify(y, r, dual(g), obj_new, sigma, sums, tol)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
         mom = theta_new * (1.0 / theta - 1.0)
@@ -320,11 +337,13 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
     units, certified on the full design.
 
     A unit is a column of X for a feature fit and a block of columns for a
-    group fit; w holds one weight per unit.  problem(units) returns
-    (cols, prox, primal, dual) for the sub-problem on the sorted unit
-    indices units: the columns of X they span, in order, and _fista's
-    callables for the first len(units) weights.  problem(None) returns
-    those of the full problem, with cols None.
+    group fit; w holds one weight per unit, checked here once for order
+    (a step t * sigma > 0 keeps it, so no prox call checks it again).
+    problem(units) returns (cols, prox, dual) for the sub-problem on the
+    sorted unit indices units: the columns of X they span, in order, and
+    _fista's callables for the first len(units) weights.  problem(None)
+    returns those of the full problem, with cols None.  The weight sums of
+    _certify and _violators are formed once for the fit.
 
     The identity design, X None, needs no loop: b = prox(y, sigma) solves
     it exactly and goes through _certify with g = r = y - b, reported as
@@ -333,13 +352,14 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
     Otherwise W starts at the violating prefix at b = 0, _violators of
     dual(X^T y).  A round fits the columns of W with the first |W| weights,
     which is exact for the full problem since the zeros outside W sort
-    last; every round starts from the current coefficients, the first from
-    b = 0 with the X^T y formed here.  After each round g = X^T r is formed
-    on the full design once and the fit goes through _certify with all the
-    weights.  If it holds at tol the fit is reported.  Otherwise W gains
-    the units of the violating prefix outside it, or, when there are none,
-    the |W| outside units with the largest dual(g).  Once W is empty or
-    would exceed 1/16 of the units, which is where gathering its columns
+    last; every round starts from the current coefficients, residual and
+    objective (the zeros outside W add nothing to the penalty), the first
+    from b = 0 with the X^T y formed here.  After each round g = X^T r is
+    formed on the full design once and the fit goes through _certify with
+    all the weights.  If it holds at tol the fit is reported.  Otherwise W
+    gains the units of the violating prefix outside it, or, when there are
+    none, the |W| outside units with the largest dual(g).  Once W is empty
+    or would exceed 1/16 of the units, which is where gathering its columns
     stops paying, the full design is fitted from the current point
     instead.
 
@@ -359,42 +379,45 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
         matvecs == full_matvecs.
     """
     y, sigma = _checked(X, y, sigma, tol, max_iter)
-    _, prox, primal, dual = problem(None)
+    _check_order(w)
+    _, prox, dual = problem(None)
+    sums = _prefix_sums(w, sigma)
     if X is None:
-        b = prox(y, sigma)
+        b, penalty = prox(y, sigma)
         r = y - b
-        obj = 0.5 * float(r @ r) + sigma * sorted_l1_norm(primal(b), w)
-        gap, converged = _certify(y, r, dual(r), obj, sigma, w, tol)
+        obj = 0.5 * float(r @ r) + sigma * penalty
+        gap, converged = _certify(y, r, dual(r), obj, sigma, sums, tol)
         return b, (1, gap, obj, converged, 0, 0, 0, 1, 0)
-    cum_w = np.cumsum(sigma * w)
     g = X.T @ y
-    b, r = np.zeros(X.shape[1]), y
-    units = np.sort(_violators(dual(g), cum_w))
+    # b = 0 has no penalty
+    b, r, obj = np.zeros(X.shape[1]), y, 0.5 * float(y @ y)
+    units = np.sort(_violators(dual(g), sums[1]))
     counts = [0, 0, 0, 1]  # iterations, restarts, backoffs, matvecs: X^T y
     gathered = rounds = 0  # products with gathered columns, _fista calls
     while True:
         rounds += 1
         if not 0 < units.size * 16 <= w.size:
             b, _, gap, obj, converged = _fista(
-                X, y, w, sigma, tol, max_iter, prox, primal, dual, (b, g, r), counts)
+                X, y, w, sigma, tol, max_iter, prox, dual, (b, g, r, obj), counts)
             break
         cols, *sub = problem(units)
         Xw = X.columns(cols) if isinstance(X, _Equicorrelated) else X[:, cols]
         before = counts[3]
         bw, r, _, obj, round_converged = _fista(
-            Xw, y, w[: units.size], sigma, tol, max_iter, *sub, (b[cols], g[cols], r), counts)
+            Xw, y, w[: units.size], sigma, tol, max_iter, *sub, (b[cols], g[cols], r, obj),
+            counts)
         gathered += counts[3] - before
         b = np.zeros(X.shape[1])
         b[cols] = bw
         g = X.T @ r
         counts[3] += 1
         h = dual(g)
-        gap, converged = _certify(y, r, h, obj, sigma, w, tol)
+        gap, converged = _certify(y, r, h, obj, sigma, sums, tol)
         if converged or not round_converged or counts[0] >= max_iter:
             break
         inside = np.zeros(w.size, dtype=bool)
         inside[units] = True
-        grow = _violators(h, cum_w)
+        grow = _violators(h, sums[1])
         grow = grow[~inside[grow]]
         if grow.size == 0:
             outside = np.flatnonzero(~inside)
@@ -404,6 +427,23 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
     iterations, restarts, backoffs, matvecs = counts
     return b, (iterations, gap, obj, converged, restarts, backoffs, matvecs,
                rounds, matvecs - gathered)
+
+
+def _sorted_l1_prox(w):
+    """_fista's prox for the sorted-L1 weights w: prox(v, step) is (b, J_w(b))
+    for b the prox of step * J_w at v, J_w(b) being the kernel's sorted |b|
+    dotted with w, as sorted_l1_norm computes it.  step * w is formed once
+    per step size."""
+    scaled = {}
+
+    def prox(v, step):
+        sw = scaled.get(step)
+        if sw is None:
+            sw = scaled[step] = step * w
+        b, mags = _prox_kernel(v, sw)
+        return b, float(mags @ w)
+
+    return prox
 
 
 def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
@@ -448,8 +488,7 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     w = _weights(lam, np.size(y) if X is None else X.shape[1])
 
     def problem(units):
-        wk = w if units is None else w[: units.size]
-        return units, (lambda v, step: prox_sorted_l1(v, step * wk)), np.abs, np.abs
+        return units, _sorted_l1_prox(w if units is None else w[: units.size]), np.abs
 
     b, stats = _working_set(X, y, w, sigma, tol, max_iter, problem)
     return FitResult(b, {int(i) for i in np.flatnonzero(b)}, *stats)

@@ -42,6 +42,58 @@ def _pav_extend(values, means, counts):
         counts.append(cc)
 
 
+def _check_order(w):
+    """Refuse weights that are not non-negative and non-increasing."""
+    if np.any(np.diff(w) > 0.0) or w[-1] < 0.0:
+        raise ValueError("prox weights must be non-negative and non-increasing")
+
+
+def _prox_kernel(v, w):
+    """The sorted-L1 prox of a non-empty float array v against checked
+    weights w (see prox_sorted_l1), and its clipped isotonic fit.
+
+    Returns (b, fit): b is the prox point and fit the decreasingly sorted
+    |b|, bitwise np.sort(np.abs(b))[::-1].  A block holding a zero of v
+    only ever pools values <= 0, so its fit clips to exactly 0.  fit is,
+    like that expression, a reversed view of an ascending contiguous
+    array, so fit @ w takes numpy's plain loop and rounds as
+    sorted_l1_norm does; a contiguous operand could take BLAS ddot.
+    """
+    mags = np.abs(v)
+    # stable sort so tied magnitudes keep their original relative order
+    order = (-mags).argsort(kind="stable")
+    z = mags[order]
+    z -= w
+
+    cum = z.cumsum()
+    top = int(cum.argmax())
+    p = top + 1 if cum[top] > 0.0 else 0
+    means, counts = [], []
+    _pav_extend(z[:p].tolist(), means, counts)
+    tail = z[p:]
+    if tail.size:
+        running = tail.cumsum()
+        running /= np.arange(1, tail.size + 1)
+        margin = 1e-12 * z.size * float(np.abs(z).max())
+        ceiling = min(means[-1], 0.0) if means else 0.0
+        if running.max() + margin < ceiling:
+            # the whole suffix as one block that the clip leaves at 0
+            means.append(0.0)
+            counts.append(tail.size)
+        else:
+            _pav_extend(tail.tolist(), means, counts)
+    means.reverse()
+    counts.reverse()
+    fit = np.array(means).repeat(counts)
+    np.maximum(fit, 0.0, out=fit)
+    fit = fit[::-1]
+
+    out = np.empty_like(v)
+    out[order] = fit
+    out *= np.sign(v)
+    return out, fit
+
+
 def prox_sorted_l1(v, lam):
     """Proximal operator of the sorted-L1 norm.
 
@@ -65,6 +117,9 @@ def prox_sorted_l1(v, lam):
     so the result is bitwise the same.  Otherwise the same loop continues
     over the suffix.
 
+    This function checks its arguments and runs _prox_kernel, which the
+    solver calls directly once a fit has checked its weights.
+
     Parameters
     ----------
     v : array_like
@@ -81,33 +136,14 @@ def prox_sorted_l1(v, lam):
     w = _weights(lam, v.size)
     if v.size == 0:
         return v.copy()
-    if np.any(np.diff(w) > 0.0) or w[-1] < 0.0:
-        raise ValueError("prox weights must be non-negative and non-increasing")
-    # stable sort so tied magnitudes keep their original relative order
-    order = np.argsort(-np.abs(v), kind="stable")
-    z = np.abs(v)[order] - w
+    _check_order(w)
+    return _prox_kernel(v, w)[0]
 
-    cum = np.cumsum(z)
-    top = int(np.argmax(cum))
-    p = top + 1 if cum[top] > 0.0 else 0
-    means, counts = [], []
-    _pav_extend(z[:p].tolist(), means, counts)
-    tail = z[p:]
-    if tail.size:
-        running = np.cumsum(tail) / np.arange(1, tail.size + 1)
-        margin = 1e-12 * z.size * float(np.abs(z).max())
-        ceiling = min(means[-1], 0.0) if means else 0.0
-        if running.max() + margin < ceiling:
-            # the whole suffix as one block that the clip leaves at 0
-            means.append(0.0)
-            counts.append(tail.size)
-        else:
-            _pav_extend(tail.tolist(), means, counts)
-    fit = np.maximum(np.repeat(means, counts), 0.0)
 
-    out = np.empty_like(v)
-    out[order] = fit
-    return np.sign(v) * out
+def _infeasibility(cum_mags, cum_w):
+    """max(0, max_k [cum_mags[k] - cum_w[k]]) for cum_mags the prefix sums
+    of decreasingly sorted magnitudes and cum_w those of the weights."""
+    return float(max(0.0, (cum_mags - cum_w).max()))
 
 
 def dual_infeasibility(gradient, lam):
@@ -121,5 +157,4 @@ def dual_infeasibility(gradient, lam):
     w = _weights(lam, g.size)
     if g.size == 0:
         return 0.0
-    excess = np.cumsum(np.sort(np.abs(g))[::-1]) - np.cumsum(w)
-    return float(max(0.0, excess.max()))
+    return _infeasibility(np.sort(np.abs(g))[::-1].cumsum(), np.cumsum(w))

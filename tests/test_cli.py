@@ -646,6 +646,28 @@ def test_simulate_invalid_config_json(runner, tmp_path):
     assert "invalid JSON" in res.output
 
 
+@pytest.mark.parametrize(
+    "doc,fragment",
+    [
+        ({"design": "gaussian", "method": "k-slope", "n": None, "m": 20, "t": 2},
+         "n must be a number, got None"),
+        ({"design": "gaussian", "method": "k-slope", "n": 40, "m": 20, "t": 2, "alpha": "x"},
+         "alpha must be a number, got 'x'"),
+        ({"design": "gaussian", "method": "k-slope", "n": True, "m": 20, "t": 2},
+         "n must be a number, got True"),
+        ({"configs": [3]}, "an experiment must be an object, got int"),
+        ({"configs": 3}, "configs must be a list of experiment objects"),
+    ],
+    ids=["null", "string", "boolean", "manifest-entry", "manifest-configs"],
+)
+def test_simulate_config_of_wrong_json_type_exits_2(runner, tmp_path, doc, fragment):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert fragment in res.output
+
+
 _CELL = {"design": "orthogonal-identity", "method": "slope-bh", "n": 20, "m": 20, "t": 2}
 
 

@@ -278,9 +278,13 @@ def test_group_prox_matches_grid_oracle_unequal_weights():
 
 def test_group_prox_raises_when_inner_loop_cannot_settle(monkeypatch):
     flip = itertools.cycle((0.0, 1.0))
-    monkeypatch.setattr(
-        solver, "prox_sorted_l1", lambda x, lam: np.full_like(x, next(flip))
-    )
+    # the inner unequal-weight fit is a feature fit, whose prox calls the
+    # sorted-L1 kernel: it returns the prox point and its sorted magnitudes
+    def flipping(x, w):
+        b = np.full_like(x, next(flip))
+        return b, b[::-1]
+
+    monkeypatch.setattr(solver, "_prox_kernel", flipping)
     v = np.array([2.0, 1.0])
     w = np.array([1.0, 2.0])
     with pytest.raises(NumericalError, match=r"group prox fit did not converge"):
@@ -395,12 +399,39 @@ def test_equal_weight_identity_fit_skips_the_fista_loop(monkeypatch):
     offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
     prox = groups._block_problem(offsets, ranks, part.weights, lam)[0]
     want = np.zeros(part.num_features)
-    want[order] = prox(y[order], 1.2)
+    want[order] = prox(y[order], 1.2)[0]
     assert fit.beta.tobytes() == want.tobytes()
     assert fit.selected_groups and len(fit.selected_groups) < len(part)
     assert fit.converged and fit.final_gap <= 1e-8
     assert (fit.iterations, fit.restarts, fit.backoffs, fit.matvecs, fit.rounds,
             fit.full_matvecs) == (1, 0, 0, 0, 1, 0)
+
+
+@pytest.mark.parametrize("weights", [None, "equal"], ids=["sqrt-weights", "equal-weights"])
+def test_non_contiguous_partition_stores_its_arrays_and_fits_in_group_order(tmp_path, weights):
+    groups_ = ((5, 0, 9), (2,), (8, 1), (3, 11, 4, 7), (10, 6))
+    built = GroupPartition(groups_, None if weights is None else np.full(len(groups_), 1.3))
+    built.to_csv(tmp_path / "groups.csv")
+    read = GroupPartition.from_csv(tmp_path / "groups.csv")
+    rng = np.random.default_rng(31)
+    y = 0.5 * rng.normal(size=12)
+    y[[8, 1]] += 3.0
+    lam = bh_schedule(len(groups_), 0.2).values
+    for part in (built, read):
+        # the arrays stored at construction equal what the partition used
+        # to derive from its groups on every access
+        order = np.concatenate(part.groups)
+        assert part.sizes == tuple(len(g) for g in part.groups)
+        assert part.num_features == sum(len(g) for g in part.groups)
+        assert part.order.tobytes() == order.tobytes() and part.order.dtype == order.dtype
+        fit = solve_group_slope(None, y, part, lam, sigma=1.1)
+        ranks = np.array([len(g) for g in part.groups])
+        offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
+        prox = groups._block_problem(offsets, ranks, part.weights, lam)[0]
+        want = np.zeros(12)
+        want[order] = prox(y[order], 1.1)[0]
+        assert fit.beta.tobytes() == want.tobytes()
+        assert fit.converged and fit.selected_groups
 
 
 def test_identity_without_matrix_checks_lengths():
@@ -603,7 +634,8 @@ def test_group_working_set_grows_to_a_group_masked_at_zero():
     _, Xt, wts, _ = _folded(X, part)
     full = groups._block_problem(sp.offsets, np.asarray(sp.ranks), wts, lam)
     d, _, _, obj, converged = solver._fista(
-        Xt, y, lam, 1.0, 1e-8, 20000, *full, (np.zeros(Xt.shape[1]), Xt.T @ y, y), [0, 0, 0, 1])
+        Xt, y, lam, 1.0, 1e-8, 20000, *full,
+        (np.zeros(Xt.shape[1]), Xt.T @ y, y, 0.5 * float(y @ y)), [0, 0, 0, 1])
     assert converged
     assert fit.selected_groups == {
         int(gi) for gi in np.flatnonzero(np.add.reduceat(d * d, sp.offsets))}

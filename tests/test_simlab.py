@@ -109,6 +109,47 @@ def test_group_config_validation(kw, msg):
         _group_config(**kw)
 
 
+@pytest.mark.parametrize("value", [None, "7", [7], True, False], ids=repr)
+@pytest.mark.parametrize("name", ["n", "t", "alpha", "sigma", "replications", "fit_tol"])
+def test_numeric_fields_refuse_other_json_types(name, value):
+    # null, strings, lists and booleans are refused by name (a boolean is
+    # not taken for 0 or 1), as a ValueError the CLI maps to exit code 2
+    with pytest.raises(ValueError, match=f"{name} must be a number, got {re.escape(repr(value))}"):
+        _feature_config(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "kw,msg",
+    [
+        (dict(design=None), "design must be a string, got None"),
+        (dict(method=["k-slope"]), r"method must be a string, got \['k-slope'\]"),
+        (dict(correction=1), "correction must be a string, got 1"),
+        (dict(n=float("inf")), "n must be an integer, got inf"),
+        (dict(k=float("nan")), "k must be an integer, got nan"),
+    ],
+)
+def test_feature_config_refuses_wrong_types(kw, msg):
+    with pytest.raises(ValueError, match=msg):
+        _feature_config(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw,msg",
+    [
+        (dict(num_groups="10"), "num_groups must be a number, got '10'"),
+        (dict(num_groups=True), "num_groups must be a number, got True"),
+        (dict(group_sizes=5), "group_sizes must be a list of positive integers, got 5"),
+        (dict(group_sizes=("2", 3)), "group_sizes must be a list of positive integers"),
+        (dict(group_sizes=(2, 3.5)), "group_sizes must be a list of positive integers"),
+        (dict(group_sizes=(True, 3)), "group_sizes must be a list of positive integers"),
+        (dict(weight_scheme=None), "weight_scheme must be a string, got None"),
+    ],
+)
+def test_group_config_refuses_wrong_types(kw, msg):
+    with pytest.raises(ValueError, match=msg):
+        _group_config(**kw)
+
+
 def test_expanded_group_sizes_blocks():
     c = _group_config()
     assert c.expanded_group_sizes() == (2, 2, 2, 2, 2, 3, 3, 3, 3, 3)

@@ -1,6 +1,9 @@
 """Feature-level solver: exactness on orthogonal designs, duality, references."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stepslope import solver
 from stepslope.schedules import bh_schedule, kfwer_schedule
@@ -18,7 +21,7 @@ from stepslope.solver import (
     solve_slope,
     support_metrics,
 )
-from stepslope.sorted_l1 import prox_sorted_l1
+from stepslope.sorted_l1 import prox_sorted_l1, sorted_l1_norm
 
 from oracles import certificate_reference, fista_direct_reference, ista_reference
 
@@ -213,12 +216,13 @@ def test_restricted_residual_matches_direct_fista(seed, n, m, scale, sparse):
     def prox(v, step):
         b = prox_sorted_l1(v, step * lam)
         sizes.append(np.count_nonzero(b))
-        return b
+        return b, sorted_l1_norm(b, lam)
 
     # the zero start, with the X^T y it forms counted as the first matvec
     counts = [0, 0, 0, 1]
     b_fit, _, gap, obj, converged = solver._fista(
-        X, y, lam, 1.0, 1e-8, 20000, prox, np.abs, np.abs, (np.zeros(m), X.T @ y, y), counts)
+        X, y, lam, 1.0, 1e-8, 20000, prox, np.abs, (np.zeros(m), X.T @ y, y, 0.5 * float(y @ y)),
+        counts)
     iters, restarts, backoffs, matvecs = counts
     fit = FitResult(b_fit, {int(i) for i in np.flatnonzero(b_fit)}, iters, gap, obj, converged,
                     restarts, backoffs, matvecs)
@@ -373,6 +377,34 @@ def _masked_problem(seed=1, n=100, m=400):
     return X, y
 
 
+_GRID = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@given(
+    st.tuples(st.integers(1, 30), st.integers(1, 8)).flatmap(lambda mn: st.tuples(
+        hnp.arrays(np.float64, mn[0], elements=st.one_of(_GRID, st.floats(0, 10))),
+        hnp.arrays(np.float64, mn[0], elements=st.one_of(_GRID, st.floats(0, 10))),
+        hnp.arrays(np.float64, mn[1], elements=st.floats(-10, 10)),
+        hnp.arrays(np.float64, mn[1], elements=st.floats(-10, 10)),
+    )),
+    st.sampled_from([0.01, 1.0, 100.0]),
+    st.sampled_from([1.0, 0.37, 2.5]),
+    st.floats(0, 100),
+    st.sampled_from([1e-8, 1e-3, 0.5]),
+)
+@settings(max_examples=400, deadline=None)
+def test_certificate_equals_the_oracle_bitwise(arrays, scale, sigma, obj, tol):
+    # ties and exact zeros from the grid; the scale of h makes it feasible,
+    # infeasible or in between, so both dual points (r, s * r) occur
+    h, w, y, r = arrays
+    h = scale * h
+    w = np.sort(w)[::-1]
+    gap, certified = solver._certify(y, r, h, obj, sigma, solver._prefix_sums(w, sigma), tol)
+    infeas, rel_gap = certificate_reference(y, r, obj, h, w, sigma)
+    assert np.float64(gap).tobytes() == np.float64(max(infeas, rel_gap)).tobytes()
+    assert certified == (infeas <= tol and rel_gap <= tol)
+
+
 def test_working_set_grows_to_a_column_masked_at_zero():
     X, y = _masked_problem()
     lam = bh_schedule(X.shape[1], 0.1).values
@@ -386,8 +418,8 @@ def test_working_set_grows_to_a_column_masked_at_zero():
     infeas, rel_gap = certificate_reference(y, r, obj, np.abs(X.T @ r), lam, 1.0)
     assert infeas <= 1e-8 and rel_gap <= 1e-8
     b, _, _, obj, converged = solver._fista(
-        X, y, lam, 1.0, 1e-8, 20000, lambda v, step: prox_sorted_l1(v, step * lam),
-        np.abs, np.abs, (np.zeros(X.shape[1]), X.T @ y, y), [0, 0, 0, 1])
+        X, y, lam, 1.0, 1e-8, 20000, solver._sorted_l1_prox(lam), np.abs,
+        (np.zeros(X.shape[1]), X.T @ y, y, 0.5 * float(y @ y)), [0, 0, 0, 1])
     assert converged
     assert fit.support == {int(i) for i in np.flatnonzero(b)}
     assert fit.objective == pytest.approx(obj, rel=1e-8)

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from stepslope import sorted_l1
+from stepslope import solver, sorted_l1
 from stepslope.sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
 
-from oracles import prox_enum, prox_full_pav, sorted_l1_objective
+from oracles import _dual_infeasibility, prox_enum, prox_full_pav, sorted_l1_objective
 
 
 def _rand_instance(rng, m):
@@ -248,3 +248,47 @@ def test_dual_infeasibility_scales_linearly(g):
     assert dual_infeasibility(2.0 * g, 2.0 * lam) == pytest.approx(
         2.0 * base, abs=1e-9
     )
+
+
+_STEPS = st.sampled_from([1.0, 0.37, 2.5])
+
+
+@given(
+    st.integers(1, 40).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, m, elements=st.one_of(_GRID, st.floats(-20, 20))),
+        hnp.arrays(np.float64, m, elements=st.one_of(_GRID.map(abs), st.floats(0, 10))),
+    )),
+    _STEPS,
+)
+@settings(max_examples=400, deadline=None)
+def test_prox_kernel_returns_the_sorted_magnitudes_and_the_norm(pair, step):
+    # grid values make ties, exact zeros and |v| == step * w common; the
+    # solver's feature prox scales the weights by the step and reads the
+    # penalty off the kernel's sorted |b|
+    v, w = pair
+    w = np.sort(w)[::-1]
+    b, mags = sorted_l1._prox_kernel(v, step * w)
+    assert b.tobytes() == prox_sorted_l1(v, step * w).tobytes()
+    assert mags.tobytes() == np.sort(np.abs(b))[::-1].tobytes()
+    got, penalty = solver._sorted_l1_prox(w)(v, step)
+    assert got.tobytes() == b.tobytes()
+    assert np.float64(penalty).tobytes() == np.float64(sorted_l1_norm(b, w)).tobytes()
+
+
+@given(
+    st.integers(0, 40).flatmap(lambda m: st.tuples(
+        hnp.arrays(np.float64, m, elements=st.one_of(_GRID, st.floats(-20, 20))),
+        hnp.arrays(np.float64, m, elements=st.one_of(_GRID.map(abs), st.floats(0, 10))),
+    ))
+)
+@settings(max_examples=300, deadline=None)
+def test_dual_infeasibility_equals_the_oracle_bitwise(pair):
+    # the grid's ties and zeros, feasible and infeasible gradients; an empty
+    # gradient, which the oracle cannot take, is feasible
+    g, w = pair
+    w = np.sort(w)[::-1]
+    got = dual_infeasibility(g, w)
+    if g.size == 0:
+        assert got == 0.0
+    else:
+        assert np.float64(got).tobytes() == np.float64(_dual_infeasibility(g, w)).tobytes()
