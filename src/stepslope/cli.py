@@ -1,6 +1,7 @@
 """Command line entry points: lambda, solve, stepdown, simulate.
 
 Exit codes: 0 success, 2 invalid input or usage, 1 numerical failure.
+A NaN or inf numeric option or config field is invalid input (exit 2).
 Design and response files are plain comma-separated numbers; schedules
 travel as index,value CSV or as the JSON written by the lambda command.
 """
@@ -16,7 +17,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError
+from .errors import NumericalError, check_count
 from .groups import GroupPartition, _scheme_weights, solve_group_slope, standardize
 from .schedules import (
     _RULE_TABLE,
@@ -297,8 +298,6 @@ def stepdown(pvalues_path, rule, k, alpha, gamma, out):
     p-value count), the stepdown thresholds and the rejected 0-based indices.
     """
     p = _read_vector(pvalues_path)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError(f"{pvalues_path}: p-values must lie in [0, 1]")
     levels, names = _STEPDOWN_RULES[rule]
     options = {"k": k, "gamma": gamma}
     for name, value in options.items():
@@ -383,8 +382,7 @@ def simulate(preset, config_path, threads, out_root, **fields):
     """
     if preset is not None and config_path is not None:
         raise click.UsageError("pass --preset or --config, not both")
-    if threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    threads = check_count("threads", threads)
     overrides = {name: value for name, value in fields.items() if value is not None}
 
     doc = None
@@ -439,7 +437,7 @@ def simulate(preset, config_path, threads, out_root, **fields):
         "preset": None if preset is None else {
             "name": doc["name"], "version": doc["version"],
         },
-        "threads": int(threads),
+        "threads": threads,
         "configs": [dict(c.to_dict(), config_id=c.config_id()) for c in configs],
         "schedules": [prov for _, _, prov in resolved],
         "outputs": outputs,

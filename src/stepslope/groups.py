@@ -20,9 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_scale
 from .solver import DesignMatrix, _working_set, solve_slope, support_metrics
 from .sorted_l1 import _weights, prox_sorted_l1, sorted_l1_norm
+
+
+def _check_weights(w):
+    """check_scale on group weights w: its min (NaN if any is NaN) and max."""
+    check_scale("group weights", w.min())
+    check_scale("group weights", w.max())
 
 
 def _scheme_weights(sizes, scheme):
@@ -42,7 +48,7 @@ class GroupPartition:
     groups : tuple of tuples of int
         0-based feature indices; together they must tile 0..m-1 exactly.
     weights : ndarray
-        One positive weight per group.  Defaults to sqrt(group size).
+        One positive, finite weight per group.  Defaults to sqrt(group size).
 
     Derived once at construction:
 
@@ -79,8 +85,7 @@ class GroupPartition:
                 raise ValueError(
                     f"weights have shape {w.shape}, expected ({len(groups)},)"
                 )
-            if not np.all(w > 0.0):
-                raise ValueError("group weights must be positive")
+            _check_weights(w)
         w.flags.writeable = False
         order = np.array(flat, dtype=int)
         order.flags.writeable = False
@@ -99,9 +104,7 @@ class GroupPartition:
         groups = []
         start = 0
         for s in sizes:
-            s = int(s)
-            if s < 1:
-                raise ValueError(f"group sizes must be positive, got {s!r}")
+            s = check_count("group sizes", s)
             groups.append(tuple(range(start, start + s)))
             start += s
         return cls(tuple(groups), weights)
@@ -119,7 +122,7 @@ class GroupPartition:
         """Read a partition written as feature_index,group_id[,weight] rows.
 
         Groups are ordered by sorted group id.  A weight column, when
-        present, must be constant within each group.
+        present, must be positive, finite and constant within each group.
         """
         lines = Path(path).read_text().strip().splitlines()
         if not lines:
@@ -136,7 +139,7 @@ class GroupPartition:
             idx, gid = int(parts[0]), int(parts[1])
             by_gid.setdefault(gid, []).append(idx)
             if len(parts) == 3:
-                w = float(parts[2])
+                w = check_scale(f"{path}: group {gid} weight", float(parts[2]))
                 if wts.setdefault(gid, w) != w:
                     raise ValueError(f"{path}: group {gid} has conflicting weights")
         gids = sorted(by_gid)
@@ -331,11 +334,11 @@ def group_prox(v, weights, lam, step):
     v : array_like
         Non-negative targets (block norms of a gradient step).
     weights : array_like
-        Positive per-group weights.
+        Positive, finite per-group weights.
     lam : LambdaSchedule or array_like
-        Non-increasing non-negative weights, one per group.
+        Finite, non-increasing, non-negative weights, one per group.
     step : float
-        Non-negative prox scaling.
+        Non-negative, finite prox scaling; NaN and inf are refused.
 
     With equal weights, or a zero step, this is the sorted-L1 prox of v
     against step*w*lam, clipped at zero.  Unequal weights substitute
@@ -357,10 +360,9 @@ def group_prox(v, weights, lam, step):
         raise ValueError("v, weights, and lam must have matching lengths")
     if np.any(v < 0.0):
         raise ValueError("group prox targets must be non-negative")
-    if not np.all(w > 0.0):
-        raise ValueError("group weights must be positive")
-    if step < 0.0:
-        raise ValueError(f"step must be non-negative, got {step!r}")
+    _check_weights(w)
+    if not 0.0 <= step < np.inf:
+        raise ValueError(f"step must be non-negative and finite, got {step!r}")
 
     if step == 0.0 or np.all(w == w[0]):
         return np.maximum(prox_sorted_l1(v, step * w[0] * lamv), 0.0)

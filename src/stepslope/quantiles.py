@@ -13,16 +13,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 
+from .errors import check_count, check_level, check_scale
+
 _SQRT2 = math.sqrt(2.0)
 _CLAMP = 1e-15
 
 
-def _checked_prob(p, name="p"):
+def _checked_prob(p):
     # exact 0/1 is a domain error, never a silent clamp
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0,1), got {p!r}")
-    return min(max(p, _CLAMP), 1.0 - _CLAMP)
+    return min(max(check_level("p", p), _CLAMP), 1.0 - _CLAMP)
 
 
 def normal_cdf(x):
@@ -78,8 +77,7 @@ def _special():
 
 def chi_cdf(x, dof):
     """CDF of the chi distribution (square root of a chi-square variable)."""
-    if dof < 1 or int(dof) != dof:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    dof = check_count("dof", dof)
     if x <= 0.0:
         return 0.0
     return float(_special().gammainc(0.5 * dof, 0.5 * x * x))
@@ -91,8 +89,7 @@ def chi_quantile(p, dof):
     Uses F_chi_l(x) = F_chisq_l(x^2), inverting the regularized incomplete
     gamma function.  Absolute error well below 1e-10.
     """
-    if dof < 1 or int(dof) != dof:
-        raise ValueError(f"dof must be a positive integer, got {dof!r}")
+    dof = check_count("dof", dof)
     p = _checked_prob(p)
     return math.sqrt(2.0 * float(_special().gammaincinv(0.5 * dof, p)))
 
@@ -112,14 +109,10 @@ class ChiMixture:
     _distinct: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        comps = tuple((float(s), int(l)) for s, l in self.components)
+        comps = tuple((check_scale("component scale", s), check_count("component dof", l))
+                      for s, l in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        for s, l in comps:
-            if not s > 0.0:
-                raise ValueError(f"component scale must be positive, got {s!r}")
-            if l < 1:
-                raise ValueError(f"component dof must be >= 1, got {l!r}")
         object.__setattr__(self, "components", comps)
         counts = Counter(comps)
         total = len(comps)
@@ -140,7 +133,9 @@ def mixture_quantile(mix, p):
 
     The bracket starts at the largest per-component p-quantile, which is
     always an upper bound for the mixture quantile, and is grown if float
-    rounding says otherwise.  Bisection runs to an interval of 1e-11.
+    rounding says otherwise.  Bisection runs to an interval of 1e-11, or
+    until no float lies inside the bracket (a quantile past ~4e4, or an
+    inf bracket, which a schedule refuses), so it always returns.
     """
     p = _checked_prob(p)
     hi = max(s * chi_quantile(p, l) for s, l, _ in mix._distinct)
@@ -150,6 +145,8 @@ def mixture_quantile(mix, p):
     lo = 0.0
     while hi - lo > 1e-11:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if mix.cdf(mid) < p:
             lo = mid
         else:

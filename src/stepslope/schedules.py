@@ -18,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_index, check_level, check_scale
 from .quantiles import ChiMixture, chi_quantile, mixture_quantile, normal_quantile
 from .solver import DesignMatrix
-from .stepdown import _check_count, _check_level, fdp_thresholds, kfwer_thresholds
+from .sorted_l1 import _check_order
+from .stepdown import fdp_thresholds, kfwer_thresholds
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,7 @@ class LambdaSchedule:
         vals = np.array(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError("schedule needs at least one entry")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("schedule values must be finite")
-        if vals[-1] < 0.0 or np.any(vals < 0.0):
-            raise ValueError("schedule values must be non-negative")
-        if np.any(np.diff(vals) > 0.0):
-            raise ValueError("schedule values must be non-increasing")
+        _check_order(vals)
         if self.rule not in RULES:
             raise ValueError(f"unknown schedule rule {self.rule!r}")
         vals.flags.writeable = False
@@ -58,13 +54,6 @@ class LambdaSchedule:
 
     def __len__(self):
         return self.values.size
-
-
-def _check_sigma(sigma):
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return sigma
 
 
 def _normal_map(levels, sigma):
@@ -91,9 +80,9 @@ def bh_schedule(m, q, sigma=1.0):
 
     values[i-1] = sigma * Phi^{-1}(1 - i*q / (2m)), i = 1..m.
     """
-    m = _check_count("m", m)
-    q = _check_level("q", q)
-    sigma = _check_sigma(sigma)
+    m = check_count("m", m)
+    q = check_level("q", q)
+    sigma = check_scale("sigma", sigma)
     vals = _normal_map(q * np.arange(1, m + 1) / m, sigma)
     return LambdaSchedule(vals, "BH", {"m": m, "q": q, "sigma": sigma})
 
@@ -105,7 +94,7 @@ def kfwer_schedule(m, k, alpha, sigma=1.0):
     of stepdown.kfwer_thresholds; the first k entries share one level.
     """
     levels = kfwer_thresholds(m, k, alpha)
-    sigma = _check_sigma(sigma)
+    sigma = check_scale("sigma", sigma)
     return LambdaSchedule(
         _normal_map(levels, sigma),
         "kFWER",
@@ -120,7 +109,7 @@ def fdp_schedule(m, alpha, gamma, sigma=1.0):
     of stepdown.fdp_thresholds.
     """
     levels = fdp_thresholds(m, alpha, gamma)
-    sigma = _check_sigma(sigma)
+    sigma = check_scale("sigma", sigma)
     return LambdaSchedule(
         _normal_map(levels, sigma),
         "FDP",
@@ -154,7 +143,7 @@ def gaussian_corrected_schedule(base, n):
         drops to zero before the truncation point (sample size too small).
     """
     rule = _corrected_rule(base, "-Gaussian", "Gaussian")
-    n = _check_count("n", n)
+    n = check_count("n", n)
     bv = base.values
     sumsq = 0.0
 
@@ -195,8 +184,8 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
     entries 1 and 2 are equal, any inflation rises at entry 2, typically
     at its first draw.
 
-    design is a DesignMatrix, whose entries were validated when it was
-    built, or a raw array, which is checked to be 2-d and finite here.
+    design is a DesignMatrix, or a raw array checked as one without the
+    unit-column check.
 
     Raises
     ------
@@ -206,17 +195,11 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
         an entry's rise is proven is never taken.
     """
     rule = _corrected_rule(base, "-MonteCarlo", "Monte Carlo")
-    if isinstance(design, DesignMatrix):
-        X = design.entries
-    else:
-        X = np.asarray(design, dtype=float)
-        if X.ndim != 2:
-            raise ValueError("design must be a 2-d array")
-        if not np.all(np.isfinite(X)):
-            raise ValueError("design contains non-finite entries")
-    replicates = _check_count("replicates", replicates)
-    if seed < 0 or int(seed) != seed:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(design, DesignMatrix):
+        design = DesignMatrix(design, require_unit_columns=False)
+    X = design.entries
+    replicates = check_count("replicates", replicates)
+    seed = check_index("seed", seed)
     m_cols = X.shape[1]
     bv = base.values
     if bv.size > m_cols:
@@ -230,7 +213,7 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
         head = float(bv[i - 1])
         total = 0.0
         for r in range(replicates):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), i, r)))
+            rng = np.random.default_rng(np.random.SeedSequence((seed, i, r)))
             for attempt in range(10):
                 pick = rng.choice(m_cols, size=s + 1, replace=False)
                 sub = X[:, pick[:s]]
@@ -254,21 +237,15 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
         return cand
 
     params = dict(base.params)
-    params.update({"replicates": replicates, "seed": int(seed)})
+    params.update({"replicates": replicates, "seed": seed})
     return LambdaSchedule(_repeat_after_rise(float(bv[0]), bv.size, step), rule, params)
 
 
 def _check_groups(ranks, weights):
-    ranks = [int(l) for l in ranks]
-    weights = [float(w) for w in weights]
+    ranks = [check_count("group ranks", l) for l in ranks]
+    weights = [check_scale("group weights", w) for w in weights]
     if len(ranks) != len(weights) or not ranks:
         raise ValueError("ranks and weights must be non-empty and equally long")
-    for l in ranks:
-        if l < 1:
-            raise ValueError(f"group ranks must be positive integers, got {l!r}")
-    for w in weights:
-        if not w > 0.0:
-            raise ValueError(f"group weights must be positive, got {w!r}")
     return ranks, weights
 
 
@@ -308,7 +285,7 @@ def group_max_schedule(q, ranks, weights):
     the number of groups, l_j the group ranks, w_j the group weights.
     """
     ranks, weights = _check_groups(ranks, weights)
-    q = _check_level("q", q)
+    q = check_level("q", q)
     m = len(ranks)
     vals = _chi_max(q * np.arange(1, m + 1) / m, ranks, weights)
     return LambdaSchedule(vals, "group-max-FDR", {"m": m, "q": q})
@@ -351,7 +328,7 @@ def group_corrected_schedule(variant, n, ranks, weights, alpha, k=None, gamma=No
         Sample size of the design the schedule will be used with.
     """
     ranks, weights = _check_groups(ranks, weights)
-    n = _check_count("n", n)
+    n = check_count("n", n)
     m = len(ranks)
     tails, params = _group_tails(variant, m, alpha, k, gamma)
     tails = tails.tolist()

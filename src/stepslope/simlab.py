@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import check_count, check_index, check_level, check_scale
 from .groups import GroupPartition, _scheme_weights, group_support_metrics, solve_group_slope
 from .schedules import (
     _RULE_TABLE,
@@ -82,6 +83,18 @@ NAMED_SIGNALS = ("auto", "strong", "moderate", "weak", "group-scaled")
 WEIGHT_SCHEMES = ("sqrt", "inv-sqrt")
 GROUP_SCALE_MODES = ("per-class", "mean-size")
 
+# ExperimentConfig's choice fields with their choices, and its numbers but rho
+# with their rules
+_CHOICES = {"design": _DESIGNS, "method": _METHODS, "correction": CORRECTIONS,
+            "weight_scheme": WEIGHT_SCHEMES, "group_scale_mode": GROUP_SCALE_MODES}
+_NUMBER_CHECKS = {
+    **dict.fromkeys(("n", "m", "k", "replications", "mc_replicates", "fit_max_iter",
+                     "num_groups"), check_count),
+    **dict.fromkeys(("t", "seed"), check_index),
+    **dict.fromkeys(("alpha", "gamma", "q"), check_level),
+    **dict.fromkeys(("sigma", "fit_tol"), check_scale),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,6 +105,11 @@ class ExperimentConfig:
     resolved here: "auto" picks the design's default.  correction selects
     how design randomness enters the schedule ("auto" maps each design to
     its standard treatment).
+
+    A ValueError names a field of the wrong JSON type, outside its choices
+    (on every design), breaking its errors.check_* rule (NaN and inf break
+    each) or rho's [0,1), or that does not fit the others.  Fields are
+    stored as given, so to_dict and config_id see them unchanged.
     """
 
     design: str
@@ -129,41 +147,24 @@ class ExperimentConfig:
             if f.type in (int, float):
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ValueError(f"{f.name} must be a number, got {v!r}")
-                if f.type is int and not math.isfinite(v):
+                # abs(v) < inf: math.isfinite overflows on an int past the float range
+                if f.type is int and not abs(v) < math.inf:
                     raise ValueError(f"{f.name} must be an integer, got {v!r}")
         if self.group_sizes is not None and not (
-                isinstance(self.group_sizes, (list, tuple)) and all(
+                isinstance(self.group_sizes, (list, tuple)) and self.group_sizes and all(
                     isinstance(s, numbers.Real) and not isinstance(s, bool)
-                    and math.isfinite(s) and int(s) == s for s in self.group_sizes)):
+                    and 1 <= s < math.inf and int(s) == s for s in self.group_sizes)):
             raise ValueError(f"group_sizes must be a list of positive integers, "
                              f"got {self.group_sizes!r}")
-        if self.design not in _DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         design, method = _DESIGNS[self.design], _METHODS[self.method]
-        for name in ("n", "m", "replications", "mc_replicates", "fit_max_iter"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not self.fit_tol > 0.0:
-            raise ValueError(f"fit_tol must be positive, got {self.fit_tol!r}")
-        if int(self.t) != self.t or self.t < 0:
-            raise ValueError(f"t must be a non-negative integer, got {self.t!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("alpha", "gamma", "q"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0,1), got {v!r}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        for name, check in _NUMBER_CHECKS.items():
+            if getattr(self, name) is not None:
+                check(name, getattr(self, name))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0,1), got {self.rho!r}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if self.correction not in CORRECTIONS:
-            raise ValueError(f"unknown correction {self.correction!r}")
         if isinstance(self.signal, bool) or not isinstance(self.signal, (int, float)):
             if self.signal not in NAMED_SIGNALS:
                 raise ValueError(f"unknown signal {self.signal!r}")
@@ -177,13 +178,7 @@ class ExperimentConfig:
                 )
             if self.num_groups is None or self.group_sizes is None:
                 raise ValueError("group designs require num_groups and group_sizes")
-            if int(self.num_groups) != self.num_groups or self.num_groups < 1:
-                raise ValueError(
-                    f"num_groups must be a positive integer, got {self.num_groups!r}"
-                )
             sizes = tuple(int(s) for s in self.group_sizes)
-            if not sizes or any(s < 1 for s in sizes):
-                raise ValueError("group_sizes must be positive integers")
             if self.num_groups % len(sizes) != 0:
                 raise ValueError(
                     f"num_groups={self.num_groups} must divide evenly into "
@@ -198,10 +193,6 @@ class ExperimentConfig:
                 raise ValueError(f"t={self.t} exceeds num_groups={self.num_groups}")
             if self.k > self.num_groups:
                 raise ValueError(f"k={self.k} exceeds num_groups={self.num_groups}")
-            if self.weight_scheme not in WEIGHT_SCHEMES:
-                raise ValueError(f"unknown weight_scheme {self.weight_scheme!r}")
-            if self.group_scale_mode not in GROUP_SCALE_MODES:
-                raise ValueError(f"unknown group_scale_mode {self.group_scale_mode!r}")
             if self.correction == "monte-carlo":
                 raise ValueError("monte-carlo correction applies to feature designs only")
         else:
@@ -588,8 +579,7 @@ def run_experiment(config, threads=1, resolved=None):
     -------
     TrialReport
     """
-    if int(threads) != threads or threads < 1:
-        raise ValueError(f"threads must be a positive integer, got {threads!r}")
+    threads = check_count("threads", threads)
     mode, payload, provenance = resolved if resolved is not None else resolve_schedule(config)
     reps = config.replications
     if threads == 1:
@@ -598,12 +588,12 @@ def run_experiment(config, threads=1, resolved=None):
         # imported here: a serial run never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(
                 pool.map(
                     _rep_worker,
                     [(config, r, mode, payload) for r in range(reps)],
-                    chunksize=max(1, reps // (4 * int(threads))),
+                    chunksize=max(1, reps // (4 * threads)),
                 )
             )
     # each row is (SupportMetrics, converged); transpose to one array per column

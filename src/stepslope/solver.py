@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_level, check_scale
 from .sorted_l1 import _check_order, _infeasibility, _prox_kernel, _weights, sorted_l1_norm
 
 
@@ -171,13 +171,9 @@ def _checked(X, y, sigma, tol, max_iter):
         raise ValueError(f"response has shape {y.shape}, expected ({n},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("response contains non-finite values")
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    sigma = check_scale("sigma", sigma)
+    check_scale("tol", tol)
+    check_count("max_iter", max_iter)
     return y, sigma
 
 
@@ -449,7 +445,8 @@ def _sorted_l1_prox(w):
 def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     """Solve the sorted-L1 penalized least-squares problem.
 
-    Every design is fitted by _working_set, which checks the arguments once.
+    Every design is fitted by _working_set, which checks the arguments once
+    (errors.check_*; a NaN or inf sigma or tol is a ValueError).
     Arrays and _Equicorrelated operators run FISTA on the columns that
     violate dual feasibility, grown until the fit is certified on the full
     design, or on all of it once they pass 1/16 of the columns.
@@ -467,13 +464,13 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     lam : LambdaSchedule or array_like
         Non-increasing non-negative weights, length m.
     sigma : float
-        Noise scale multiplying the penalty.
+        Noise scale multiplying the penalty; positive and finite.
     tol : float
-        Bound required of both the gradient's dual infeasibility and the
-        relative primal-dual gap, on the full design.
+        Positive, finite bound required of both the gradient's dual
+        infeasibility and the relative primal-dual gap, on the full design.
     max_iter : int
-        Iteration cap shared by all rounds; hitting it returns
-        converged=False, no exception.
+        Iteration cap shared by all rounds, a positive integer; hitting it
+        returns converged=False, no exception.
 
     Returns
     -------
@@ -517,10 +514,8 @@ def support_metrics(fit, truth, k, gamma):
     """
     support = set(fit.support) if isinstance(fit, FitResult) else set(fit)
     truth = set(truth)
-    if int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie strictly inside (0,1), got {gamma!r}")
+    check_count("k", k)
+    check_level("gamma", gamma)
     v = len(support - truth)
     r = len(support)
     tp = len(support & truth)

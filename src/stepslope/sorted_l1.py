@@ -43,9 +43,11 @@ def _pav_extend(values, means, counts):
 
 
 def _check_order(w):
-    """Refuse weights that are not non-negative and non-increasing."""
-    if np.any(np.diff(w) > 0.0) or w[-1] < 0.0:
-        raise ValueError("prox weights must be non-negative and non-increasing")
+    """Refuse non-empty weights that are not finite, non-negative and
+    non-increasing.  A NaN fails the comparison it enters, and weights that
+    fall from a finite w[0] to w[-1] >= 0 are finite: no isfinite pass."""
+    if not (np.all(np.diff(w) <= 0.0) and w[-1] >= 0.0 and w[0] < np.inf):
+        raise ValueError("sorted-L1 weights must be non-negative, non-increasing and finite")
 
 
 def _prox_kernel(v, w):
@@ -98,9 +100,9 @@ def prox_sorted_l1(v, lam):
     """Proximal operator of the sorted-L1 norm.
 
     Computes argmin_b 0.5*||b - v||^2 + J_w(b).  The weights must be
-    non-negative and non-increasing.  Zeros in the result are exact: the
-    clip at the end produces literal 0.0 entries, so supports can be read
-    off without thresholds.
+    finite, non-negative and non-increasing.  Zeros in the result are
+    exact: the clip at the end produces literal 0.0 entries, so supports
+    can be read off without thresholds.
 
     The prox is clip(isotonic fit of z, 0) with z = |v|_(i) - w_i, the
     non-increasing fit being the slopes of the least concave majorant of
@@ -125,7 +127,7 @@ def prox_sorted_l1(v, lam):
     v : array_like
         Input vector.
     lam : array_like or LambdaSchedule
-        Non-increasing, non-negative weights, same length as v.
+        Finite, non-increasing, non-negative weights, same length as v.
 
     Returns
     -------

@@ -12,19 +12,7 @@ import math
 
 import numpy as np
 
-
-def _check_count(name, v):
-    if int(v) != v or v < 1:
-        raise ValueError(f"{name} must be a positive integer, got {v!r}")
-    return int(v)
-
-
-def _check_level(name, v):
-    # cast first: a NumPy float32 level would run the arithmetic in float32
-    v = float(v)
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"{name} must lie strictly inside (0,1), got {v!r}")
-    return v
+from .errors import check_count, check_level, check_scale
 
 
 def kfwer_thresholds(m, k, alpha):
@@ -32,7 +20,7 @@ def kfwer_thresholds(m, k, alpha):
 
     Non-decreasing in i by construction.
     """
-    m, k, alpha = _check_count("m", m), _check_count("k", k), _check_level("alpha", alpha)
+    m, k, alpha = check_count("m", m), check_count("k", k), check_level("alpha", alpha)
     if k > m:
         raise ValueError(f"k must not exceed m, got k={k}, m={m}")
     i = np.arange(1, m + 1)
@@ -44,8 +32,8 @@ def fdp_thresholds(m, alpha, gamma):
 
     The floor is the exact floor of the float product gamma*i.
     """
-    m = _check_count("m", m)
-    alpha, gamma = _check_level("alpha", alpha), _check_level("gamma", gamma)
+    m = check_count("m", m)
+    alpha, gamma = check_level("alpha", alpha), check_level("gamma", gamma)
     i = np.arange(1, m + 1)
     f = np.floor(gamma * i)
     return (f + 1) * alpha / (m + f + 1 - i)
@@ -90,8 +78,7 @@ def stepdown_reject(pvalues, thresholds):
 
 def two_sided_pvalues(z, scale=1.0):
     """p_i = 2*(1 - Phi(|z_i| / scale)), computed as erfc(|z_i|/(scale*sqrt(2)))."""
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    scale = check_scale("scale", scale)
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("statistics contain non-finite values")

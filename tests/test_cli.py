@@ -415,6 +415,46 @@ def test_solve_malformed_design(runner, tmp_path):
     assert "could not parse" in res.output
 
 
+@pytest.mark.parametrize(
+    "option,value,fragment",
+    [("--tol", "inf", "tol must be positive and finite, got inf"),
+     ("--sigma", "inf", "sigma must be positive and finite, got inf")],
+)
+def test_solve_infinite_numeric_option_exits_2(runner, tmp_path, option, value, fragment):
+    # --tol inf reported every fit converged after one iteration
+    _, _, design, response, _ = _fit_problem(tmp_path)
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--rule", "bh", "--q", "0.1", option, value])
+    assert res.exit_code == 2, res.output
+    assert fragment in res.output
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_solve_schedule_file_with_a_non_finite_entry_exits_2(runner, tmp_path, entry):
+    _, _, design, response, sched = _fit_problem(tmp_path)
+    values = [str(v) for v in bh_schedule(12, 0.2).values]
+    values[0 if entry == "inf" else 5] = entry
+    sched.write_text("index,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate(values, 1)))
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--schedule", str(sched)])
+    assert res.exit_code == 2, res.output
+    assert "non-negative, non-increasing and finite" in res.output
+
+
+def test_solve_corrected_group_rule_with_a_vanishing_weight_exits_2(runner, tmp_path):
+    # 1/1e-320 overflows to an inf chi-mixture scale, on which the mixture
+    # quantile's bisection never ended
+    _, _, design, response, _ = _fit_problem(tmp_path)
+    groups = tmp_path / "groups.csv"
+    groups.write_text("".join(f"{i},{i // 6},{1e-320 if i < 6 else 1.0!r}\n"
+                              for i in range(12)))
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--groups", str(groups), "--rule", "gk-corrected",
+                               "--k", "1", "--alpha", "0.1"])
+    assert res.exit_code == 2, res.output
+    assert "component scale must be positive and finite, got inf" in res.output
+
+
 # --------------------------------------------------------------- stepdown
 
 
@@ -679,6 +719,9 @@ _CELL = {"design": "orthogonal-identity", "method": "slope-bh", "n": 20, "m": 20
          "experiment lacks required field(s): design"),
         ({"experiments": [[1, 2]]}, "an experiment must be an object, got list"),
         ({"experiments": _CELL}, "experiments must be a list of experiment objects"),
+        (dict(_CELL, fit_tol=float("inf")), "fit_tol must be positive and finite, got inf"),
+        (dict(_CELL, sigma=float("inf")), "sigma must be positive and finite, got inf"),
+        (dict(_CELL, weight_scheme="bogus"), "unknown weight_scheme 'bogus'"),
     ],
 )
 def test_simulate_malformed_config_is_rejected_before_the_run(runner, tmp_path, doc,
@@ -744,6 +787,15 @@ def test_simulate_unresolvable_signal_is_rejected_before_the_run(runner, tmp_pat
     res = runner.invoke(main, args + ["--out", str(out)])
     assert res.exit_code == 2
     assert fragment in res.output
+    assert not out.exists()
+
+
+def test_simulate_infinite_sigma_is_rejected_before_the_run(runner, tmp_path):
+    # it once left a run directory holding only its manifest
+    out = tmp_path / "runs"
+    res = runner.invoke(main, _SIM_ARGS + ["--sigma", "inf", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "sigma must be positive and finite, got inf" in res.output
     assert not out.exists()
 
 

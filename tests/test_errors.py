@@ -1,0 +1,86 @@
+"""The shared argument checks: one rule each, spelled in one module."""
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stepslope.errors import check_count, check_index, check_level, check_scale
+from stepslope.sorted_l1 import _check_order
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "stepslope"
+HUGE = 10**400  # an int past the float range: float() of it overflows
+
+
+@pytest.mark.parametrize(
+    "check,good,want",
+    [
+        (check_count, 3, 3),
+        (check_count, 4.0, 4),
+        (check_count, np.int64(7), 7),
+        (check_index, 0, 0),
+        (check_index, 2.0, 2),
+        (check_level, np.float32(0.5), 0.5),
+        (check_level, 0.1, 0.1),
+        (check_scale, 2, 2.0),
+        (check_scale, 1e-300, 1e-300),
+    ],
+)
+def test_checkers_return_the_normalized_value(check, good, want):
+    got = check("x", good)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "check,bad",
+    [(check_count, v) for v in (0, -1, 2.5, math.inf, -math.inf, math.nan)]
+    + [(check_index, v) for v in (-1, 0.5, math.inf, -math.inf, math.nan)]
+    + [(check_level, v) for v in (0.0, 1.0, -0.5, math.inf, math.nan, HUGE, -HUGE)]
+    + [(check_scale, v) for v in (0.0, -1.0, math.inf, -math.inf, math.nan, HUGE, -HUGE)],
+    ids=repr,
+)
+def test_checkers_refuse_with_a_value_error_naming_the_argument(check, bad):
+    # never an OverflowError, for an infinity or an int past the float range
+    with pytest.raises(ValueError, match=r"^the_arg must "):
+        check("the_arg", bad)
+
+
+def test_scale_names_finiteness_only_when_the_value_is_infinite():
+    with pytest.raises(ValueError, match=r"^s must be positive and finite, got inf$"):
+        check_scale("s", math.inf)
+    with pytest.raises(ValueError, match=r"^s must be positive, got nan$"):
+        check_scale("s", math.nan)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [[2.0, math.nan, 1.0], [math.nan], [math.inf, 1.0], [math.inf], [1.0, -math.inf],
+     [1.0, 2.0], [1.0, -0.5]],
+    ids=repr,
+)
+def test_check_order_refuses_nan_inf_negative_and_rising_weights(w):
+    with pytest.raises(ValueError, match="non-negative, non-increasing and finite"):
+        _check_order(np.array(w))
+
+
+def _phrase(check, bad):
+    """The checker's message between the argument's name and its value."""
+    with pytest.raises(ValueError) as info:
+        check("x", bad)
+    msg = str(info.value)
+    return msg[len("x "):msg.index(", got ") + len(", got")]
+
+
+@pytest.mark.parametrize(
+    "phrase,home",
+    [(_phrase(check_count, 0), "errors.py"),
+     (_phrase(check_index, -1), "errors.py"),
+     (_phrase(check_level, 1.0), "errors.py"),
+     (_phrase(check_scale, 0.0), "errors.py"),
+     (_phrase(check_scale, math.inf), "errors.py"),
+     ("non-negative, non-increasing and finite", "sorted_l1.py")],
+)
+def test_each_rule_is_spelled_in_one_module(phrase, home):
+    # a hand-written copy of a rule would repeat its message
+    spelled = sorted(p.name for p in SRC.glob("*.py") if phrase in p.read_text())
+    assert spelled == [home], phrase

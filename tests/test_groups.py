@@ -308,6 +308,33 @@ def test_group_prox_validation():
         group_prox(np.ones(1), np.ones(1), np.ones(1), -0.5)
 
 
+@pytest.mark.parametrize("step", [np.nan, np.inf], ids=repr)
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 2.0)], ids=["equal", "unequal"])
+def test_group_prox_refuses_a_non_finite_step(step, weights):
+    # an equal-weight NaN step returned NaNs
+    with pytest.raises(ValueError, match="step must be non-negative and finite"):
+        group_prox(np.ones(2), np.array(weights), np.array([1.0, 0.5]), step)
+
+
+def test_partition_and_group_prox_refuse_an_infinite_weight():
+    with pytest.raises(ValueError, match="group weights must be positive and finite"):
+        GroupPartition(((0,), (1,)), np.array([1.0, np.inf]))
+    with pytest.raises(ValueError, match="group weights must be positive and finite"):
+        group_prox(np.ones(2), np.array([np.inf, 1.0]), np.array([1.0, 0.5]), 0.5)
+
+
+@pytest.mark.parametrize("text,msg", [("nan", "must be positive, got nan"),
+                                      ("inf", "must be positive and finite, got inf"),
+                                      ("0", "must be positive, got 0.0")])
+def test_partition_csv_checks_each_weight_before_comparing(tmp_path, text, msg):
+    # NaN != NaN: a one-row group with a NaN weight was said to have
+    # conflicting weights
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0,{text}\n1,1,1.0\n")
+    with pytest.raises(ValueError, match=f"group 0 weight {msg}"):
+        GroupPartition.from_csv(path)
+
+
 def test_singleton_groups_reproduce_feature_solver():
     rng = np.random.default_rng(3)
     for trial in range(5):

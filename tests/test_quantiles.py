@@ -1,4 +1,6 @@
 """Quantile routines against slow independent oracles."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,3 +155,15 @@ def test_mixture_rejects_bad_components():
         ChiMixture(((1.0, 0),))
     with pytest.raises(ValueError):
         mixture_quantile(ChiMixture(((1.0, 2),)), 1.0)
+
+
+def test_mixture_refuses_an_infinite_scale():
+    with pytest.raises(ValueError, match="component scale must be positive and finite"):
+        ChiMixture(((math.inf, 2),))
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e300], ids=repr)
+def test_mixture_quantile_returns_past_a_1e_11_bracket(scale):
+    # the bisection ran forever once no float lay inside a 1e-11 bracket
+    want = scale * chi_quantile(0.9, 3)
+    assert mixture_quantile(ChiMixture(((scale, 3),)), 0.9) == pytest.approx(want, rel=1e-12)

@@ -448,6 +448,18 @@ def test_group_corrected_variant_validation():
         group_corrected_schedule("gf", 100, (2, 2), (1.0, 1.0), 0.1, k=1, gamma=0.1)
 
 
+def test_group_corrected_schedule_refuses_an_overflowing_weight():
+    # 1/1e-320 is an inf mixture scale, on which the quantile never returned
+    with pytest.raises(ValueError, match="component scale must be positive and finite"):
+        group_corrected_schedule("gk", 100, (5, 5), (1e-320, 1.0), 0.1, k=1)
+
+
+def test_group_corrected_schedule_returns_on_a_small_weight():
+    # a 1e5 scale put the mixture quantile past any 1e-11 bracket
+    vals = group_corrected_schedule("gk", 100, (5, 5), (1e-5, 1.0), 0.1, k=1).values
+    assert np.all(np.isfinite(vals)) and vals[0] > 1e5
+
+
 def test_build_schedule_dispatch_and_field_checks():
     req = dict(m=100, k=5, alpha=0.1)
     got = build_schedule("kFWER", **req)

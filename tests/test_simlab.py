@@ -78,6 +78,12 @@ def _group_config(**kw):
         (dict(fit_tol=0.0), r"fit_tol must be positive, got 0\.0"),
         (dict(fit_tol=float("nan")), "fit_tol must be positive, got nan"),
         (dict(fit_max_iter=0), "fit_max_iter must be a positive integer, got 0"),
+        (dict(fit_tol=float("inf")), "fit_tol must be positive and finite, got inf"),
+        (dict(sigma=float("inf")), "sigma must be positive and finite, got inf"),
+        (dict(weight_scheme="bogus"), "unknown weight_scheme 'bogus'"),
+        (dict(group_scale_mode="bogus"), "unknown group_scale_mode 'bogus'"),
+        (dict(alpha=10**400), r"alpha must lie strictly inside \(0,1\), got inf"),
+        (dict(sigma=10**400), "sigma must be positive and finite, got inf"),
     ],
 )
 def test_feature_config_validation(kw, msg):

@@ -528,6 +528,34 @@ def test_solve_input_validation():
         solve_slope(X, y, lam, max_iter=0)
 
 
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "dense"])
+@pytest.mark.parametrize(
+    "kw,msg",
+    [(dict(tol=np.inf), "tol must be positive and finite, got inf"),
+     (dict(sigma=np.inf), "sigma must be positive and finite, got inf"),
+     (dict(max_iter=2.5), r"max_iter must be a positive integer, got 2\.5")],
+)
+def test_solve_refuses_infinite_scales_and_a_fractional_cap(kw, msg, identity):
+    # tol=inf reported a fit converged after one iteration without its
+    # certificate; sigma=inf failed inside the loop as a NumericalError
+    X, y = _masked_problem()
+    X = None if identity else X
+    with pytest.raises(ValueError, match=msg):
+        solve_slope(X, y, bh_schedule(len(y) if X is None else X.shape[1], 0.1).values,
+                    **kw)
+
+
+@pytest.mark.parametrize("identity", [True, False], ids=["identity", "dense"])
+@pytest.mark.parametrize("where,bad", [(0, np.inf), (3, np.nan)], ids=["inf", "nan"])
+def test_solve_refuses_a_non_finite_schedule_entry(where, bad, identity):
+    X, y = _masked_problem()
+    X = None if identity else X
+    lam = bh_schedule(len(y) if X is None else X.shape[1], 0.1).values.copy()
+    lam[where] = bad
+    with pytest.raises(ValueError, match="non-negative, non-increasing and finite"):
+        solve_slope(X, y, lam)
+
+
 def test_support_metrics_counts():
     sm = support_metrics({0, 1, 2, 7}, {1, 2, 3}, k=2, gamma=0.5)
     assert (sm.v, sm.r, sm.tp) == (2, 4, 2)

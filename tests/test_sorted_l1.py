@@ -66,6 +66,13 @@ def test_prox_beats_oracle_candidates_on_objective():
             assert f_star <= sorted_l1_objective(cand, v, lam) + 1e-12
 
 
+@pytest.mark.parametrize("w", [[2.0, np.nan, 1.0], [np.inf, 1.0, 1.0]], ids=["nan", "inf"])
+def test_prox_refuses_non_finite_weights(w):
+    # a NaN weight gave a NaN entry and an infinite one an all-zero point
+    with pytest.raises(ValueError, match="non-negative, non-increasing and finite"):
+        prox_sorted_l1(np.array([3.0, 1.0, 2.0]), np.array(w))
+
+
 def test_prox_zero_lambda_is_identity():
     v = np.array([3.0, -1.0, 0.0, 2.5])
     out = prox_sorted_l1(v, np.zeros(4))

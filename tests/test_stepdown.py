@@ -143,3 +143,18 @@ def test_two_sided_pvalues_scale():
     )
     with pytest.raises(ValueError, match="scale"):
         two_sided_pvalues(z, scale=0.0)
+
+
+def test_two_sided_pvalues_refuse_an_infinite_scale():
+    # every p-value was 1
+    with pytest.raises(ValueError, match="scale must be positive and finite, got inf"):
+        two_sided_pvalues(np.array([2.0, -4.0]), scale=math.inf)
+
+
+@pytest.mark.parametrize("m", [math.inf, math.nan], ids=repr)
+def test_thresholds_refuse_a_non_finite_count_with_a_value_error(m):
+    # kfwer_thresholds(m=inf) raised an OverflowError
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        kfwer_thresholds(m, 1, 0.1)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        fdp_thresholds(m, 0.1, 0.1)
