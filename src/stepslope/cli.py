@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, check_count
-from .groups import GroupPartition, _scheme_weights, solve_group_slope, standardize
+from .groups import WEIGHT_SCHEMES, GroupPartition, _scheme_weights, solve_group_slope, standardize
 from .schedules import (
     _RULE_TABLE,
     build_schedule,
@@ -31,7 +31,6 @@ from .simlab import (
     CORRECTIONS,
     GROUP_SCALE_MODES,
     REQUIRED_FIELDS,
-    WEIGHT_SCHEMES,
     ExperimentConfig,
     resolve_schedule,
     run_experiment,

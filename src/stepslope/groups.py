@@ -31,14 +31,14 @@ def _check_weights(w):
     check_scale("group weights", w.max())
 
 
+_WEIGHT_SCHEMES = {"sqrt": np.sqrt, "inv-sqrt": lambda size: 1.0 / np.sqrt(size)}
+WEIGHT_SCHEMES = tuple(_WEIGHT_SCHEMES)
+
+
 def _scheme_weights(sizes, scheme):
-    """Group weights from group sizes: sqrt(size), or 1/sqrt(size) for "inv-sqrt"."""
-    root = np.sqrt(np.asarray(sizes, dtype=float))
-    if scheme == "sqrt":
-        return root
-    if scheme == "inv-sqrt":
-        return 1.0 / root
-    raise ValueError(f"unknown weight scheme {scheme!r}")
+    """Group weights from group sizes by a scheme of WEIGHT_SCHEMES: sqrt(size),
+    or 1/sqrt(size) for "inv-sqrt"."""
+    return _WEIGHT_SCHEMES[scheme](np.asarray(sizes, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -354,7 +354,7 @@ def group_prox(v, weights, lam, step):
         When the unequal-weight fit does not converge.
     """
     v = np.asarray(v, dtype=float)
-    w = np.asarray(getattr(weights, "values", weights), dtype=float)
+    w = np.asarray(weights, dtype=float)
     lamv = _weights(lam, v.size)
     if v.shape != w.shape or v.shape != lamv.shape:
         raise ValueError("v, weights, and lam must have matching lengths")

@@ -11,7 +11,6 @@ estimates with standard errors.
 import hashlib
 import json
 import math
-import numbers
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import lru_cache
@@ -20,8 +19,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import check_count, check_index, check_level, check_scale
-from .groups import GroupPartition, _scheme_weights, group_support_metrics, solve_group_slope
+from .errors import _real, check_count, check_index, check_level, check_scale
+from .groups import (
+    WEIGHT_SCHEMES,
+    GroupPartition,
+    _scheme_weights,
+    group_support_metrics,
+    solve_group_slope,
+)
 from .schedules import (
     _RULE_TABLE,
     build_schedule,
@@ -79,8 +84,6 @@ _METHODS = {
     "gf-slope": _Method(group="group-FDP"),
 }
 CORRECTIONS = ("auto", "gaussian", "monte-carlo", "none")
-NAMED_SIGNALS = ("auto", "strong", "moderate", "weak", "group-scaled")
-WEIGHT_SCHEMES = ("sqrt", "inv-sqrt")
 GROUP_SCALE_MODES = ("per-class", "mean-size")
 
 # ExperimentConfig's choice fields with their choices, and its numbers but rho
@@ -145,15 +148,18 @@ class ExperimentConfig:
             if f.type is str and not isinstance(v, str):
                 raise ValueError(f"{f.name} must be a string, got {v!r}")
             if f.type in (int, float):
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                if not _real(v):
                     raise ValueError(f"{f.name} must be a number, got {v!r}")
-                # abs(v) < inf: math.isfinite overflows on an int past the float range
-                if f.type is int and not abs(v) < math.inf:
+                # an int field takes an int (2.0 would change config_id, a NumPy int
+                # its JSON); a fraction breaks the field's rule.  abs(v) < inf:
+                # math.isfinite overflows on an int past the float range
+                if f.type is int and not isinstance(v, int) and (
+                        not abs(v) < math.inf or v == int(v)):
                     raise ValueError(f"{f.name} must be an integer, got {v!r}")
         if self.group_sizes is not None and not (
                 isinstance(self.group_sizes, (list, tuple)) and self.group_sizes and all(
-                    isinstance(s, numbers.Real) and not isinstance(s, bool)
-                    and 1 <= s < math.inf and int(s) == s for s in self.group_sizes)):
+                    _real(s) and 1 <= s < math.inf and int(s) == s
+                    for s in self.group_sizes)):
             raise ValueError(f"group_sizes must be a list of positive integers, "
                              f"got {self.group_sizes!r}")
         for name, choices in _CHOICES.items():
@@ -185,7 +191,7 @@ class ExperimentConfig:
                     f"{len(sizes)} size classes"
                 )
             object.__setattr__(self, "group_sizes", sizes)
-            if self.m != sum(self.expanded_group_sizes()):
+            if self.m != self.num_groups // len(sizes) * sum(sizes):
                 raise ValueError(
                     f"m={self.m} must equal the total of the expanded group sizes"
                 )
@@ -215,14 +221,12 @@ class ExperimentConfig:
             raise ValueError(f"correction {self.correction!r} does not apply to design "
                              f"{self.design!r}")
         # a signal the design cannot resolve is refused before any replication
-        (resolve_group_amplitude if design.grouped else resolve_signal)(self)
+        resolve_signal(self)
 
-    def expanded_group_sizes(self):
-        """Per-group sizes: each size class repeated over a contiguous block."""
-        return _expand_sizes(self.num_groups, self.group_sizes)
-
-    def group_weights(self):
-        return _scheme_weights(self.expanded_group_sizes(), self.weight_scheme)
+    def partition(self):
+        """The group partition: each size class over a contiguous block of
+        groups, weighted by weight_scheme; cached per group shape and scheme."""
+        return _partition(self.num_groups, self.group_sizes, self.weight_scheme)
 
     def to_dict(self):
         d = asdict(self)
@@ -254,52 +258,51 @@ REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is
 
 
 @lru_cache(maxsize=8)
-def _expand_sizes(num_groups, group_sizes):
-    per = num_groups // len(group_sizes)
-    return tuple(s for s in group_sizes for _ in range(per))
+def _partition(num_groups, group_sizes, weight_scheme):
+    sizes = [s for s in group_sizes for _ in range(num_groups // len(group_sizes))]
+    return GroupPartition.from_sizes(sizes, _scheme_weights(sizes, weight_scheme))
+
+
+# The named signal strengths, each an amplitude of its config.  "group-scaled"
+# is the per-group scaling of Brzyski, Gossmann, Su & Bogdan ("Group SLOPE",
+# JASA 2019), the only strength of group designs.
+_SIGNALS = {
+    "strong": lambda c: 3.0 * math.sqrt(2.0 * math.log(c.n)),
+    "moderate": lambda c: 2.0 * math.sqrt(2.0 * math.log(c.m)),
+    "weak": lambda c: math.sqrt(2.0 * math.log(c.m)),
+    "group-scaled": lambda c: _scaled_group_amplitude(c.partition().sizes,
+                                                      c.group_scale_mode),
+}
+NAMED_SIGNALS = ("auto",) + tuple(_SIGNALS)
 
 
 def resolve_signal(config):
-    """Resolve the signal amplitude for a feature design."""
+    """The signal amplitude: an explicit number, or the named strength ("auto"
+    names the design's).  On a group design relevant group g gets
+    ||X_g beta_g|| = amplitude * sqrt(|g|)."""
     s = config.signal
     if isinstance(s, (int, float)) and not isinstance(s, bool):
         return float(s)
-    if s == "group-scaled":
-        raise ValueError("group-scaled signal applies to group designs only")
+    design = _DESIGNS[config.design]
     if s == "auto":
-        s = _DESIGNS[config.design].auto
-    if s == "strong":
-        return 3.0 * math.sqrt(2.0 * math.log(config.n))
-    if s == "moderate":
-        return 2.0 * math.sqrt(2.0 * math.log(config.m))
-    return math.sqrt(2.0 * math.log(config.m))
-
-
-def resolve_group_amplitude(config):
-    """Per-group amplitude a; relevant group g gets ||X_g beta_g|| = a*sqrt(|g|).
-
-    a equates the average target norm with the average of
-    sqrt(4*ln(T)/(1 - T^(-2/l)) - l) over groups, where T is the total
-    group count and l is each group's size class (or the mean size when
-    group_scale_mode is "mean-size").  The scaled amplitude is computed
-    once per (num_groups, group_sizes, group_scale_mode) and cached.
-    """
-    s = config.signal
-    if isinstance(s, (int, float)) and not isinstance(s, bool):
-        return float(s)
-    if s not in ("auto", "group-scaled"):
+        s = design.auto
+    if design.grouped and s != "group-scaled":
         raise ValueError(
             f"signal {s!r} applies to feature designs; group designs use "
             "'group-scaled', 'auto', or an explicit amplitude"
         )
-    return _scaled_group_amplitude(config.num_groups, config.group_sizes,
-                                   config.group_scale_mode)
+    if s == "group-scaled" and not design.grouped:
+        raise ValueError("group-scaled signal applies to group designs only")
+    return _SIGNALS[s](config)
 
 
 @lru_cache(maxsize=8)
-def _scaled_group_amplitude(num_groups, group_sizes, group_scale_mode):
-    sizes = _expand_sizes(num_groups, group_sizes)
-    T = num_groups
+def _scaled_group_amplitude(sizes, group_scale_mode):
+    """a equating the average target norm a*sqrt(|g|) with the average of
+    sqrt(4*ln(T)/(1 - T^(-2/l)) - l) over groups, where T is the group count
+    and l is each group's size (or the mean size when group_scale_mode is
+    "mean-size"); computed once per group shape and scale mode."""
+    T = len(sizes)
     if T < 2:
         raise ValueError("group-scaled signal needs at least two groups")
     if group_scale_mode == "mean-size":
@@ -327,11 +330,6 @@ def _equicorr_matrices(n, rho):
             _Equicorrelated(n, math.sqrt(lo), math.sqrt(hi)))
 
 
-@lru_cache(maxsize=8)
-def _cached_partition(sizes, weight_scheme):
-    return GroupPartition.from_sizes(sizes, _scheme_weights(sizes, weight_scheme))
-
-
 def _rep_rng(seed, rep):
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(rep))))
 
@@ -352,45 +350,47 @@ class Replication(NamedTuple):
     stats: object
 
 
-def gen_orthogonal(config, rep):
-    """Identity design as None, y as its stats; draw order: support, noise."""
-    rng = _rep_rng(config.seed, rep)
-    m = config.m
-    amp = resolve_signal(config)
-    support = rng.choice(m, size=config.t, replace=False)
-    beta = np.zeros(m)
-    beta[support] = amp
-    y = beta + config.sigma * rng.standard_normal(m)
-    return Replication(None, None, beta, y, {int(i) for i in support}, y)
-
-
-def _unit_gaussian_design(rng, n, m):
-    """N(0, 1/n) entries, columns scaled to exactly unit norm, in one n x m
-    buffer: the draw is divided by sqrt(n) and then by its column norms in
-    place, so no second design-sized array is made."""
-    X = rng.standard_normal((n, m))
-    X /= math.sqrt(n)
+def _design(config, rng):
+    """The design draw: None on a fixed design, which draws nothing; else
+    N(0, 1/n) entries scaled to exactly unit columns in place, in one n x m
+    buffer (divided by sqrt(n), then by the column norms), so no second
+    design-sized array is made."""
+    if _DESIGNS[config.design].fixed:
+        return None
+    X = rng.standard_normal((config.n, config.m))
+    X /= math.sqrt(config.n)
     X /= np.sqrt(np.einsum("ij,ij->j", X, X))
     return X
 
 
-def gen_gaussian(config, rep):
-    """N(0, 1/n) entries, columns scaled to exactly unit norm.
+def _response(config, rng, X, beta):
+    """beta (X None, the identity) or X beta, plus sigma times a noise draw."""
+    mean = beta if X is None else X @ beta
+    return mean + config.sigma * rng.standard_normal(mean.size)
 
-    The design is drawn and scaled in place (_unit_gaussian_design) and
-    validated by DesignMatrix in one pass, so a replication holds one
-    n x m array; no stats.  Draw order: design, then support, then noise.
-    """
+
+def _feature_signal(config, rng, X):
+    """The signal draw of a feature design X (None, the identity): support,
+    then beta at the amplitude, then y.  The identity's y is its stats."""
+    support = rng.choice(config.m, size=config.t, replace=False)
+    beta = np.zeros(config.m)
+    beta[support] = resolve_signal(config)
+    y = _response(config, rng, X, beta)
+    design, stats = (None, y) if X is None else (DesignMatrix(X), None)
+    return Replication(design, None, beta, y, {int(i) for i in support}, stats)
+
+
+def gen_orthogonal(config, rep):
+    """Identity design as None, y as its stats; draw order: support, noise."""
+    return _feature_signal(config, _rep_rng(config.seed, rep), None)
+
+
+def gen_gaussian(config, rep):
+    """Unit-column Gaussian design, validated by DesignMatrix in one pass, so a
+    replication holds one n x m array; no stats.  Draw order: design, support,
+    noise."""
     rng = _rep_rng(config.seed, rep)
-    n, m = config.n, config.m
-    X = _unit_gaussian_design(rng, n, m)
-    amp = resolve_signal(config)
-    support = rng.choice(m, size=config.t, replace=False)
-    beta = np.zeros(m)
-    beta[support] = amp
-    y = X @ beta + config.sigma * rng.standard_normal(n)
-    return Replication(DesignMatrix(X), None, beta, y, {int(i) for i in support},
-                       None)
+    return _feature_signal(config, rng, _design(config, rng))
 
 
 def gen_correlated_means(config, rep):
@@ -421,44 +421,40 @@ def gen_correlated_means(config, rep):
     return Replication(W, None, mu, y, {int(i) for i in support}, ybar)
 
 
-def gen_group(config, rep):
-    """Group design and its partition; truth holds groups, no stats.  Draw
-    order: design (gaussian case), relevant groups, per-group coefficients
-    in sorted group order, then noise.
+def _group_signal(config, rng, X):
+    """The signal draw of a group design X (None, the identity): relevant
+    groups, per-group coefficients in sorted group order, then y; truth holds
+    groups, no stats.
 
-    The group-Gaussian design is drawn and scaled in place, as
-    gen_gaussian's is, in one n x m buffer.  Relevant group g gets uniform
-    [0.1, 1.1] coefficients rescaled so the image norm ||X_g beta_g||
-    equals amplitude * sqrt(|g|).  The group-orthogonal design is the
-    identity, returned as None; its image norm is still summed over a
-    length-m image vector, as the product with a dense identity was, so
-    the drawn bytes are the same.
+    Relevant group g gets uniform [0.1, 1.1] coefficients rescaled so the
+    image norm ||X_g beta_g|| equals amplitude * sqrt(|g|).  On the identity
+    the image norm is still summed over a length-m image vector, as the
+    product with a dense identity was, so the drawn bytes are the same.
     """
-    rng = _rep_rng(config.seed, rep)
-    sizes = config.expanded_group_sizes()
-    part = _cached_partition(sizes, config.weight_scheme)
-    m = config.m
-    if _DESIGNS[config.design].fixed:
-        design = X = None
-    else:
-        X = _unit_gaussian_design(rng, config.n, m)
-        design = DesignMatrix(X)
-    amp = resolve_group_amplitude(config)
+    part = config.partition()
+    amp = resolve_signal(config)
     relevant = rng.choice(config.num_groups, size=config.t, replace=False)
-    beta = np.zeros(m)
+    beta = np.zeros(config.m)
     for g in sorted(int(i) for i in relevant):
         idx = list(part.groups[g])
         u = rng.uniform(0.1, 1.1, size=len(idx))
         if X is None:
-            img = np.zeros(m)
+            img = np.zeros(config.m)
             img[idx] = u
         else:
             img = X[:, idx] @ u
         norm = float(np.sqrt((img ** 2).sum()))
         beta[idx] = u * (amp * math.sqrt(len(idx)) / norm)
-    mean = beta if X is None else X @ beta
-    y = mean + config.sigma * rng.standard_normal(mean.size)
+    y = _response(config, rng, X, beta)
+    design = None if X is None else DesignMatrix(X)
     return Replication(design, part, beta, y, {int(i) for i in relevant}, None)
+
+
+def gen_group(config, rep):
+    """Group design and its partition; draw order: design (gaussian case),
+    then the signal draw."""
+    rng = _rep_rng(config.seed, rep)
+    return _group_signal(config, rng, _design(config, rng))
 
 
 def resolve_schedule(config):
@@ -477,8 +473,8 @@ def resolve_schedule(config):
         return "thresholds", levels(**params), {"type": "thresholds",
                                                 "rule": method.stepdown, "params": params}
     if design.grouped:
-        values.update(ranks=config.expanded_group_sizes(),
-                      weights=tuple(config.group_weights()))
+        part = config.partition()
+        values.update(ranks=part.sizes, weights=tuple(part.weights))
     rule = method.group if design.grouped else method.feature
     corrected = _RULE_TABLE[rule].corrected
     if corrected and not design.fixed:
@@ -608,12 +604,10 @@ def run_experiment(config, threads=1, resolved=None):
         "fdr": _aggregate(report.fdp),
         "power": _aggregate(report.power),
     }
-    report.extras = {"schedule": provenance, "all_converged": bool(report.converged.all())}
+    report.extras = {"schedule": provenance, "all_converged": bool(report.converged.all()),
+                     "signal_value": resolve_signal(config)}
     if _DESIGNS[config.design].grouped:
-        report.extras.update(signal_value=resolve_group_amplitude(config),
-                             group_scale_mode=config.group_scale_mode)
-    else:
-        report.extras["signal_value"] = resolve_signal(config)
+        report.extras["group_scale_mode"] = config.group_scale_mode
     return report
 
 

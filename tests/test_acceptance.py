@@ -176,7 +176,7 @@ def test_criterion_07_group_power(group_desk_reports):
     gk, gf, _ = group_desk_reports
     for report in (gk, gf):
         config = report.config
-        w = config.group_weights()
+        w = config.partition().weights
         assert np.all(w == w[0])
         _, schedule, _ = resolve_schedule(config)
         crit = config.sigma * w * schedule.values

@@ -722,6 +722,15 @@ _CELL = {"design": "orthogonal-identity", "method": "slope-bh", "n": 20, "m": 20
         (dict(_CELL, fit_tol=float("inf")), "fit_tol must be positive and finite, got inf"),
         (dict(_CELL, sigma=float("inf")), "sigma must be positive and finite, got inf"),
         (dict(_CELL, weight_scheme="bogus"), "unknown weight_scheme 'bogus'"),
+        (dict(_CELL, design="gaussian", method="k-slope", n=40.0),
+         "n must be an integer, got 40.0"),
+        (dict(_CELL, m=20.0), "m must be an integer, got 20.0"),
+        (dict(_CELL, t=2.0), "t must be an integer, got 2.0"),
+        (dict(_CELL, replications=2.0), "replications must be an integer, got 2.0"),
+        (dict(_CELL, k=2.0), "k must be an integer, got 2.0"),
+        (dict(_CELL, seed=3.0), "seed must be an integer, got 3.0"),
+        (dict(_CELL, design="group-orthogonal", method="gk-slope", num_groups=4.0,
+              group_sizes=[5], k=1), "num_groups must be an integer, got 4.0"),
     ],
 )
 def test_simulate_malformed_config_is_rejected_before_the_run(runner, tmp_path, doc,

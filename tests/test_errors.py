@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from stepslope.errors import check_count, check_index, check_level, check_scale
+from stepslope.schedules import group_corrected_schedule, kfwer_schedule
+from stepslope.simlab import ExperimentConfig, run_experiment
+from stepslope.solver import solve_slope
 from stepslope.sorted_l1 import _check_order
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stepslope"
@@ -36,13 +39,35 @@ def test_checkers_return_the_normalized_value(check, good, want):
     [(check_count, v) for v in (0, -1, 2.5, math.inf, -math.inf, math.nan)]
     + [(check_index, v) for v in (-1, 0.5, math.inf, -math.inf, math.nan)]
     + [(check_level, v) for v in (0.0, 1.0, -0.5, math.inf, math.nan, HUGE, -HUGE)]
-    + [(check_scale, v) for v in (0.0, -1.0, math.inf, -math.inf, math.nan, HUGE, -HUGE)],
+    + [(check_scale, v) for v in (0.0, -1.0, math.inf, -math.inf, math.nan, HUGE, -HUGE)]
+    + [(check_count, v) for v in (None, "3", True, [3])]
+    + [(check_index, v) for v in (None, True, False)]
+    + [(check_level, v) for v in (None, "0.5")]
+    + [(check_scale, v) for v in (None, "1", True, 1j)],
     ids=repr,
 )
 def test_checkers_refuse_with_a_value_error_naming_the_argument(check, bad):
-    # never an OverflowError, for an infinity or an int past the float range
+    # never an OverflowError, for an infinity or an int past the float range,
+    # nor a TypeError; a bool or a string is not taken for the number it casts to
     with pytest.raises(ValueError, match=r"^the_arg must "):
         check("the_arg", bad)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [(lambda: kfwer_schedule(10, None, 0.1), "k"),
+     (lambda: kfwer_schedule(5, True, 0.1), "k"),
+     (lambda: group_corrected_schedule("gk", 100, (5, 5), (1.0, 1.0), 0.1), "k"),
+     (lambda: solve_slope(None, np.ones(3), np.ones(3), max_iter=True), "max_iter"),
+     (lambda: solve_slope(None, np.ones(3), np.ones(3), sigma="1"), "sigma"),
+     (lambda: run_experiment(ExperimentConfig("orthogonal-identity", "k-slope", 10, 10, 1, k=1,
+                                              replications=1), threads=True), "threads")],
+    ids=["kfwer-k-none", "kfwer-k-true", "gk-k-omitted", "max-iter-true", "sigma-string",
+         "threads-true"],
+)
+def test_public_calls_refuse_a_non_number_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        call()
 
 
 def test_scale_names_finiteness_only_when_the_value_is_infinite():

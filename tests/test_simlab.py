@@ -19,7 +19,6 @@ from stepslope.simlab import (
     gen_gaussian,
     gen_group,
     gen_orthogonal,
-    resolve_group_amplitude,
     resolve_schedule,
     resolve_signal,
     run_experiment,
@@ -132,6 +131,13 @@ def test_numeric_fields_refuse_other_json_types(name, value):
         (dict(correction=1), "correction must be a string, got 1"),
         (dict(n=float("inf")), "n must be an integer, got inf"),
         (dict(k=float("nan")), "k must be an integer, got nan"),
+        (dict(n=40.0), r"n must be an integer, got 40\.0"),
+        (dict(m=40.0), r"m must be an integer, got 40\.0"),
+        (dict(t=2.0), r"t must be an integer, got 2\.0"),
+        (dict(k=2.0), r"k must be an integer, got 2\.0"),
+        (dict(seed=3.0), r"seed must be an integer, got 3\.0"),
+        (dict(replications=2.0), r"replications must be an integer, got 2\.0"),
+        (dict(n=np.int64(40)), "n must be an integer, got "),
     ],
 )
 def test_feature_config_refuses_wrong_types(kw, msg):
@@ -149,6 +155,7 @@ def test_feature_config_refuses_wrong_types(kw, msg):
         (dict(group_sizes=(2, 3.5)), "group_sizes must be a list of positive integers"),
         (dict(group_sizes=(True, 3)), "group_sizes must be a list of positive integers"),
         (dict(weight_scheme=None), "weight_scheme must be a string, got None"),
+        (dict(num_groups=10.0), r"num_groups must be an integer, got 10\.0"),
     ],
 )
 def test_group_config_refuses_wrong_types(kw, msg):
@@ -158,11 +165,11 @@ def test_group_config_refuses_wrong_types(kw, msg):
 
 def test_expanded_group_sizes_blocks():
     c = _group_config()
-    assert c.expanded_group_sizes() == (2, 2, 2, 2, 2, 3, 3, 3, 3, 3)
-    w = c.group_weights()
+    assert c.partition().sizes == (2, 2, 2, 2, 2, 3, 3, 3, 3, 3)
+    w = c.partition().weights
     assert np.array_equal(w[:5], np.full(5, math.sqrt(2.0)))
     assert np.array_equal(w[5:], np.full(5, math.sqrt(3.0)))
-    inv = _group_config(weight_scheme="inv-sqrt").group_weights()
+    inv = _group_config(weight_scheme="inv-sqrt").partition().weights
     assert np.allclose(inv * w, 1.0)
 
 
@@ -206,30 +213,30 @@ def test_group_amplitude_equal_sizes_closed_form():
         design="group-orthogonal", method="gk-slope", n=1000, m=1000, t=20,
         num_groups=200, group_sizes=(5,),
     )
-    a = resolve_group_amplitude(c)
+    a = resolve_signal(c)
     assert a == pytest.approx(1.9537829166618113, rel=1e-12)
     val = 4.0 * math.log(200) / (1.0 - 200 ** (-2.0 / 5)) - 5.0
     assert a == pytest.approx(math.sqrt(val) / math.sqrt(5.0), rel=1e-12)
 
 
 def test_group_amplitude_mixed_sizes():
-    assert resolve_group_amplitude(_group_config()) == pytest.approx(
+    assert resolve_signal(_group_config()) == pytest.approx(
         1.8516299696801706, rel=1e-12
     )
     T, ls = 10, [2] * 5 + [3] * 5
     num = sum(math.sqrt(4.0 * math.log(T) / (1.0 - T ** (-2.0 / l)) - l) for l in ls)
     den = sum(math.sqrt(l) for l in ls)
-    assert resolve_group_amplitude(_group_config()) == pytest.approx(
+    assert resolve_signal(_group_config()) == pytest.approx(
         num / den, rel=1e-12
     )
-    mean = resolve_group_amplitude(_group_config(group_scale_mode="mean-size"))
+    mean = resolve_signal(_group_config(group_scale_mode="mean-size"))
     assert mean == pytest.approx(1.8472887821945885, rel=1e-12)
 
 
 def test_group_amplitude_explicit_and_errors():
-    assert resolve_group_amplitude(_group_config(signal=2.5)) == 2.5
+    assert resolve_signal(_group_config(signal=2.5)) == 2.5
     with pytest.raises(ValueError, match="feature designs"):
-        resolve_group_amplitude(_group_config(signal="strong"))
+        resolve_signal(_group_config(signal="strong"))
 
 
 def test_group_amplitude_computed_once_per_amplitude_key():
@@ -243,10 +250,10 @@ def test_group_amplitude_computed_once_per_amplitude_key():
         for rep in range(2):
             gen_group(config, rep)
     assert simlab._scaled_group_amplitude.cache_info().misses == 1
-    auto = resolve_group_amplitude(_group_config(method="gf-slope", **shape))
+    auto = resolve_signal(_group_config(method="gf-slope", **shape))
     assert auto == report.extras["signal_value"]
     assert simlab._scaled_group_amplitude.cache_info().misses == 1
-    resolve_group_amplitude(_group_config(group_scale_mode="mean-size", **shape))
+    resolve_signal(_group_config(group_scale_mode="mean-size", **shape))
     assert simlab._scaled_group_amplitude.cache_info().misses == 2
 
 
@@ -373,7 +380,7 @@ def test_gen_group_image_norms_match_amplitude():
     X, part, beta, relevant = data.design.entries, data.partition, data.beta, data.truth
     assert np.allclose((X * X).sum(axis=0), 1.0, atol=1e-12)
     assert len(relevant) == c.t and data.stats is None
-    amp = resolve_group_amplitude(c)
+    amp = resolve_signal(c)
     for g in relevant:
         idx = list(part.groups[g])
         norm = math.sqrt(float(((X[:, idx] @ beta[idx]) ** 2).sum()))
@@ -424,6 +431,32 @@ def test_gaussian_generation_allocates_one_design(design, n, m, extra):
         tracemalloc.stop()
     assert out.design.shape == (n, m)
     assert peak < 1.1 * 8 * n * m
+
+
+@pytest.mark.parametrize("design, extra", [
+    ("gaussian", dict(method="k-slope", n=30, m=50, t=4, k=2)),
+    ("group-gaussian", dict(method="gk-slope", n=40, m=25, t=3, k=2, num_groups=10,
+                            group_sizes=(2, 3))),
+])
+def test_signal_draw_continues_from_the_state_the_design_draw_leaves(design, extra):
+    # cells that share a design draw it once and run each signal draw from a
+    # copy of the generator state after it; that must give gen_*'s bytes
+    gen, signal = ((gen_gaussian, simlab._feature_signal) if design == "gaussian"
+                   else (gen_group, simlab._group_signal))
+    for seed, rep in ((0, 0), (3, 1), (11009, 5)):
+        config = ExperimentConfig(design=design, seed=seed, **extra)
+        rng = simlab._rep_rng(seed, rep)
+        X = simlab._design(config, rng)
+        state = rng.bit_generator.state
+        want = gen(config, rep)
+        for _ in range(2):
+            replay = np.random.default_rng(0)
+            replay.bit_generator.state = state
+            got = signal(config, replay, X)
+            assert got.design.entries.tobytes() == want.design.entries.tobytes()
+            assert got.beta.tobytes() == want.beta.tobytes()
+            assert got.y.tobytes() == want.y.tobytes()
+            assert got.truth == want.truth
 
 
 def test_package_builds_no_dense_identity():
@@ -655,7 +688,7 @@ def test_run_experiment_pure_noise_power_is_vacuous():
 def test_run_experiment_group_design():
     report = run_experiment(_group_config())
     assert report.v.shape == (4,)
-    assert report.extras["signal_value"] == resolve_group_amplitude(_group_config())
+    assert report.extras["signal_value"] == resolve_signal(_group_config())
     assert report.extras["group_scale_mode"] == "per-class"
     assert report.extras["schedule"]["rule"] == "group-kFWER"
 
