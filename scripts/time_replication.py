@@ -32,10 +32,9 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import time  # noqa: E402
 
-# stepslope imports these on first use (chi quantiles, group QR); loaded
-# here so no timed stage or traced allocation includes the one-time import
+# stepslope imports it on the first group QR; loaded here so no timed
+# stage or traced allocation includes the one-time import
 import scipy.linalg  # noqa: E402, F401
-import scipy.special  # noqa: E402, F401
 import tracing  # noqa: E402
 from stepslope import cli, simlab  # noqa: E402
 

@@ -1,22 +1,26 @@
 """Scalar statistical primitives for schedule generation.
 
 Normal and chi quantiles plus inversion of equal-weight mixtures of scaled
-chi CDFs.  All quantiles are deterministic scalar routines accurate to far
-below the tolerances the regularization schedules need (1e-12 normal,
-1e-10 chi and mixtures).  Only the chi routines need scipy.special, which
-is imported on their first call (_special), so feature schedules never
-load it.
+chi CDFs, in stdlib math alone.  At integer degrees of freedom the chi
+upper tail is a finite sum of positive terms (erfc plus Poisson-like
+terms) and the CDF below the mean a series of positive terms, so neither
+cancels: chi_quantile, Newton on the log of the smaller tail, lands within
+a few ulps of the quantile.  All routines are deterministic scalar code
+accurate to far below the tolerances the regularization schedules need
+(1e-12 normal, 1e-10 mixtures).
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 
-from .errors import check_count, check_level, check_scale
+from .errors import NumericalError, check_count, check_level, check_scale
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = 2.0 ** -53
 _CLAMP = 1e-15
+# Newton from Wilson-Hilferty takes a handful; the cap only bounds the loop
+_NEWTON_STEPS = 50
 
 
 def _checked_prob(p):
@@ -65,33 +69,100 @@ def normal_quantile(p):
     return x if p > 0.5 else -x
 
 
-@cache
-def _special():
-    # the import costs more time and memory than the rest of the package
-    # (it pulls in numpy.f2py and numpy.testing); cached, since one group
-    # schedule makes thousands of chi calls
-    import scipy.special
+def _chi_upper(x, dof):
+    """(Q, T): the chi upper tail P(chi_dof > x) = Q(a, u) at a = dof/2,
+    u = x^2/2, and the next term T = u^a e^-u / Gamma(a+1).
 
-    return scipy.special
+    At integer dof the tail is a finite sum of positive terms,
+    Q(a+1, u) = Q(a, u) + u^a e^-u / Gamma(a+1), from Q(1/2, u) =
+    erfc(x/sqrt 2) or Q(0, u) = 0.  Each term is exponentiated whole, so
+    it cannot cancel and e^-u cannot underflow on its own.  Needs
+    0 < x^2/2 < inf.
+    """
+    u = 0.5 * x * x
+    lu = math.log(u)
+    odd = dof % 2
+    tail = math.erfc(x / _SQRT2) if odd else 0.0
+    a = 0.5 * odd
+    while a < 0.5 * dof:
+        tail += math.exp(a * lu - u - math.lgamma(a + 1.0))
+        a += 1.0
+    return tail, math.exp(a * lu - u - math.lgamma(a + 1.0))
+
+
+def _chi_lower_log(x, dof):
+    """(log P, S): the log of the chi CDF P(a, u) = T * S, and the series
+    S = sum_k u^k / ((a+1)...(a+k)) of positive terms, for x^2 below the
+    mean dof, where each term is below the one before."""
+    a = 0.5 * dof
+    u = 0.5 * x * x
+    s = term = 1.0
+    k = a
+    while term > _EPS * s:
+        k += 1.0
+        term *= u / k
+        s += term
+    return a * math.log(u) - u - math.lgamma(a + 1.0) + math.log(s), s
 
 
 def chi_cdf(x, dof):
-    """CDF of the chi distribution (square root of a chi-square variable)."""
+    """CDF of the chi distribution (square root of a chi-square variable).
+
+    Below the mean (x^2 < dof), the series of _chi_lower_log, to a few
+    ulps of the CDF; above it, 1 - Q with Q the finite sum of _chi_upper,
+    to a few ulps of 1.
+    """
     dof = check_count("dof", dof)
     if x <= 0.0:
         return 0.0
-    return float(_special().gammainc(0.5 * dof, 0.5 * x * x))
+    u = 0.5 * x * x
+    if u == 0.0:  # x < 1.5e-162, where P(a, u) <= u^a / Gamma(a+1) rounds away
+        return 0.0
+    if u == math.inf:
+        return 1.0
+    if u < 0.5 * dof:
+        return math.exp(_chi_lower_log(x, dof)[0])
+    return 1.0 - _chi_upper(x, dof)[0]
 
 
 def chi_quantile(p, dof):
     """Inverse chi CDF: the x with F_chi_dof(x) = p.
 
-    Uses F_chi_l(x) = F_chisq_l(x^2), inverting the regularized incomplete
-    gamma function.  Absolute error well below 1e-10.
+    Newton on log x against the log of the smaller tail: the upper tail
+    Q = 1 - p for p >= 1/2, where that subtraction is exact, else the CDF
+    p itself.  Both logs are concave in log x, so after the first step
+    every iterate lies on one side of the root and moves toward it.  It
+    starts from Wilson-Hilferty, raised below the median to the bound
+    P(a, u) <= u^a / Gamma(a+1); a handful of steps reach the root to a
+    few ulps.  A schedule passes p = 1 - tail, so the tail inverted is the
+    float 1 - p, not the tail it started from.
     """
     dof = check_count("dof", dof)
     p = _checked_prob(p)
-    return math.sqrt(2.0 * float(_special().gammaincinv(0.5 * dof, p)))
+    upper = p >= 0.5
+    tail = 1.0 - p if upper else p
+    log_tail = math.log(tail)
+    # Wilson-Hilferty: chi^2_dof / dof ~ (1 - c + z sqrt(c))^3, c = 2/(9 dof)
+    z = _normal_tail_initial(tail)
+    c = 2.0 / (9.0 * dof)
+    base = 1.0 - c + (z if upper else -z) * math.sqrt(c)
+    x = math.sqrt(dof * base ** 3) if base > 0.0 else 0.0
+    if not upper:
+        a = 0.5 * dof
+        x = max(x, math.sqrt(2.0 * math.exp((log_tail + math.lgamma(a + 1.0)) / a)))
+    for _ in range(_NEWTON_STEPS):
+        if upper:
+            q, t = _chi_upper(x, dof)
+            # d log Q / d log x = -dof T / Q
+            step = (math.log(q) - log_tail) * q / (dof * t)
+        else:
+            log_p, s = _chi_lower_log(x, dof)
+            # d log P / d log x = dof / S
+            step = (log_tail - log_p) * s / dof
+        x += x * math.expm1(step)
+        if abs(step) <= 1e-12:
+            return x
+    raise NumericalError(f"chi quantile at p={p!r}, dof={dof} did not converge")
 
 
 @dataclass(frozen=True)

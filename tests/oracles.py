@@ -12,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.special
 from scipy.optimize import isotonic_regression
 
 
@@ -54,6 +55,33 @@ def chi_quantile_bisect(p, dof, tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def chi_upper_quantile_mp(q, dof, dps=40):
+    """The x with P(chi_dof > x) = q, inverting the upper tail in mpmath.
+
+    chi_quantile_bisect bisects a float CDF near 1, so at p = 1 - 1e-10 its
+    answer is off by ~1e-7; this one works on the tail q itself.  Newton at
+    dps digits from scipy's double-precision chi-square inverse, until the
+    step is below 10^(5 - dps) of x, so the float returned is the root
+    rounded once.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0,1)")
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(dof) / 2
+        q = mpmath.mpf(q)
+        x = mpmath.sqrt(2 * mpmath.mpf(float(scipy.special.gammainccinv(dof / 2, float(q)))))
+        for _ in range(20):
+            u = x * x / 2
+            tail = mpmath.gammainc(a, u, mpmath.inf, regularized=True)
+            # d tail / dx = -x u^(a-1) e^-u / Gamma(a)
+            density = x * mpmath.exp((a - 1) * mpmath.log(u) - u - mpmath.loggamma(a))
+            step = (tail - q) / density
+            x += step
+            if abs(step) < mpmath.mpf(10) ** (5 - dps) * x:
+                return float(x)
+    raise ArithmeticError(f"Newton did not converge at q={q}, dof={dof}")
 
 
 def mixture_cdf_mp(x, components):

@@ -2,7 +2,9 @@
 
 One test per numbered criterion, with the tolerance and the runtime budget
 pinned in the assertion itself.  Criterion 7 is split so the selection-error
-bounds and the power bound report separately.
+bounds and the power bound report separately, and criterion 11 so the k-FWER
+and FDP cells of the correlated-means design do.  Criterion 11 fails today
+and is a strict xfail until the design is fixed (ROADMAP item 11).
 
 No fixed power floor is asserted for the group methods.  On the criterion-7
 cell (group-orthogonal, 180 null groups with ||y_g||^2 ~ chi^2_5 and 20
@@ -24,6 +26,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from scipy.stats import binom
 
 from stepslope.cli import main
 from stepslope.groups import GroupPartition, solve_group_slope
@@ -201,6 +204,41 @@ def test_criterion_08_gaussian_corrected_fdp_control():
     assert report.aggregates["fdr"][0] <= 0.15
     assert report.aggregates["prob_fdp"][0] <= 0.1
     assert elapsed < 600.0
+
+
+def _table3_cell(method):
+    doc = json.loads(resources.files("stepslope").joinpath("presets/table3.json").read_text())
+    (d,) = [d for d in doc["experiments"] if d["method"] == method and d["t"] == 10]
+    # the preset cell at 200 replications in place of 100
+    return ExperimentConfig.from_dict(dict(d, replications=200))
+
+
+_ITEM_11 = ("ROADMAP item 11: gen_correlated_means returns the whitener as the design, "
+            "with column norms ~1.41, not 1, so every schedule entry acts as ~0.71 of itself "
+            "and the table3 sorted-L1 cells lose their level (0.98-1.00 at 100 reps)")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_11)
+def test_criterion_11_correlated_means_kfwer_control():
+    config = _table3_cell("k-slope")
+    assert (config.k, config.alpha) == (6, 0.1)
+    start = time.monotonic()
+    report = run_experiment(config)
+    assert time.monotonic() - start < 120.0
+    hits = int(report.k_hit.sum())
+    # one-sided 99% binomial limit: a cell at its level exceeds it in <= 1% of runs
+    assert hits <= binom.ppf(0.99, config.replications, config.alpha), hits
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_11)
+def test_criterion_11_correlated_means_fdp_control():
+    config = _table3_cell("f-slope")
+    assert (config.alpha, config.gamma) == (0.1, 0.1)
+    start = time.monotonic()
+    report = run_experiment(config)
+    assert time.monotonic() - start < 120.0
+    exceed = int(report.fdp_exceeds.sum())
+    assert exceed <= binom.ppf(0.99, config.replications, config.alpha), exceed
 
 
 def test_criterion_09_full_scale_orthogonal_table():

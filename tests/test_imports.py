@@ -1,8 +1,9 @@
 """Import weight of the package.
 
-scipy serves only the chi quantiles of the group schedules and the group QR,
-so it is imported on first use; a serial run never loads the process pool.
-Each check runs in a fresh interpreter and reads sys.modules afterwards.
+scipy serves only the group QR, which imports scipy.linalg on first use;
+the chi quantiles of the group schedules are stdlib math, so no schedule
+loads scipy.  A serial run never loads the process pool.  Each check runs
+in a fresh interpreter and reads sys.modules afterwards.
 """
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# scipy.special alone costs more import time and memory than the package
+# scipy.linalg alone costs more import time and memory than the package
 DEFERRED = ("scipy", "concurrent.futures.process")
 
 
@@ -61,11 +62,31 @@ def test_serial_feature_run_loads_no_scipy_and_no_process_pool(cell):
     assert _loaded(code, DEFERRED) == []
 
 
-def test_first_chi_quantile_loads_scipy_special_only():
-    loaded = _loaded("from stepslope.quantiles import chi_quantile\nchi_quantile(0.9, 3)",
-                     ("scipy",))
-    assert "scipy.special" in loaded
-    assert not any(m.startswith("scipy.linalg") for m in loaded)
+def test_group_schedule_resolution_loads_no_scipy():
+    code = (
+        "from stepslope import simlab\n"
+        "config = simlab.ExperimentConfig(design='group-gaussian', method='gk-slope', n=200,\n"
+        "                                 m=48, t=4, k=2, num_groups=12, group_sizes=(3, 4, 5),\n"
+        "                                 replications=1, seed=3)\n"
+        "mode, schedule, _ = simlab.resolve_schedule(config)\n"
+        "print(schedule.rule)\n"
+    )
+    rule, *loaded = _loaded(code, ("scipy",))
+    assert rule == "group-kFWER-corrected"
+    assert loaded == []
+
+
+def test_group_lambda_command_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "from stepslope.cli import main\n"
+        "sys.argv = ['stepslope', 'lambda', '--rule', 'group-kFWER-corrected', '--k', '2',\n"
+        "            '--alpha', '0.1', '--n', '300', '--group-sizes', '2,2,3,3']\n"
+        "main(standalone_mode=False)\n"
+    )
+    out = _loaded(code, ("scipy",))
+    assert out[0] == "index,value"
+    assert [line for line in out if line.startswith("scipy")] == []
 
 
 def test_first_standardize_loads_scipy_linalg():

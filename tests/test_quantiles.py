@@ -1,11 +1,14 @@
 """Quantile routines against slow independent oracles."""
+import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepslope import quantiles, simlab
 from stepslope.quantiles import (
     ChiMixture,
     chi_cdf,
@@ -18,6 +21,7 @@ from stepslope.quantiles import (
 from oracles import (
     chi_cdf_mp,
     chi_quantile_bisect,
+    chi_upper_quantile_mp,
     mixture_cdf_mp,
     mixture_quantile_grid,
     normal_quantile_bisect,
@@ -64,10 +68,57 @@ def test_normal_quantile_monotone(p):
 
 def test_chi_quantile_matches_mpmath_oracle():
     for dof in (1, 2, 3, 5, 10, 50):
-        for p in (0.01, 0.1, 0.5, 0.9, 0.95, 0.999):
+        for p in (0.01, 0.1):
             assert chi_quantile(p, dof) == pytest.approx(
                 chi_quantile_bisect(p, dof), abs=1e-9
             )
+
+
+# upper tails from 0.5 down to 1e-9
+TAILS = (0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+
+
+def _assert_tail_accurate(p, dof, rel):
+    # the tail chi_quantile inverts at p >= 1/2 is 1 - p, an exact subtraction
+    want = chi_upper_quantile_mp(1.0 - p, dof)
+    got = chi_quantile(p, dof)
+    assert abs(got - want) <= rel * want, (p, dof, got, want)
+
+
+@pytest.mark.parametrize("dof,rel", [(d, 1e-15) for d in (1, 2, 3, 4, 5, 6, 7, 50)]
+                         + [(1000, 1e-14)])
+def test_chi_quantile_matches_the_upper_tail_oracle(dof, rel):
+    for tail in TAILS:
+        _assert_tail_accurate(1.0 - tail, dof, rel)
+
+
+def _schedule_levels(preset):
+    """Every distinct (p, dof) a preset's schedules pass to chi_quantile."""
+    seen = set()
+    real = quantiles.chi_quantile
+
+    def recording(p, dof):
+        seen.add((p, dof))
+        return real(p, dof)
+
+    text = resources.files("stepslope").joinpath("presets", f"{preset}.json").read_text()
+    with pytest.MonkeyPatch.context() as mp:
+        # schedules calls it by its own name, mixture_quantile by the module's
+        mp.setattr("stepslope.schedules.chi_quantile", recording)
+        mp.setattr(quantiles, "chi_quantile", recording)
+        for d in json.loads(text)["experiments"]:
+            simlab.resolve_schedule(simlab.ExperimentConfig.from_dict(d))
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("preset", ["table7", "fig4", "table9"])
+def test_chi_quantile_is_tail_accurate_at_the_preset_levels(preset):
+    levels = _schedule_levels(preset)
+    # the smallest and largest tails and 60 spread between them, per dof
+    for dof in sorted({d for _, d in levels}):
+        ps = [p for p, d in levels if d == dof]
+        for i in sorted(set(np.linspace(0, len(ps) - 1, 62).round().astype(int).tolist())):
+            _assert_tail_accurate(ps[i], dof, 1e-15)
 
 
 def test_chi_quantile_frozen_values():
@@ -86,9 +137,26 @@ def test_chi_cdf_matches_mpmath():
             assert chi_cdf(x, dof) == pytest.approx(chi_cdf_mp(x, dof), abs=1e-12)
 
 
+@pytest.mark.parametrize("dof", [1, 2, 5, 50])
+def test_chi_lower_tail_is_relative_accurate(dof):
+    # below the median both routines work on the CDF itself, not on 1 - Q
+    for p in (1e-12, 1e-6, 1e-3, 0.3):
+        x = chi_quantile(p, dof)
+        assert chi_cdf_mp(x, dof) == pytest.approx(p, rel=1e-13)
+        assert chi_cdf(x, dof) == pytest.approx(p, rel=1e-13)
+
+
 def test_chi_cdf_zero_below_origin():
     assert chi_cdf(0.0, 3) == 0.0
     assert chi_cdf(-1.0, 3) == 0.0
+
+
+@pytest.mark.parametrize("dof", [1, 2, 7])
+def test_chi_cdf_at_the_ends_of_the_float_range(dof):
+    # x^2/2 underflows to 0 or overflows to inf; neither may reach a log
+    assert chi_cdf(1e-170, dof) == 0.0
+    assert chi_cdf(1e200, dof) == 1.0
+    assert chi_cdf(math.inf, dof) == 1.0
 
 
 @pytest.mark.parametrize("bad", [0, -1, 2.5])

@@ -158,3 +158,34 @@ def test_thresholds_refuse_a_non_finite_count_with_a_value_error(m):
         kfwer_thresholds(m, 1, 0.1)
     with pytest.raises(ValueError, match="m must be a positive integer"):
         fdp_thresholds(m, 0.1, 0.1)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    m=st.sampled_from([20, 200, 1000]),
+    t_frac=st.floats(min_value=0.0, max_value=0.3),
+    k=st.integers(min_value=1, max_value=8),
+    alpha=st.sampled_from([0.05, 0.1, 0.2]),
+    gamma=st.sampled_from([0.1, 0.25]),
+    signal=st.sampled_from(["weak", "moderate", "strong"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_slope_support_contains_the_stepdown_rejections(seed, m, t_frac, k, alpha, gamma,
+                                                        signal):
+    # on the identity design the SLOPE support is the R largest |y| with
+    # R_SD <= R (Bogdan et al., AoAS 2015), so each replication's k-slope
+    # and f-slope fits keep every rejection of the stepdown at their levels
+    from stepslope.simlab import ExperimentConfig, _draw, _fit, resolve_schedule
+
+    for slope, baseline in (("k-slope", "sd-kfwer"), ("f-slope", "sd-fdp")):
+        cells = [ExperimentConfig(design="orthogonal-identity", method=method, n=m, m=m,
+                                  t=int(t_frac * m), k=k, alpha=alpha, gamma=gamma,
+                                  signal=signal, replications=3, seed=seed)
+                 for method in (slope, baseline)]
+        (mode, schedule, _), (sd_mode, levels, _) = map(resolve_schedule, cells)
+        for rep in range(3):
+            data = _draw(cells[0], rep)
+            fit = _fit(cells[0], rep, data, mode, schedule)
+            rejected = _fit(cells[1], rep, data, sd_mode, levels)
+            assert fit.converged
+            assert rejected <= fit.support, (slope, rep, sorted(rejected - fit.support))
