@@ -10,8 +10,10 @@ with unit weights, so every prox is one exact sorted-L1 prox of the block
 norms.  The fit runs on a working set of blocks, certified on the full
 standardized design (see solver._working_set).  Group selection is read
 off the exact zeros of the block norms.  The identity design is passed as
-None and needs no QR.  scipy.linalg is imported on the first QR
-(get_lapack_funcs), so feature-design runs never load it.
+None and needs no QR: its fit is solve_slope's feature fit of the block
+norms of y, on the O(t) diagonal diag(1/w) when the weights are unequal.
+scipy.linalg is imported on the first QR (get_lapack_funcs), so
+feature-design runs never load it.
 """
 
 from dataclasses import dataclass, field
@@ -21,14 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, check_count, check_scale
-from .solver import DesignMatrix, _working_set, solve_slope, support_metrics
+from .solver import DesignMatrix, _DiagonalPlusConstant, _working_set, solve_slope, support_metrics
 from .sorted_l1 import _weights, prox_sorted_l1, sorted_l1_norm
-
-
-def _check_weights(w):
-    """check_scale on group weights w: its min (NaN if any is NaN) and max."""
-    check_scale("group weights", w.min())
-    check_scale("group weights", w.max())
 
 
 _WEIGHT_SCHEMES = {"sqrt": np.sqrt, "inv-sqrt": lambda size: 1.0 / np.sqrt(size)}
@@ -41,7 +37,7 @@ def _scheme_weights(sizes, scheme):
     return _WEIGHT_SCHEMES[scheme](np.asarray(sizes, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupPartition:
     """A partition of feature indices 0..m-1 into disjoint covering groups.
 
@@ -63,9 +59,9 @@ class GroupPartition:
 
     groups: tuple
     weights: np.ndarray = None
-    sizes: tuple = field(init=False, repr=False, compare=False)
-    num_features: int = field(init=False, repr=False, compare=False)
-    order: np.ndarray = field(init=False, repr=False, compare=False)
+    sizes: tuple = field(init=False, repr=False)
+    num_features: int = field(init=False, repr=False)
+    order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         groups = tuple(tuple(int(i) for i in g) for g in self.groups)
@@ -85,7 +81,9 @@ class GroupPartition:
                 raise ValueError(
                     f"weights have shape {w.shape}, expected ({len(groups)},)"
                 )
-            _check_weights(w)
+            # the min is NaN if any weight is
+            check_scale("group weights", w.min())
+            check_scale("group weights", w.max())
         w.flags.writeable = False
         order = np.array(flat, dtype=int)
         order.flags.writeable = False
@@ -151,7 +149,7 @@ class GroupPartition:
         return cls(groups)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardizedProblem:
     """Per-group orthonormalized design.
 
@@ -326,77 +324,51 @@ class GroupFitResult(NamedTuple):
     full_matvecs: int = 0
 
 
-def group_prox(v, weights, lam, step):
-    """Prox of step * J_lam(weights * g) over non-negative vectors g.
+def group_prox(v, lam, step):
+    """Prox of step * J_lam(g) over non-negative vectors g.
 
     Parameters
     ----------
     v : array_like
         Non-negative targets (block norms of a gradient step).
-    weights : array_like
-        Positive, finite per-group weights.
     lam : LambdaSchedule or array_like
         Finite, non-increasing, non-negative weights, one per group.
     step : float
         Non-negative, finite prox scaling; NaN and inf are refused.
 
-    With equal weights, or a zero step, this is the sorted-L1 prox of v
-    against step*w*lam, clipped at zero.  Unequal weights substitute
-    u = w*g, which turns the problem into sorted-L1 least squares of v on
-    the t x t diagonal design diag(1/w) with sigma = step; solve_slope fits
-    it to its certified gap and g = u / w.  solve_group_slope folds unequal
-    weights into any design it is given, so only the identity design
-    (None) reaches that fit.
-
-    Raises
-    ------
-    NumericalError
-        When the unequal-weight fit does not converge.
+    This is the sorted-L1 prox of v against step*lam, clipped at zero.  A
+    group weight w shared by every group is part of the step, since
+    J_lam(w * g) = w * J_lam(g); solve_group_slope folds unequal weights
+    into a design, and fits the identity design's block norms as a feature
+    problem, so no prox here sees them.
     """
     v = np.asarray(v, dtype=float)
-    w = np.asarray(weights, dtype=float)
     lamv = _weights(lam, v.size)
-    if v.shape != w.shape or v.shape != lamv.shape:
-        raise ValueError("v, weights, and lam must have matching lengths")
     if np.any(v < 0.0):
         raise ValueError("group prox targets must be non-negative")
-    _check_weights(w)
     if not 0.0 <= step < np.inf:
         raise ValueError(f"step must be non-negative and finite, got {step!r}")
-
-    if step == 0.0 or np.all(w == w[0]):
-        return np.maximum(prox_sorted_l1(v, step * w[0] * lamv), 0.0)
-
-    # v >= 0 makes the exact u non-negative; the clip only drops a sign
-    # an iterate from an extrapolated point may carry
-    fit = solve_slope(DesignMatrix(np.diag(1.0 / w), require_unit_columns=False),
-                      v, lamv, sigma=step)
-    if not fit.converged:
-        raise NumericalError(
-            f"group prox fit did not converge in {fit.iterations} iterations "
-            f"(final gap {fit.final_gap:.3g})"
-        )
-    return np.maximum(fit.beta, 0.0) / w
+    return np.maximum(prox_sorted_l1(v, step * lamv), 0.0)
 
 
 def _block_norms(vec, offsets):
     return np.sqrt(np.add.reduceat(vec * vec, offsets))
 
 
-def _block_problem(offsets, ranks, wts, lamv):
+def _block_problem(offsets, ranks, w, lamv):
     """_fista's (prox, dual) for blocks at offsets of the given ranks, with
-    group weights wts and schedule lamv.  The prox's penalty is
-    J_lamv(wts * block norms) of its output, as the objective defines it:
+    the one group weight w and schedule lamv.  The prox's penalty is
+    J_lamv(w * block norms) of its output, as the objective defines it:
     the norms the block prox works with internally round differently."""
 
     def prox(z, step):
         gz = _block_norms(z, offsets)
-        gstar = group_prox(gz, wts, lamv, step)
+        gstar = group_prox(gz, lamv, step * w)
         scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
         b = z * np.repeat(scale, ranks)
-        return b, sorted_l1_norm(wts * _block_norms(b, offsets), lamv)
+        return b, sorted_l1_norm(w * _block_norms(b, offsets), lamv)
 
-    return prox, lambda g: _block_norms(g, offsets) / wts
+    return prox, lambda g: _block_norms(g, offsets) / w
 
 
 def solve_group_slope(
@@ -415,24 +387,28 @@ def solve_group_slope(
     by the feature solver's FISTA loop with the exact block prox and block
     norms in place of coordinate magnitudes, then maps c back to feature
     coefficients through minimum-norm solves against each group's QR
-    factor.  With unequal weights and a design, the weights are folded into
-    it: the loop fits d = w * c on the blocks X~_g / w_g with unit weights,
-    so its prox is one sorted-L1 prox of the block norms, and c = d / w.
-    The certificate is unchanged, since ||d_g|| = w_g ||c_g|| and
-    ||(X~_g / w_g)^T r|| = ||X~_g^T r|| / w_g.  With a design, the loop
-    runs on a working set of blocks of X~ (solver._working_set): the
-    groups violating dual feasibility at c = 0, grown until the fit is
-    certified on all of X~, or every block once the set passes 1/16 of the
-    groups.  max_iter is shared by its rounds.
+    factor.  With unequal weights and a design, the weights are folded into it:
+    the loop fits d = w * c on the blocks X~_g / w_g with unit weights, so
+    its prox is one sorted-L1 prox of the block norms, and c = d / w.  The
+    certificate is unchanged, since ||d_g|| = w_g ||c_g|| and
+    ||(X~_g / w_g)^T r|| = ||X~_g^T r|| / w_g.  The loop runs on a working
+    set of blocks of X~ (solver._working_set): the groups violating dual
+    feasibility at c = 0, grown until the fit is certified on all of X~, or
+    every block once the set passes 1/16 of the groups.  max_iter is shared
+    by its rounds.
 
     Parameters
     ----------
     design : DesignMatrix, array_like or None
         None is the identity design, n = m = len(y), fitted without a
-        matrix or a QR: every block is already orthonormal with rank equal
-        to its size, so c is y gathered group by group, the fit is one
-        certified block prox (iterations=1, matvecs=0) and beta scatters c
-        back.  Groups need not be contiguous.
+        matrix or a QR: every block is orthonormal, so the fit is
+        solve_slope's of the block norms v of y, each block of y rescaled
+        to its fitted norm g.  The problem in g >= 0,
+        0.5*||v - g||^2 + sigma*J_lam(w * g), is one prox for equal
+        weights (iterations=1, matvecs=0), and for unequal ones sorted-L1
+        least squares of v on the O(t) diagonal diag(1/w) in u = w * g,
+        fitted at tol and max_iter.  The counters, gap and objective are
+        solve_slope's.  Groups need not be contiguous.
     standardized : StandardizedProblem, optional
         Reuse a precomputed standardization of (design, partition);
         repeated fits on the same design skip the QR work.  Not used when
@@ -447,42 +423,54 @@ def solve_group_slope(
         exact and selected_groups is read off literally.
     """
     lamv = _weights(lam, len(partition))
+    wts = partition.weights
     if design is None:
         y = np.asarray(y, dtype=float)
         m = partition.num_features
         if y.shape != (m,):
             raise ValueError(f"response has shape {y.shape}, expected ({m},)")
         order = partition.order
-        X, target = None, y[order]
+        target = y[order]
         ranks = np.asarray(partition.sizes)
-        offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
+        offsets = np.cumsum(ranks) - ranks
+        v = _block_norms(target, offsets)
+        if np.all(wts == wts[0]):
+            # checked before the weight scales it, so a refusal names sigma's value
+            fit = solve_slope(None, v, lamv, check_scale("sigma", sigma) * wts[0], tol, max_iter)
+            gstar = fit.beta
+        else:
+            # u = w * g fits v on diag(1/w); v >= 0 makes the exact u
+            # non-negative, and the clip drops a sign an iterate may carry
+            diagonal = _DiagonalPlusConstant(v.size, 1.0 / wts, 0.0)
+            fit = solve_slope(diagonal, v, lamv, sigma, tol, max_iter)
+            gstar = np.maximum(fit.beta, 0.0) / wts
+        scale = np.divide(gstar, v, out=np.zeros_like(v), where=v > 0.0)
+        c = target * np.repeat(scale, ranks)
+        stats = fit[2:]
     else:
         sp = standardized if standardized is not None else standardize(design, partition)
-        X, target = sp.x_tilde, y
-        ranks = np.asarray(sp.ranks)
-        offsets = sp.offsets
-    wts = partition.weights
-    folded = X is not None and not np.all(wts == wts[0])
-    if folded:
-        col_w = np.repeat(wts, ranks)
-        if standardized is None:
-            X /= col_w
-        else:
-            X = X / col_w
-        wts = np.ones(len(partition))
+        X, ranks, offsets = sp.x_tilde, np.asarray(sp.ranks), sp.offsets
+        folded = not np.all(wts == wts[0])
+        w = 1.0 if folded else wts[0]
+        if folded:
+            col_w = np.repeat(wts, ranks)
+            if standardized is None:
+                X /= col_w
+            else:
+                X = X / col_w
 
-    def problem(units):
-        if units is None:
-            return (None, *_block_problem(offsets, ranks, wts, lamv))
-        # the blocks of units, packed side by side in order
-        rk = ranks[units]
-        packed = np.cumsum(rk) - rk
-        cols = np.repeat(offsets[units] - packed, rk) + np.arange(packed[-1] + rk[-1])
-        return (cols, *_block_problem(packed, rk, wts[units], lamv[: units.size]))
+        def problem(units):
+            if units is None:
+                return (None, *_block_problem(offsets, ranks, w, lamv))
+            # the blocks of units, packed side by side in order
+            rk = ranks[units]
+            packed = np.cumsum(rk) - rk
+            cols = np.repeat(offsets[units] - packed, rk) + np.arange(packed[-1] + rk[-1])
+            return (cols, *_block_problem(packed, rk, w, lamv[: units.size]))
 
-    c, stats = _working_set(X, target, lamv, sigma, tol, max_iter, problem)
-    if folded:
-        c = c / col_w
+        c, stats = _working_set(X, y, lamv, sigma, tol, max_iter, problem)
+        if folded:
+            c = c / col_w
     norms = _block_norms(c, offsets)
     beta = np.zeros(partition.num_features)
     if design is None:

@@ -54,6 +54,11 @@ def normal_quantile(p):
     -------
     float
         x with Phi(x) = p, absolute error below 1e-12.
+
+    Raises
+    ------
+    NumericalError
+        If six Newton steps leave the tail residual at 1e-16 or more.
     """
     p = _checked_prob(p)
     if p == 0.5:
@@ -65,8 +70,8 @@ def normal_quantile(p):
         err = 0.5 * math.erfc(x / _SQRT2) - q
         x += err / (math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
         if abs(err) < 1e-16:
-            break
-    return x if p > 0.5 else -x
+            return x if p > 0.5 else -x
+    raise NumericalError(f"normal quantile at p={p!r} did not converge")
 
 
 def _chi_upper(x, dof):

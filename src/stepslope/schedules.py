@@ -25,7 +25,7 @@ from .sorted_l1 import _check_order
 from .stepdown import fdp_thresholds, kfwer_thresholds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaSchedule:
     """A validated schedule: non-negative, non-increasing weights plus provenance.
 

@@ -35,7 +35,7 @@ from .schedules import (
 from .solver import (
     DesignMatrix,
     SupportMetrics,
-    _Equicorrelated,
+    _DiagonalPlusConstant,
     solve_slope,
     support_metrics,
 )
@@ -322,12 +322,12 @@ def _equicorr_matrices(n, rho):
 
     Both have the closed form c1*(I - J/n) + c2*(J/n) with J the all-ones
     matrix; the whitener uses c = 1/sqrt(eigenvalue), the root sqrt.  Each
-    is an _Equicorrelated operator, built in O(1) and applied in O(n).
+    is a _DiagonalPlusConstant operator, built in O(1) and applied in O(n).
     """
     lo = 1.0 - rho
     hi = 1.0 - rho + n * rho
-    return (_Equicorrelated(n, 1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)),
-            _Equicorrelated(n, math.sqrt(lo), math.sqrt(hi)))
+    pairs = ((1.0 / math.sqrt(lo), 1.0 / math.sqrt(hi)), (math.sqrt(lo), math.sqrt(hi)))
+    return tuple(_DiagonalPlusConstant(n, c1, (c2 - c1) / n) for c1, c2 in pairs)
 
 
 def _rep_rng(seed, rep):
@@ -400,7 +400,7 @@ def gen_correlated_means(config, rep):
     (beta is mu), feeds the stepdown baselines directly (unit marginal
     variances); the sorted-L1 methods see the whitened regression y = W ybar
     against the design W, whose columns are deliberately not unit-norm.  W
-    and the root of Sigma are _Equicorrelated operators, so no n x n
+    and the root of Sigma are _DiagonalPlusConstant operators, so no n x n
     matrix is formed, and W is returned as the design.  mu's nonzero value
     is scaled by the norm of W's first column, built as the dense matrix
     held it, so that the effective per-column signal matches the named
@@ -531,7 +531,7 @@ def _rep_worker(args):
 _REPLICATION_COLUMNS = SupportMetrics._fields + ("converged",)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrialReport:
     """Per-replication selection counts and their aggregates for one config."""
 

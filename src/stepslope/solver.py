@@ -22,7 +22,8 @@ the penalty with the prox point (for features, its sorted |b| dotted
 with the weights), so the objective sorts nothing, and the certificate
 sorts the dual magnitudes once.  The group solver runs the same working
 set and loop with a block prox, on blocks.  The whitened equicorrelated
-design is an O(n) operator, _Equicorrelated.
+design and the diagonal of an unequal-weight identity group fit are O(n)
+operators, _DiagonalPlusConstant.
 """
 
 import math
@@ -35,7 +36,7 @@ from .errors import NumericalError, check_count, check_level, check_scale
 from .sorted_l1 import _check_order, _infeasibility, _prox_kernel, _weights, sorted_l1_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """A validated design: finite entries, and unit columns unless waived.
 
@@ -43,9 +44,9 @@ class DesignMatrix:
     require_unit_columns : bool
         When True (the default) every column norm must be within 1e-8 of
         one.  Pass False for designs that are deliberately unnormalized,
-        e.g. the diagonal design of groups.group_prox or a design file the
-        CLI reads with --allow-unnormalized.  The whitened equicorrelated
-        design of the simulations is an _Equicorrelated operator instead.
+        e.g. a design file the CLI reads with --allow-unnormalized.  The
+        whitened equicorrelated design of the simulations is a
+        _DiagonalPlusConstant operator instead.
 
     Validation reads the entries once: the column sums of squares are the
     unit-norm input and also the finiteness screen, since a NaN or +-inf
@@ -79,33 +80,35 @@ class DesignMatrix:
         return self.entries.shape
 
 
-class _Equicorrelated:
-    """The symmetric n x n matrix a*(I - J/n) + c*J/n, J the all-ones matrix,
-    applied in O(n) per column without forming it.
+class _DiagonalPlusConstant:
+    """The symmetric n x n matrix diag(d) + s*J, J the all-ones matrix and
+    d a scalar or a length-n array, applied in O(n) per column unformed.
 
-    It has eigenvalue a on the complement of the all-ones vector and c on
-    that vector.  X @ v is a*v + ((c - a)/n) * (column sums of v), for a
-    vector or for each column of a 2-d array, and X.T is X itself.
+    X @ v is d*v + s * (column sums of v), for a vector or for each column
+    of a 2-d array, and X.T is X itself.  The whitened equicorrelated
+    design a*(I - J/n) + c*J/n is d = a, s = (c - a)/n; the identity group
+    fit's diag(1/w) (groups.solve_group_slope) is d = 1/w, s = 0.
     """
 
-    def __init__(self, n, a, c):
+    def __init__(self, n, d, shift):
         self.shape = (n, n)
-        self.diag = a
-        self.shift = (c - a) / n
+        self.diag = d
+        self.shift = shift
 
     @property
     def T(self):
         return self
 
     def __matmul__(self, v):
-        return self.diag * v + self.shift * v.sum(axis=0)
+        return (self.diag * v.T).T + self.shift * v.sum(axis=0)
 
     def columns(self, idx):
         """The dense n x len(idx) columns idx: entry for entry those of
         self @ I for the n x n identity I, without forming it."""
         idx = np.asarray(idx, dtype=int)
         cols = np.full((self.shape[0], idx.size), self.shift)
-        cols[idx, np.arange(idx.size)] = self.diag + self.shift
+        d = np.broadcast_to(self.diag, self.shape[:1])
+        cols[idx, np.arange(idx.size)] = d[idx] + self.shift
         return cols
 
 
@@ -141,14 +144,14 @@ def operator_norm_sq(X):
     """Largest squared column norm of X: the start of _fista's step-size
     estimate L.
 
-    This is a lower bound on ||X||^2, equal to it for a diagonal design such
-    as the diag(1/w) of groups.group_prox; where it is too small, _fista's
-    backtracking test doubles it.  Unit-column designs give 1.  An array
-    costs one pass with no n x m temporary; an _Equicorrelated operator,
-    whose columns all share the norm of (a*(I - J/n) + c*J/n) e_1, costs O(1).
+    This is a lower bound on ||X||^2, equal to it for a diagonal design;
+    where it is too small, _fista's backtracking test doubles it.
+    Unit-column designs give 1.  An array costs one pass with no n x m
+    temporary; a _DiagonalPlusConstant diag(d) + s*J costs one pass over d,
+    as its column j has squared norm (d_j + s)^2 + (n - 1) s^2.
     """
-    if isinstance(X, _Equicorrelated):
-        return (X.diag + X.shift) ** 2 + (X.shape[0] - 1) * X.shift**2
+    if isinstance(X, _DiagonalPlusConstant):
+        return float(np.max((X.diag + X.shift) ** 2)) + (X.shape[0] - 1) * X.shift**2
     return float(np.einsum("ij,ij->j", X, X).max())
 
 
@@ -236,7 +239,7 @@ def _fista(X, y, w, sigma, tol, max_iter, prox, dual, start, counts):
     caller, _working_set, has checked y, sigma, tol, max_iter and the
     order of w.
 
-    X is an array or an _Equicorrelated operator.  The step starts at
+    X is an array or a _DiagonalPlusConstant operator.  The step starts at
     1/L for L = operator_norm_sq(X), a lower bound on ||X||^2, and a step
     from point p is kept only when it meets the backtracking test of Beck
     & Teboulle,
@@ -397,7 +400,7 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
                 X, y, w, sigma, tol, max_iter, prox, dual, (b, g, r, obj), counts)
             break
         cols, *sub = problem(units)
-        Xw = X.columns(cols) if isinstance(X, _Equicorrelated) else X[:, cols]
+        Xw = X.columns(cols) if isinstance(X, _DiagonalPlusConstant) else X[:, cols]
         before = counts[3]
         bw, r, _, obj, round_converged = _fista(
             Xw, y, w[: units.size], sigma, tol, max_iter, *sub, (b[cols], g[cols], r, obj),
@@ -447,17 +450,17 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
 
     Every design is fitted by _working_set, which checks the arguments once
     (errors.check_*; a NaN or inf sigma or tol is a ValueError).
-    Arrays and _Equicorrelated operators run FISTA on the columns that
+    Arrays and _DiagonalPlusConstant operators run FISTA on the columns that
     violate dual feasibility, grown until the fit is certified on the full
     design, or on all of it once they pass 1/16 of the columns.
 
     Parameters
     ----------
-    design : DesignMatrix, array_like, _Equicorrelated or None
+    design : DesignMatrix, array_like, _DiagonalPlusConstant or None
         Raw arrays are wrapped with the unit-column check enforced.  None
         is the identity design, n = m = len(y), fitted without a matrix:
         the solution is the sorted-L1 prox of y against sigma*lam, one
-        certified step (iterations=1, matvecs=0).  An _Equicorrelated
+        certified step (iterations=1, matvecs=0).  A _DiagonalPlusConstant
         operator is fitted as it is, each product costing O(n), and a
         working set gathers its columns densely.
     y : array_like, shape (n,)
@@ -478,7 +481,7 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         beta is the last prox output, so its zeros are exact and support
         is read off literally.
     """
-    if design is None or isinstance(design, _Equicorrelated):
+    if design is None or isinstance(design, _DiagonalPlusConstant):
         X = design
     else:
         X = (design if isinstance(design, DesignMatrix) else DesignMatrix(design)).entries

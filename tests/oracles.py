@@ -89,18 +89,19 @@ def mixture_cdf_mp(x, components):
     return sum(chi_cdf_mp(x / s, l) for s, l in components) / len(components)
 
 
-def mixture_quantile_grid(components, p, rounds=4, points=4000):
-    """Dense-grid inversion of the mixture CDF with progressive zoom."""
-    hi = 1.0
+def mixture_quantile_bisect(components, p, tol=1e-12):
+    """Invert the mixture CDF by plain bisection, as chi_quantile_bisect."""
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0,1)")
+    lo, hi = 0.0, 1.0
     while mixture_cdf_mp(hi, components) < p:
         hi *= 2.0
-    lo = 0.0
-    for _ in range(rounds):
-        xs = np.linspace(lo, hi, points)
-        vals = np.array([mixture_cdf_mp(x, components) for x in xs])
-        idx = int(np.searchsorted(vals, p))
-        idx = min(max(idx, 1), points - 1)
-        lo, hi = xs[idx - 1], xs[idx]
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mixture_cdf_mp(mid, components) < p:
+            lo = mid
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -339,13 +340,14 @@ def fista_direct_reference(X, y, w, sigma, tol, max_iter, L, prox, counters=None
     return b, it, restarts, float(max(infeas, rel_gap)), obj, converged
 
 
-def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, max_iter, L,
+def group_fista_direct_reference(Xt, y, offsets, ranks, wt, lam, sigma, tol, max_iter, L,
                                  group_prox):
     """The group solver's FISTA loop with four matvecs per iteration.
 
-    Xt is the standardized design with blocks starting at offsets; L is the
-    step-size estimate and group_prox(norms, wts, lam, step) the prox of
-    the weighted sorted-L1 penalty on block norms.  Returns the standardized
+    Xt is the standardized design with blocks starting at offsets and every
+    group weighted by the one weight wt; L is the step-size estimate and
+    group_prox(norms, lam, step) the prox of step * J_lam on block norms,
+    which wt enters through the step.  Returns the standardized
     coefficients with the rest as in fista_direct_reference.
     """
     def block_norms(vec):
@@ -366,7 +368,7 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
 
     def prox_point(z):
         gz = block_norms(z)
-        gstar = group_prox(gz, wts, lam, t * sigma)
+        gstar = group_prox(gz, lam, t * sigma * wt)
         scale = np.divide(gstar, gz, out=np.zeros_like(gz), where=gz > 0.0)
         return z * np.repeat(scale, ranks)
 
@@ -382,7 +384,7 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
             bound = 0.5 * float(r_p @ r_p) + float(grad @ d) + (0.5 / t) * float(d @ d)
             if 0.5 * float(r @ r) <= bound + rise:
                 return c_new, r, (0.5 * float(r @ r)
-                                  + sigma * _sorted_norm(wts * block_norms(c_new), lam))
+                                  + sigma * _sorted_norm(wt * block_norms(c_new), lam))
             t *= 0.5
 
     while it < max_iter:
@@ -393,7 +395,7 @@ def group_fista_direct_reference(Xt, y, offsets, ranks, wts, lam, sigma, tol, ma
             restarts += 1
             c_new, r, obj_new = step(c)
 
-        h = block_norms(Xt.T @ r) / wts
+        h = block_norms(Xt.T @ r) / wt
         infeas, rel_gap = certificate_reference(y, r, obj_new, h, lam, sigma)
 
         theta_new = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
@@ -492,3 +494,17 @@ def stepdown_bruteforce(p, thresholds):
         if all(ps[j] <= thresholds[j] for j in range(r)):
             best_r = r
     return set(order[:best_r].tolist())
+
+
+def stepdown_stepup_counts(mags, thresholds):
+    """(R_SD, R_SU) of magnitudes against thresholds, both in decreasing
+    order of the sorted magnitudes a_(1) >= a_(2) >= ...: R_SD is the largest
+    r with a_(j) > thresholds[j] for every j <= r, and R_SU the largest r
+    with a_(r) > thresholds[r], counted entry by entry."""
+    a = sorted((float(x) for x in mags), reverse=True)
+    above = [a[j] > float(thresholds[j]) for j in range(len(a))]
+    r_sd = 0
+    while r_sd < len(a) and above[r_sd]:
+        r_sd += 1
+    r_su = max((j + 1 for j in range(len(a)) if above[j]), default=0)
+    return r_sd, r_su

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stepslope.errors import check_count, check_index, check_level, check_scale
+from stepslope.groups import GroupPartition, solve_group_slope
 from stepslope.schedules import group_corrected_schedule, kfwer_schedule
 from stepslope.simlab import ExperimentConfig, run_experiment
 from stepslope.solver import solve_slope
@@ -68,10 +69,14 @@ def test_checkers_refuse_with_a_value_error_naming_the_argument(check, bad):
      (lambda: group_corrected_schedule("gk", 100, (5, 5), (1.0, 1.0), 0.1), "k"),
      (lambda: solve_slope(None, np.ones(3), np.ones(3), max_iter=True), "max_iter"),
      (lambda: solve_slope(None, np.ones(3), np.ones(3), sigma="1"), "sigma"),
+     (lambda: solve_group_slope(None, np.ones(4), GroupPartition.from_sizes((2, 2)),
+                                np.ones(2), sigma=True), "sigma"),
+     (lambda: solve_group_slope(None, np.ones(4), GroupPartition.from_sizes((2, 2)),
+                                np.ones(2), sigma="1"), "sigma"),
      (lambda: run_experiment(ExperimentConfig("orthogonal-identity", "k-slope", 10, 10, 1, k=1,
                                               replications=1), threads=True), "threads")],
     ids=["kfwer-k-none", "kfwer-k-true", "gk-k-omitted", "max-iter-true", "sigma-string",
-         "threads-true"],
+         "group-sigma-true", "group-sigma-string", "threads-true"],
 )
 def test_public_calls_refuse_a_non_number_by_name(call, name):
     with pytest.raises(ValueError, match=f"^{name} must "):

@@ -1,5 +1,4 @@
 """Group partition, standardization, block prox, and the group solver."""
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,7 @@ from stepslope.groups import (
     solve_group_slope,
     standardize,
 )
-from stepslope.schedules import bh_schedule, gf_schedule
+from stepslope.schedules import bh_schedule, gf_schedule, gk_schedule
 from stepslope.solver import DesignMatrix, solve_slope
 from stepslope.sorted_l1 import prox_sorted_l1, sorted_l1_norm
 
@@ -249,15 +248,17 @@ def test_standardize_shuffled_partition_allocates_one_design():
 
 
 def test_group_prox_equal_weights_closed_form():
+    # a weight w shared by every group enters as the step: J(w g) = w J(g)
     v = np.array([3.0, 1.0, 0.2])
-    w = np.full(3, 2.0)
     lam = np.array([1.0, 0.5, 0.25])
-    got = group_prox(v, w, lam, step=0.3)
+    got = group_prox(v, lam, step=0.3 * 2.0)
     want = np.maximum(prox_sorted_l1(v, 0.3 * 2.0 * lam), 0.0)
     assert np.array_equal(got, want)
 
 
 def test_group_prox_matches_grid_oracle_unequal_weights():
+    # unequal weights reach no prox: the identity group fit solves the
+    # weighted block-norm problem, on blocks of size 2 with norms v
     rng = np.random.default_rng(2)
     for _ in range(5):
         t = int(rng.integers(2, 4))
@@ -265,7 +266,10 @@ def test_group_prox_matches_grid_oracle_unequal_weights():
         w = rng.uniform(0.5, 2.0, size=t)
         lam = np.sort(rng.uniform(0.1, 1.5, size=t))[::-1]
         step = float(rng.uniform(0.2, 1.0))
-        got = group_prox(v, w, lam, step)
+        directions = rng.normal(size=(t, 2))
+        y = (directions / np.linalg.norm(directions, axis=1)[:, None] * v[:, None]).ravel()
+        part = GroupPartition.from_sizes((2,) * t, w)
+        got = solve_group_slope(None, y, part, lam, sigma=step, tol=1e-12).group_norms
 
         def objective(g):
             mags = np.sort(w * g)[::-1]
@@ -276,51 +280,34 @@ def test_group_prox_matches_grid_oracle_unequal_weights():
         assert np.max(np.abs(got - ref)) < 5e-2
 
 
-def test_group_prox_raises_when_inner_loop_cannot_settle(monkeypatch):
-    flip = itertools.cycle((0.0, 1.0))
-    # the inner unequal-weight fit is a feature fit, whose prox calls the
-    # sorted-L1 kernel: it returns the prox point and its sorted magnitudes
-    def flipping(x, w):
-        b = np.full_like(x, next(flip))
-        return b, b[::-1]
-
-    monkeypatch.setattr(solver, "_prox_kernel", flipping)
-    v = np.array([2.0, 1.0])
-    w = np.array([1.0, 2.0])
-    with pytest.raises(NumericalError, match=r"group prox fit did not converge"):
-        group_prox(v, w, np.array([1.0, 0.5]), step=0.5)
-
-
 def test_group_prox_zero_step_returns_targets():
     v = np.array([2.0, 0.0, 1.5])
-    got = group_prox(v, np.array([1.0, 2.0, 0.5]), np.array([1.0, 0.5, 0.2]), step=0.0)
+    got = group_prox(v, np.array([1.0, 0.5, 0.2]), step=0.0)
     assert np.array_equal(got, v)
 
 
 def test_group_prox_validation():
-    with pytest.raises(ValueError, match="matching lengths"):
-        group_prox(np.ones(2), np.ones(3), np.ones(2), 1.0)
+    with pytest.raises(ValueError, match="schedule has length 3, expected 2"):
+        group_prox(np.ones(2), np.ones(3), 1.0)
     with pytest.raises(ValueError, match="non-negative"):
-        group_prox(np.array([-1.0]), np.ones(1), np.ones(1), 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        group_prox(np.ones(1), np.zeros(1), np.ones(1), 1.0)
+        group_prox(np.array([-1.0]), np.ones(1), 1.0)
     with pytest.raises(ValueError, match="step"):
-        group_prox(np.ones(1), np.ones(1), np.ones(1), -0.5)
+        group_prox(np.ones(1), np.ones(1), -0.5)
 
 
 @pytest.mark.parametrize("step", [np.nan, np.inf], ids=repr)
-@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 2.0)], ids=["equal", "unequal"])
-def test_group_prox_refuses_a_non_finite_step(step, weights):
-    # an equal-weight NaN step returned NaNs
+@pytest.mark.parametrize("weight", [1.0], ids=["equal"])
+def test_group_prox_refuses_a_non_finite_step(step, weight):
+    # an equal-weight NaN step returned NaNs; the shared weight is part of
+    # the step the block prox passes
     with pytest.raises(ValueError, match="step must be non-negative and finite"):
-        group_prox(np.ones(2), np.array(weights), np.array([1.0, 0.5]), step)
+        group_prox(np.ones(2), np.array([1.0, 0.5]), step * weight)
 
 
 def test_partition_and_group_prox_refuse_an_infinite_weight():
+    # group_prox takes no weights: the partition is where they are checked
     with pytest.raises(ValueError, match="group weights must be positive and finite"):
         GroupPartition(((0,), (1,)), np.array([1.0, np.inf]))
-    with pytest.raises(ValueError, match="group weights must be positive and finite"):
-        group_prox(np.ones(2), np.array([np.inf, 1.0]), np.array([1.0, 0.5]), 0.5)
 
 
 @pytest.mark.parametrize("text,msg", [("nan", "must be positive, got nan"),
@@ -357,10 +344,76 @@ def test_orthonormal_blocks_reduce_to_block_prox():
     fit = solve_group_slope(np.eye(6), y, part, lam, tol=1e-12)
     offsets = np.array([0, 2, 4])
     gz = np.sqrt(np.add.reduceat(y * y, offsets))
-    gstar = group_prox(gz, part.weights, lam, 1.0)
+    gstar = group_prox(gz, lam, part.weights[0])
     want = y * np.repeat(gstar / gz, 2)
     assert np.max(np.abs(fit.beta - want)) < 1e-10
     assert np.allclose(fit.group_norms, gstar, atol=1e-12)
+
+
+def _dense_diagonal_route(part, y, lam, sigma, **kw):
+    """(beta, group norms, feature fit) of an identity group fit by the route
+    it once took: solve_slope on the dense t x t diagonal diag(1/w) for the
+    block norms v, then each block of y rescaled to its fitted norm."""
+    order = part.order
+    z = y[order]
+    ranks = np.asarray(part.sizes)
+    offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
+    v = np.sqrt(np.add.reduceat(z * z, offsets))
+    w = part.weights
+    fit = solve_slope(DesignMatrix(np.diag(1.0 / w), require_unit_columns=False), v, lam,
+                      sigma, **kw)
+    gstar = np.maximum(fit.beta, 0.0) / w
+    c = z * np.repeat(np.divide(gstar, v, out=np.zeros_like(v), where=v > 0.0), ranks)
+    beta = np.zeros(part.num_features)
+    beta[order] = c
+    return beta, np.sqrt(np.add.reduceat(c * c, offsets)), fit
+
+
+def _unequal_identity_problem(seed, scheme="sqrt", num_groups=200):
+    """Groups of sizes 3..7 with unequal weights, and y with a tenth of the
+    groups at signal 5 plus unit noise."""
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(s) for s in rng.integers(3, 8, size=num_groups))
+    w = np.sqrt(sizes) if scheme == "sqrt" else 1.0 / np.sqrt(sizes)
+    part = GroupPartition.from_sizes(sizes, w)
+    beta = np.zeros(part.num_features)
+    for g in rng.choice(num_groups, size=num_groups // 10, replace=False):
+        beta[list(part.groups[g])] = 5.0
+    return part, beta + rng.normal(size=part.num_features)
+
+
+@pytest.mark.parametrize("scheme", ["sqrt", "inv-sqrt"])
+@pytest.mark.parametrize("rule", ["gk", "gf", "bh"])
+def test_unequal_weight_identity_fit_keeps_the_dense_diagonal_bytes(scheme, rule):
+    # the O(t) operator's products add no term where the dense diagonal's
+    # add exact zeros, so the fit reproduces the dense route bit for bit
+    for seed in range(3):
+        part, y = _unequal_identity_problem(seed, scheme, num_groups=60)
+        w, ranks = tuple(part.weights), part.sizes
+        lam = {"gk": lambda: gk_schedule(3, 0.1, ranks, w),
+               "gf": lambda: gf_schedule(0.1, 0.1, ranks, w),
+               "bh": lambda: bh_schedule(len(part), 0.1)}[rule]().values
+        fit = solve_group_slope(None, y, part, lam, sigma=1.3)
+        beta, norms, ref = _dense_diagonal_route(part, y, lam, 1.3)
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert fit.group_norms.tobytes() == norms.tobytes()
+        assert fit.converged and fit.selected_groups
+        assert fit[3:] == ref[2:]
+
+
+def test_unequal_weight_identity_fit_honours_tol_and_max_iter():
+    # the block-norm fit runs at the caller's tol and max_iter and reports
+    # its own counters
+    part, y = _unequal_identity_problem(0)
+    lam = gf_schedule(0.1, 0.1, part.sizes, tuple(part.weights)).values
+    tight = solve_group_slope(None, y, part, lam, tol=1e-12)
+    assert tight.converged and tight.final_gap <= 1e-12
+    assert tight.iterations > 1 and tight.matvecs > 0
+    ref = _dense_diagonal_route(part, y, lam, 1.0, tol=1e-12)[2]
+    assert tight[3:] == ref[2:]
+    capped = solve_group_slope(None, y, part, lam, max_iter=3)
+    assert not capped.converged and capped.iterations == 3
+    assert capped.final_gap > 1e-8
 
 
 def _noncontiguous_partition(tmp_path):
@@ -372,6 +425,15 @@ def _noncontiguous_partition(tmp_path):
     path = tmp_path / "groups.csv"
     path.write_text("\n".join(rows) + "\n")
     return GroupPartition.from_csv(path)
+
+
+@pytest.mark.parametrize("weights", [None, (2.0, 2.0), (1.0, 2.0)], ids=["unit", "equal", "unequal"])
+def test_identity_fit_refuses_the_sigma_it_was_given(weights):
+    # the equal-weight fit scales sigma by the weight: the refusal names the
+    # caller's sigma, not the product
+    part = GroupPartition.from_sizes((2, 2), None if weights is None else np.array(weights))
+    with pytest.raises(ValueError, match=r"^sigma must be positive, got -1\.0$"):
+        solve_group_slope(None, np.ones(4), part, np.ones(2), sigma=-1.0)
 
 
 @pytest.mark.parametrize("case", ["equal", "unequal-inv-sqrt", "noncontiguous-csv"])
@@ -403,12 +465,13 @@ def test_identity_without_matrix_equals_dense_identity(case, tmp_path):
         assert np.max(np.abs(fit.group_norms - dense.group_norms)) <= 1e-12
     assert np.max(np.abs(fit.beta - dense.beta)) <= 1e-12
     assert fit.converged and dense.converged
-    assert (fit.iterations, fit.matvecs) == (1, 0)
+    if case == "equal":
+        assert (fit.iterations, fit.matvecs) == (1, 0)
 
 
 def test_equal_weight_identity_fit_skips_the_fista_loop(monkeypatch):
     # one certified block prox; unequal weights would enter the loop through
-    # group_prox's diagonal fit, so the weights here are equal
+    # solve_slope's fit on diag(1/w), so the weights here are equal
     groups_ = ((0, 7, 3), (1,), (2, 8), (4, 5, 6, 9), (10, 11))
     part = GroupPartition(groups_, np.full(len(groups_), 1.7))
     rng = np.random.default_rng(22)
@@ -424,7 +487,7 @@ def test_equal_weight_identity_fit_skips_the_fista_loop(monkeypatch):
     order = np.concatenate(part.groups)
     ranks = np.asarray(part.sizes)
     offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
-    prox = groups._block_problem(offsets, ranks, part.weights, lam)[0]
+    prox = groups._block_problem(offsets, ranks, part.weights[0], lam)[0]
     want = np.zeros(part.num_features)
     want[order] = prox(y[order], 1.2)[0]
     assert fit.beta.tobytes() == want.tobytes()
@@ -452,11 +515,14 @@ def test_non_contiguous_partition_stores_its_arrays_and_fits_in_group_order(tmp_
         assert part.num_features == sum(len(g) for g in part.groups)
         assert part.order.tobytes() == order.tobytes() and part.order.dtype == order.dtype
         fit = solve_group_slope(None, y, part, lam, sigma=1.1)
-        ranks = np.array([len(g) for g in part.groups])
-        offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
-        prox = groups._block_problem(offsets, ranks, part.weights, lam)[0]
-        want = np.zeros(12)
-        want[order] = prox(y[order], 1.1)[0]
+        if weights is None:
+            want = _dense_diagonal_route(part, y, lam, 1.1)[0]
+        else:
+            ranks = np.array([len(g) for g in part.groups])
+            offsets = np.concatenate(([0], np.cumsum(ranks[:-1])))
+            prox = groups._block_problem(offsets, ranks, part.weights[0], lam)[0]
+            want = np.zeros(12)
+            want[order] = prox(y[order], 1.1)[0]
         assert fit.beta.tobytes() == want.tobytes()
         assert fit.converged and fit.selected_groups
 
@@ -519,15 +585,19 @@ def test_unequal_weights_fold_into_the_design(monkeypatch):
     y = X @ beta + rng.normal(size=60)
     seen = []
 
-    def spy(v, weights, lam, step):
-        seen.append(np.array(weights))
-        return group_prox(v, weights, lam, step)
+    def spy(v, lam, step):
+        seen.append(step)
+        return group_prox(v, lam, step)
 
     monkeypatch.setattr(groups, "group_prox", spy)
     fit = solve_group_slope(X, y, part, bh_schedule(len(sizes), 0.2).values)
     assert fit.converged and fit.selected_groups
     assert len(seen) == fit.iterations + fit.restarts
-    assert all(np.all(w == w[0]) for w in seen)
+    # the folded blocks carry unit weights, so the block prox passes the
+    # loop's step t = 1/L (halved per back-off) on unscaled
+    L = solver.operator_norm_sq(_folded(X, part)[1])
+    halvings = np.log2(np.array(seen) * L)
+    assert np.all(np.abs(halvings - np.round(halvings)) <= 1e-12)
 
 
 def test_group_solver_gap_certificate_and_exact_zero_norms():
@@ -563,14 +633,15 @@ def test_rank_deficient_group_fits_consistently():
 
 
 def _folded(X, part):
-    """The standardization, and the design and weights the solver's loop runs on:
-    unequal weights are folded into the blocks as X~_g / w_g with unit weights."""
+    """The standardization, and the design and the one weight the solver's loop
+    runs on: unequal weights are folded into the blocks as X~_g / w_g with
+    unit weights."""
     sp = standardize(X, part)
     w = part.weights
     if np.all(w == w[0]):
-        return sp, sp.x_tilde, w, np.ones(sp.x_tilde.shape[1])
+        return sp, sp.x_tilde, w[0], np.ones(sp.x_tilde.shape[1])
     col_w = np.repeat(w, sp.ranks)
-    return sp, sp.x_tilde / col_w, np.ones(len(part)), col_w
+    return sp, sp.x_tilde / col_w, 1.0, col_w
 
 
 def _assert_matches_direct_fista(fit, X, y, part, lam, L):

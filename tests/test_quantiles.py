@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepslope import quantiles, simlab
+from stepslope.errors import NumericalError
 from stepslope.quantiles import (
     ChiMixture,
     chi_cdf,
@@ -23,7 +24,7 @@ from oracles import (
     chi_quantile_bisect,
     chi_upper_quantile_mp,
     mixture_cdf_mp,
-    mixture_quantile_grid,
+    mixture_quantile_bisect,
     normal_quantile_bisect,
 )
 
@@ -41,6 +42,14 @@ def test_normal_quantile_frozen_values():
     assert normal_quantile(0.95) == pytest.approx(1.6448536269514946, abs=1e-10)
     assert normal_quantile(1.0 - 5e-5) == pytest.approx(3.890591886412871, abs=1e-10)
     assert normal_quantile(0.5) == 0.0
+
+
+def test_normal_quantile_raises_when_newton_does_not_settle(monkeypatch):
+    # six steps from the A&S start always settle; from x = 0 they cannot
+    # reach the upper-tail root near 7.03, and the cap is no silent return
+    monkeypatch.setattr(quantiles, "_normal_tail_initial", lambda q: 0.0)
+    with pytest.raises(NumericalError, match=r"normal quantile at p=1e-12 did not converge"):
+        normal_quantile(1e-12)
 
 
 def test_normal_cdf_round_trip():
@@ -190,11 +199,11 @@ def test_mixture_quantile_matches_grid_oracle():
         2.4834334238744598, abs=1e-8
     )
     assert mixture_quantile(ChiMixture(comps), 0.9) == pytest.approx(
-        mixture_quantile_grid(list(comps), 0.9), abs=1e-6
+        mixture_quantile_bisect(list(comps), 0.9), abs=1e-6
     )
     comps2 = ((0.5, 2), (1.5, 3), (2.0, 5))
     got = mixture_quantile(ChiMixture(comps2), 0.75)
-    assert got == pytest.approx(mixture_quantile_grid(list(comps2), 0.75), abs=1e-6)
+    assert got == pytest.approx(mixture_quantile_bisect(list(comps2), 0.75), abs=1e-6)
 
 
 def test_mixture_quantile_inverts_cdf():

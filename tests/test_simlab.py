@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from stepslope import simlab
+from stepslope.groups import GroupPartition, standardize
+from stepslope.schedules import bh_schedule
 from stepslope.simlab import (
     ExperimentConfig,
     _equicorr_matrices,
@@ -25,6 +27,7 @@ from stepslope.simlab import (
     write_details_json,
     write_report_csv,
 )
+from stepslope.solver import DesignMatrix
 from stepslope.stepdown import fdp_thresholds, kfwer_thresholds
 
 
@@ -399,7 +402,8 @@ def test_gen_group_orthogonal_uses_identity():
 def test_group_orthogonal_run_allocates_no_dense_identity():
     # a size no other test uses, so no cache holds anything for it; a dense
     # 3000 x 3000 identity alone would take 72 MB.  Sizes 3..7 give unequal
-    # weights, whose prox fits a 600 x 600 diagonal design (2.9 MB).
+    # weights, whose block norms are fitted on the O(t) operator diag(1/w)
+    # rather than a dense 600 x 600 diagonal (2.9 MB; see the next test).
     for sizes in ((5,), (3, 4, 5, 6, 7)):
         config = ExperimentConfig(design="group-orthogonal", method="gk-slope", n=3000,
                                   m=3000, t=30, num_groups=600, group_sizes=sizes, k=5,
@@ -412,6 +416,24 @@ def test_group_orthogonal_run_allocates_no_dense_identity():
             tracemalloc.stop()
         assert report.converged.all()
         assert peak < 50 * 2**20
+
+
+def test_group_orthogonal_unequal_weight_fit_allocates_no_dense_diagonal():
+    # with the partition and schedule cached, a replication allocates O(m):
+    # a few length-3000 vectors, where a dense 600 x 600 diag(1/w) for the
+    # block-norm fit would take 2.9 MB
+    config = ExperimentConfig(design="group-orthogonal", method="gk-slope", n=3000, m=3000,
+                              t=30, num_groups=600, group_sizes=(3, 4, 5, 6, 7), k=5,
+                              replications=2, seed=37)
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged.all()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("design, n, m, extra", [
@@ -753,3 +775,17 @@ def test_report_files_are_byte_stable(tmp_path):
     write_details_json([report], ja)
     write_details_json([report], jb)
     assert ja.read_bytes() == jb.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["partition", "standardized", "schedule", "design", "report"])
+def test_array_holding_records_compare_and_hash_by_identity(kind):
+    # the generated __eq__ compared ndarray fields: == between two equal
+    # records raised on the ambiguous truth value, and hash() raised
+    make = {"partition": lambda: GroupPartition.from_sizes((2, 2)),
+            "standardized": lambda: standardize(np.eye(4), GroupPartition.from_sizes((2, 2))),
+            "schedule": lambda: bh_schedule(4, 0.1),
+            "design": lambda: DesignMatrix(np.eye(4)),
+            "report": lambda: run_experiment(_group_config(replications=2))}[kind]
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2

@@ -366,6 +366,19 @@ def test_equicorrelated_columns_equal_dense_columns(n, rho):
             assert got.tobytes() == np.ascontiguousarray(dense[:, idx]).tobytes()
 
 
+def test_diagonal_operator_equals_the_dense_diagonal_bitwise():
+    # the identity group fit's diag(1/w): products, gathered columns and the
+    # step-size start are those of the dense diagonal, byte for byte
+    d = 1.0 / np.sqrt(np.random.default_rng(13).integers(3, 8, size=40))
+    D = solver._DiagonalPlusConstant(d.size, d, 0.0)
+    dense = np.diag(d)
+    v = np.random.default_rng(14).normal(size=40)
+    for got, want in ((D @ v, dense @ v), (D.T @ v, dense.T @ v),
+                      (D @ np.eye(40), dense), (D.columns([5, 0, 39]), dense[:, [5, 0, 39]])):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert operator_norm_sq(D) == operator_norm_sq(dense) == float(d.max() ** 2)
+
+
 def _masked_problem(seed=1, n=100, m=400):
     """Column 1 is built at correlation -1/2 with column 0 and y gives it
     half the coefficient, so x_1^T y nearly cancels at b = 0; once column 0
@@ -458,7 +471,8 @@ def test_operator_norm_sq_shapes_match_numpy(shape):
     if shape == "rank-deficient":
         X = rng.normal(size=(40, 5)) @ rng.normal(size=(5, 60))
     elif shape == "group-prox-diagonal":
-        # group_prox's diag(1/w), where the bound is ||X||^2 itself
+        # the diag(1/w) of an unequal-weight identity group fit, where the
+        # bound is ||X||^2 itself
         X = np.diag(1.0 / np.array([0.5, 2.0, 1.25, 4.0]))
     else:
         X = rng.normal(size=shape)

@@ -6,9 +6,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from stepslope import solver, sorted_l1
+from stepslope.groups import group_prox
+from stepslope.schedules import bh_schedule, fdp_schedule, kfwer_schedule
 from stepslope.sorted_l1 import dual_infeasibility, prox_sorted_l1, sorted_l1_norm
 
-from oracles import _dual_infeasibility, prox_enum, prox_full_pav, sorted_l1_objective
+from oracles import (
+    _dual_infeasibility,
+    prox_enum,
+    prox_full_pav,
+    sorted_l1_objective,
+    stepdown_stepup_counts,
+)
 
 
 def _rand_instance(rng, m):
@@ -299,3 +307,54 @@ def test_dual_infeasibility_equals_the_oracle_bitwise(pair):
         assert got == 0.0
     else:
         assert np.float64(got).tobytes() == np.float64(_dual_infeasibility(g, w)).tobytes()
+
+
+@st.composite
+def _stepdown_schedule(draw, m):
+    """A kFWER, FDP or BH schedule of length m at drawn levels."""
+    level = st.floats(0.01, 0.5)
+    kind = draw(st.sampled_from(["kfwer", "fdp", "bh"]))
+    if kind == "kfwer":
+        return kfwer_schedule(m, draw(st.integers(1, m)), draw(level)).values
+    if kind == "fdp":
+        return fdp_schedule(m, draw(level), draw(level)).values
+    return bh_schedule(m, draw(level)).values
+
+
+def _assert_sandwiched(mags, thresholds, selected):
+    """selected is the R largest mags, R_SD <= R <= R_SU against thresholds."""
+    r_sd, r_su = stepdown_stepup_counts(mags, thresholds)
+    assert r_sd <= len(selected) <= r_su
+    if 0 < len(selected) < mags.size:
+        inside = np.isin(np.arange(mags.size), list(selected))
+        assert mags[inside].min() >= mags[~inside].max()
+
+
+_SIGMA = st.floats(0.5, 2.0)
+
+
+@given(st.integers(2, 29).flatmap(lambda m: st.tuples(
+    hnp.arrays(np.float64, m, elements=st.floats(-8, 8)), _stepdown_schedule(m), _SIGMA)))
+@settings(max_examples=400, deadline=None)
+def test_prox_support_is_sandwiched_by_stepdown_and_stepup(case):
+    # on the identity design the sorted-L1 support is the R largest |y|,
+    # between the step-down and step-up counts of |y| against sigma * lam
+    y, lam, sigma = case
+    thresholds = sigma * lam
+    b = prox_sorted_l1(y, thresholds)
+    _assert_sandwiched(np.abs(y), thresholds, set(np.flatnonzero(b).tolist()))
+
+
+@given(st.integers(2, 29).flatmap(lambda t: st.tuples(
+    st.lists(st.integers(1, 4), min_size=t, max_size=t).flatmap(lambda sizes: st.tuples(
+        st.just(sizes),
+        hnp.arrays(np.float64, sum(sizes), elements=st.floats(-8, 8)))),
+    _stepdown_schedule(t), _SIGMA)))
+@settings(max_examples=300, deadline=None)
+def test_group_prox_support_is_sandwiched_by_stepdown_and_stepup(case):
+    # the same sandwich for the block prox, on the block norms of y
+    (sizes, y), lam, sigma = case
+    offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+    norms = np.sqrt(np.add.reduceat(y * y, offsets))
+    g = group_prox(norms, lam, sigma)
+    _assert_sandwiched(norms, sigma * lam, set(np.flatnonzero(g).tolist()))
