@@ -84,10 +84,14 @@ def _read_matrix(path):
 
 
 def _read_vector(path):
+    """One row or one column of finite numbers, as a 1-d array."""
     try:
-        v = np.loadtxt(path, delimiter=",", dtype=float).ravel()
+        v = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except Exception as exc:
         raise ValueError(f"{path}: could not parse as a numeric CSV vector ({exc})")
+    if min(v.shape) > 1:
+        raise ValueError(f"{path}: expected one row or one column, got {v.shape[0]}x{v.shape[1]}")
+    v = v.ravel()
     if v.size == 0:
         raise ValueError(f"{path}: empty vector")
     if not np.all(np.isfinite(v)):
@@ -211,12 +215,11 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
     inline --rule and are refused with --schedule; --allow-unnormalized
     is refused with --groups, whose fits never check column norms.
     """
-    X = _read_matrix(design_path)
+    design = _read_matrix(design_path)
+    n, m = design.shape
     y = _read_vector(response_path)
-    if y.size != X.shape[0]:
-        raise ValueError(
-            f"response length {y.size} does not match design rows {X.shape[0]}"
-        )
+    if y.size != n:
+        raise ValueError(f"response length {y.size} does not match design rows {n}")
     partition = GroupPartition.from_csv(groups_path) if groups_path else None
     if (schedule_path is None) == (rule is None):
         raise click.UsageError("pass exactly one of --schedule or --rule")
@@ -225,7 +228,6 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
             "--allow-unnormalized does not apply with --groups: group fits "
             "standardize each block and never check column norms"
         )
-    sp = None
     if schedule_path is not None:
         for name, value in fields.items():
             if value is not None:
@@ -240,25 +242,24 @@ def solve(design_path, response_path, schedule_path, rule, groups_path, sigma, t
             if partition is None:
                 raise click.UsageError(f"rule {rule} requires --groups")
             # a group's chi tail counts the dimensions its block spans after
-            # standardization: its rank, not its size
-            sp = standardize(X, partition)
-            fields.update(ranks=sp.ranks, weights=tuple(partition.weights))
-        for name, value in (("m", X.shape[1]), ("n", X.shape[0]), ("design", X)):
-            if name in row.required:
-                fields[name] = value
+            # standardization (its rank, not its size), which replaces X
+            design = standardize(design, partition)
+            fields.update(ranks=design.ranks, weights=tuple(partition.weights))
+        fields.update({name: value for name, value in (("m", m), ("n", n), ("design", design))
+                       if name in row.required})
         lam = build_schedule(row.name, **fields).values
 
     grouped = partition is not None
-    design = DesignMatrix(X, require_unit_columns=not (grouped or allow_unnormalized))
     if grouped:
-        fit = solve_group_slope(design, y, partition, lam, sigma=sigma,
-                                tol=tol, max_iter=max_iter, standardized=sp)
+        fit = solve_group_slope(design, y, partition, lam, sigma=sigma, tol=tol,
+                                max_iter=max_iter)
     else:
-        fit = solve_slope(design, y, lam, sigma=sigma, tol=tol, max_iter=max_iter)
+        fit = solve_slope(DesignMatrix(design, require_unit_columns=not allow_unnormalized), y,
+                          lam, sigma=sigma, tol=tol, max_iter=max_iter)
     # group-only keys are None on a feature fit and left out
     doc = {
-        "n": X.shape[0],
-        "m": X.shape[1],
+        "n": n,
+        "m": m,
         "num_groups": len(partition.groups) if grouped else None,
         "beta": [float(b) for b in fit.beta],
         "group_norms": [float(g) for g in fit.group_norms] if grouped else None,
@@ -410,6 +411,10 @@ def simulate(preset, config_path, threads, out_root, **fields):
             raise ValueError("experiments must be a list of experiment objects")
         configs = [ExperimentConfig.from_dict(d, **overrides) for d in doc["experiments"]]
         grid = doc.get("kfwer_grid")
+        if grid is not None:
+            if not isinstance(grid, list):
+                raise ValueError(f"kfwer_grid must be a list of positive integers, got {grid!r}")
+            grid = [check_count("kfwer_grid entries", k) for k in grid]
     else:
         missing = [name for name in REQUIRED_FIELDS if name not in overrides]
         if missing:

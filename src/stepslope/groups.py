@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, check_count, check_scale
-from .solver import DesignMatrix, _DiagonalPlusConstant, _working_set, solve_slope, support_metrics
+from .solver import (DesignMatrix, _checked, _DiagonalPlusConstant, _working_set, solve_slope,
+                     support_metrics)
 from .sorted_l1 import _weights, prox_sorted_l1, sorted_l1_norm
 
 
@@ -220,35 +221,43 @@ def _check_info(info, name, gi):
         raise NumericalError(f"group {gi}: LAPACK {name} failed with info={info}")
 
 
+def _design_matrix(design):
+    """A DesignMatrix as it is; a raw array checked as one without the
+    unit-column rule, which a group fit never needs."""
+    if isinstance(design, DesignMatrix):
+        return design
+    return DesignMatrix(design, require_unit_columns=False)
+
+
 def standardize(design, partition):
     """Orthonormalize each group's design block by pivoted QR.
 
     The numerical rank of a block is the number of |R| diagonal entries at
     least 1e-10 times the largest one.  An all-zero block is a degenerate
-    group and rejected.
+    group and rejected.  The partition's weights are never read.
 
-    A DesignMatrix was validated when it was built, so only a raw array is
-    tested for finite entries here.  Each block is copied straight into its
-    slot of one Fortran-ordered n x m buffer (a slice of X for a contiguous
-    group, a gather otherwise) and factored there in place by the LAPACK
-    routines scipy.linalg.qr(mode="economic", pivoting=True) wraps: geqp3,
-    then orgqr on the reflectors, both with the optimal workspace, queried
-    once per block shape (_in_place).  The rank and the R factor are read
-    off the factored slot before orgqr overwrites it with the basis, and
-    the next block's slot starts after the rank columns kept, so a
-    rank-deficient block's surplus columns are overwritten.  The bytes are
-    those of scipy.linalg.qr's wrapper, without its per-call checks,
-    workspace queries and copies.  x_tilde is the buffer's first
-    sum-of-ranks columns, a Fortran-contiguous view (the layout fixes the
-    fit's rounding; see StandardizedProblem): no list of bases and no
-    concatenated copy are kept, so standardization allocates one
-    design-sized array.
+    A DesignMatrix was validated when it was built; a raw array is checked
+    as DesignMatrix(design, require_unit_columns=False).  Each block is
+    copied straight into its slot of one Fortran-ordered n x m buffer (a
+    slice of X for a contiguous group, a gather otherwise) and factored
+    there in place by the LAPACK routines scipy.linalg.qr(mode="economic",
+    pivoting=True) wraps: geqp3, then orgqr on the reflectors, both with the
+    optimal workspace, queried once per block shape (_in_place).  The rank
+    and the R factor are read off the factored slot before orgqr overwrites
+    it with the basis, and the next block's slot starts after the rank
+    columns kept, so a rank-deficient block's surplus columns are
+    overwritten.  The bytes are those of scipy.linalg.qr's wrapper, without
+    its per-call checks, workspace queries and copies.  x_tilde is the
+    buffer's first sum-of-ranks columns, a Fortran-contiguous view (the
+    layout fixes the fit's rounding; see StandardizedProblem): no list of
+    bases and no concatenated copy are kept, so standardization allocates
+    one design-sized array.
 
     Raises
     ------
     ValueError
-        For a non-finite raw array, a partition of another width, or an
-        all-zero block.
+        For a raw array DesignMatrix refuses, a partition of another width,
+        or an all-zero block.
     NumericalError
         When geqp3 or orgqr reports a non-zero info; the message names the
         group and the routine.
@@ -257,20 +266,12 @@ def standardize(design, partition):
     -------
     StandardizedProblem
     """
-    if isinstance(design, DesignMatrix):
-        X = design.entries
-    else:
-        X = np.asarray(design, float)
-        if X.ndim != 2 or not np.all(np.isfinite(X)):
-            raise ValueError("design must be a finite 2-d array")
+    X = _design_matrix(design).entries
     if partition.num_features != X.shape[1]:
         raise ValueError(
             f"partition covers {partition.num_features} features, design has {X.shape[1]}"
         )
     n = X.shape[0]
-    if n == 0:
-        # LAPACK rejects a block without rows
-        raise ValueError("group 0 has an all-zero design block")
     x_tilde = np.empty(X.shape, order="F")
     geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
     lworks = {}
@@ -371,16 +372,7 @@ def _block_problem(offsets, ranks, w, lamv):
     return prox, lambda g: _block_norms(g, offsets) / w
 
 
-def solve_group_slope(
-    design,
-    y,
-    partition,
-    lam,
-    sigma=1.0,
-    tol=1e-8,
-    max_iter=20000,
-    standardized=None,
-):
+def solve_group_slope(design, y, partition, lam, sigma=1.0, tol=1e-8, max_iter=20000):
     """Solve the group sorted-L1 problem on the standardized design.
 
     Minimizes 0.5*||y - X~ c||^2 + sigma * J_lam(weights * block_norms(c))
@@ -395,11 +387,11 @@ def solve_group_slope(
     set of blocks of X~ (solver._working_set): the groups violating dual
     feasibility at c = 0, grown until the fit is certified on all of X~, or
     every block once the set passes 1/16 of the groups.  max_iter is shared
-    by its rounds.
+    by its rounds.  y, sigma, tol and max_iter are checked before any QR.
 
     Parameters
     ----------
-    design : DesignMatrix, array_like or None
+    design : DesignMatrix, array_like, StandardizedProblem or None
         None is the identity design, n = m = len(y), fitted without a
         matrix or a QR: every block is orthonormal, so the fit is
         solve_slope's of the block norms v of y, each block of y rescaled
@@ -408,13 +400,10 @@ def solve_group_slope(
         weights (iterations=1, matvecs=0), and for unequal ones sorted-L1
         least squares of v on the O(t) diagonal diag(1/w) in u = w * g,
         fitted at tol and max_iter.  The counters, gap and objective are
-        solve_slope's.  Groups need not be contiguous.
-    standardized : StandardizedProblem, optional
-        Reuse a precomputed standardization of (design, partition);
-        repeated fits on the same design skip the QR work.  Not used when
-        design is None.  A fold of the weights works on a copy of its
-        x_tilde and leaves it unchanged; a standardization built here is
-        folded in place.
+        solve_slope's.  Groups need not be contiguous, and a block norm of
+        y that overflows is refused.  A matrix is standardized here and
+        folded in place.  A StandardizedProblem of the partition's groups
+        (its weights may differ) is reused without a QR, folded on a copy.
 
     Returns
     -------
@@ -424,19 +413,28 @@ def solve_group_slope(
     """
     lamv = _weights(lam, len(partition))
     wts = partition.weights
+    given = isinstance(design, StandardizedProblem)
+    if given:
+        if design.partition.groups != partition.groups:
+            raise ValueError("the standardization covers other groups than the partition")
+        n = design.x_tilde.shape[0]
+    elif design is None:
+        n = partition.num_features
+    else:
+        design = _design_matrix(design)
+        n = design.shape[0]
+    y, sigma = _checked(n, y, sigma, tol, max_iter)
     if design is None:
-        y = np.asarray(y, dtype=float)
-        m = partition.num_features
-        if y.shape != (m,):
-            raise ValueError(f"response has shape {y.shape}, expected ({m},)")
         order = partition.order
         target = y[order]
         ranks = np.asarray(partition.sizes)
         offsets = np.cumsum(ranks) - ranks
-        v = _block_norms(target, offsets)
+        with np.errstate(over="ignore"):
+            v = _block_norms(target, offsets)
+        if v.max() == np.inf:
+            raise ValueError(f"the response's block norm overflows in group {int(v.argmax())}")
         if np.all(wts == wts[0]):
-            # checked before the weight scales it, so a refusal names sigma's value
-            fit = solve_slope(None, v, lamv, check_scale("sigma", sigma) * wts[0], tol, max_iter)
+            fit = solve_slope(None, v, lamv, sigma * wts[0], tol, max_iter)
             gstar = fit.beta
         else:
             # u = w * g fits v on diag(1/w); v >= 0 makes the exact u
@@ -448,16 +446,16 @@ def solve_group_slope(
         c = target * np.repeat(scale, ranks)
         stats = fit[2:]
     else:
-        sp = standardized if standardized is not None else standardize(design, partition)
+        sp = design if given else standardize(design, partition)
         X, ranks, offsets = sp.x_tilde, np.asarray(sp.ranks), sp.offsets
         folded = not np.all(wts == wts[0])
         w = 1.0 if folded else wts[0]
         if folded:
             col_w = np.repeat(wts, ranks)
-            if standardized is None:
-                X /= col_w
-            else:
+            if given:
                 X = X / col_w
+            else:
+                X /= col_w
 
         def problem(units):
             if units is None:

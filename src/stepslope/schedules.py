@@ -499,9 +499,25 @@ def schedule_to_json(schedule, path):
 
 
 def schedule_from_json(path):
-    """Rebuild a LambdaSchedule written by schedule_to_json, bit-exact."""
-    doc = json.loads(Path(path).read_text())
+    """Rebuild a LambdaSchedule written by schedule_to_json, bit-exact.
+
+    Any other document is a ValueError naming path: one that is not a JSON
+    object, lacks a key, or has params other than an object or values other
+    than numbers.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     for key in ("rule", "params", "values"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
-    return LambdaSchedule(np.array(doc["values"], dtype=float), doc["rule"], doc["params"])
+    if not isinstance(doc["params"], dict):
+        raise ValueError(f"{path}: params must be a JSON object")
+    try:
+        values = np.array(doc["values"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: values must be a list of numbers")
+    return LambdaSchedule(values, doc["rule"], doc["params"])

@@ -165,11 +165,10 @@ def slope_objective(design, y, beta, lam, sigma=1.0):
     return 0.5 * float(r @ r) + sigma * sorted_l1_norm(beta, lam)
 
 
-def _checked(X, y, sigma, tol, max_iter):
+def _checked(n, y, sigma, tol, max_iter):
     """y as a float array and sigma as a float, once the arguments every
-    fit shares are valid."""
+    fit shares are valid: y is n finite values, n the design's rows."""
     y = np.asarray(y, dtype=float)
-    n = X.shape[0] if X is not None else y.size
     if y.shape != (n,):
         raise ValueError(f"response has shape {y.shape}, expected ({n},)")
     if not np.all(np.isfinite(y)):
@@ -377,7 +376,7 @@ def _working_set(X, y, w, sigma, tol, max_iter, problem):
         round.  A fit that takes the full design at once has
         matvecs == full_matvecs.
     """
-    y, sigma = _checked(X, y, sigma, tol, max_iter)
+    y, sigma = _checked(np.size(y) if X is None else X.shape[0], y, sigma, tol, max_iter)
     _check_order(w)
     _, prox, dual = problem(None)
     sums = _prefix_sums(w, sigma)

@@ -185,26 +185,23 @@ def group_prox_grid(v, w, lam, step, rounds=5, points=41):
 
     Minimizes 0.5||g - v||^2 + step * sum_i lam_i (w*g)_(i) over g >= 0 for
     t <= 3 by progressive grid refinement.  Returns the best grid point.
+    Each round evaluates its whole grid as one array, the points in
+    itertools.product order, and keeps the first minimum.
     """
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     lam = np.asarray(lam, dtype=float)
     t = v.size
 
-    def objective(g):
-        mags = np.sort(w * g)[::-1]
-        return 0.5 * np.sum((g - v) ** 2) + step * np.sum(lam * mags)
-
     los = np.zeros(t)
     his = np.full(t, max(v.max(), 1e-12) * 1.05)
     best = None
     for _ in range(rounds):
         axes = [np.linspace(los[i], his[i], points) for i in range(t)]
-        best_f, best_g = np.inf, None
-        for g in itertools.product(*axes):
-            f = objective(np.array(g))
-            if f < best_f:
-                best_f, best_g = f, np.array(g)
+        grid = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+        mags = np.sort(w * grid, axis=1)[:, ::-1]
+        f = 0.5 * np.sum((grid - v) ** 2, axis=1) + step * np.sum(lam * mags, axis=1)
+        best_g = grid[np.argmin(f)]
         spans = [(his[i] - los[i]) / (points - 1) for i in range(t)]
         los = np.maximum(0.0, best_g - 2 * np.array(spans))
         his = best_g + 2 * np.array(spans)

@@ -2,6 +2,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ def test_solve_json_schedule_file(runner, tmp_path):
     assert doc["support"] == sorted(i for i, b in enumerate(doc["beta"]) if b != 0.0)
 
 
+@pytest.mark.parametrize("doc, fragment", [
+    (None, "expected a JSON object, got NoneType"),
+    ({"rule": "BH", "params": [1, 2], "values": [1.0]}, "params must be a JSON object"),
+    ({"rule": "BH", "params": {}, "values": {"a": 1}}, "values must be a list of numbers"),
+], ids=["null", "params-list", "values-object"])
+def test_solve_malformed_json_schedule_exits_2_naming_the_file(runner, tmp_path, doc,
+                                                                fragment):
+    design, response, _ = _identity_problem(tmp_path)
+    sched = tmp_path / "bad.json"
+    sched.write_text(json.dumps(doc))
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--schedule", str(sched)])
+    assert res.exit_code == 2, res.output
+    assert f"{sched}: {fragment}" in res.output
+
+
 def test_solve_singleton_groups_match_feature_fit(runner, tmp_path):
     design, response, _ = _identity_problem(tmp_path, m=8, seed=5)
     sched = tmp_path / "s.csv"
@@ -284,6 +301,32 @@ def test_solve_group_rule_uses_standardized_ranks(runner, tmp_path):
     assert by_rule.exit_code == 0 and by_file.exit_code == 0
     assert json.loads(by_rule.output) == json.loads(by_file.output)
     assert json.loads(by_rule.output)["selected_groups"]
+
+
+def test_solve_group_rule_holds_two_design_sized_arrays(runner, tmp_path):
+    # the matrix is dropped once standardized, and the unequal sqrt weights
+    # fold into a copy of X~: two n x m arrays at most
+    import scipy.linalg  # noqa: F401  its one-time import is not the command's
+
+    n, sizes = 300, (3, 4, 5, 6, 7) * 12
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((n, sum(sizes)))
+    X /= np.sqrt((X * X).sum(axis=0))
+    y = X[:, :10] @ np.full(10, 2.0) + rng.standard_normal(n)
+    design = _write_csv(tmp_path / "X.csv", X)
+    response = _write_csv(tmp_path / "y.csv", y)
+    groups = tmp_path / "groups.csv"
+    GroupPartition.from_sizes(sizes).to_csv(groups)
+    tracemalloc.start()
+    try:
+        res = _invoke(runner, ["solve", "--design", design, "--response", response,
+                               "--groups", str(groups), "--rule", "gk", "--k", "1",
+                               "--alpha", "0.1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0 and json.loads(res.output)["converged"]
+    assert peak < 2.5 * X.nbytes
 
 
 def test_solve_requires_unit_columns_unless_waived(runner, tmp_path):
@@ -499,6 +542,21 @@ def test_stepdown_usage_errors(runner, tmp_path, extra, fragment):
     res = runner.invoke(main, ["stepdown", "--pvalues", pv] + extra)
     assert res.exit_code == 2
     assert fragment in res.output
+
+
+def test_stepdown_pvalues_are_one_row_or_one_column(runner, tmp_path):
+    p = np.array([[1e-6, 0.9], [1e-5, 0.2], [0.5, 0.04]])
+    args = ["--rule", "kfwer", "--k", "1", "--alpha", "0.1"]
+    matrix = _write_csv(tmp_path / "m.csv", p)
+    res = runner.invoke(main, ["stepdown", "--pvalues", matrix] + args)
+    assert res.exit_code == 2, res.output
+    assert "expected one row or one column, got 3x2" in res.output
+    docs = []
+    for name, shape in (("row.csv", (1, 6)), ("column.csv", (6, 1))):
+        path = _write_csv(tmp_path / name, p.reshape(shape))
+        docs.append(_invoke(runner, ["stepdown", "--pvalues", path] + args).output)
+    assert docs[0] == docs[1]
+    assert json.loads(docs[0])["params"]["m"] == 6
 
 
 def test_stepdown_rejects_out_of_range_pvalues(runner, tmp_path):
@@ -737,6 +795,24 @@ def test_simulate_malformed_config_is_rejected_before_the_run(runner, tmp_path, 
                                                               fragment):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
+    out = tmp_path / "runs"
+    res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert fragment in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, fragment", [
+    ("ab", "kfwer_grid must be a list of positive integers, got 'ab'"),
+    (5, "kfwer_grid must be a list of positive integers, got 5"),
+    ([2.5], "kfwer_grid entries must be a positive integer, got 2.5"),
+    ([True], "kfwer_grid entries must be a positive integer, got True"),
+    ([0, 2], "kfwer_grid entries must be a positive integer, got 0"),
+], ids=["string", "number", "fraction", "boolean", "zero"])
+def test_simulate_bad_kfwer_grid_is_rejected_before_the_run(runner, tmp_path, grid,
+                                                            fragment):
+    cfg = tmp_path / "grid.json"
+    cfg.write_text(json.dumps({"experiments": [_CELL], "kfwer_grid": grid}))
     out = tmp_path / "runs"
     res = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 2, res.output

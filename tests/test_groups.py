@@ -106,7 +106,7 @@ def test_standardize_rejects_zero_block():
     X[:, 1] = 1.0
     with pytest.raises(ValueError, match="all-zero design block"):
         standardize(X, GroupPartition.from_sizes((1, 1)))
-    with pytest.raises(ValueError, match="group 0 has an all-zero design block"):
+    with pytest.raises(ValueError, match="at least one row and column"):
         standardize(np.zeros((0, 3)), GroupPartition.from_sizes((2, 1)))
 
 
@@ -118,7 +118,7 @@ def test_standardize_rejects_partition_mismatch():
 def test_standardize_rejects_a_non_finite_raw_array():
     X = np.eye(4)
     X[2, 1] = np.nan
-    with pytest.raises(ValueError, match="finite 2-d array"):
+    with pytest.raises(ValueError, match="design contains non-finite entries"):
         standardize(X, GroupPartition.from_sizes((2, 2)))
 
 
@@ -569,10 +569,57 @@ def test_precomputed_standardization_is_equivalent():
         sp = standardize(X, part)
         before = sp.x_tilde.tobytes()
         a = solve_group_slope(X, y, part, lam)
-        b = solve_group_slope(X, y, part, lam, standardized=sp)
+        b = solve_group_slope(sp, y, part, lam)
         assert np.array_equal(a.beta, b.beta)
         assert a.iterations == b.iterations
         assert sp.x_tilde.tobytes() == before
+
+
+def test_a_standardization_of_other_groups_is_refused():
+    # the same sizes, other groups: fitted unchecked on ((0, 1), (2, 3))'s
+    # bases, the fit of ((0, 2), (1, 3)) keeps group 0 only, as converged
+    rng = np.random.default_rng(1)
+    X = _unit_columns(rng.normal(size=(12, 4)))
+    y = X @ np.array([2.0, 2.0, 0.0, 0.0]) + 0.5 * rng.normal(size=12)
+    part, lam = GroupPartition(((0, 2), (1, 3))), np.array([2.0, 1.0])
+    right = solve_group_slope(X, y, part, lam)
+    assert right.converged and right.selected_groups == {0, 1}
+    with pytest.raises(ValueError, match="other groups than the partition"):
+        solve_group_slope(standardize(X, GroupPartition(((0, 1), (2, 3)))), y, part, lam)
+    # the weights may differ: standardize never reads them
+    reweighted = standardize(X, GroupPartition(part.groups, np.array([1.0, 3.0])))
+    fit = solve_group_slope(reweighted, y, part, lam)
+    assert np.array_equal(fit.beta, right.beta) and fit.iterations == right.iterations
+
+
+@pytest.mark.parametrize("design", ["array", "standardized"])
+@pytest.mark.parametrize("bad, fragment", [
+    (dict(sigma=-1.0), "sigma must be positive"),
+    (dict(tol=np.nan), "tol must be positive"),
+    (dict(max_iter=0), "max_iter must be a positive integer"),
+    (dict(y=np.array([1.0, np.inf] + [0.0] * 8)), "response contains non-finite values"),
+    (dict(y=np.ones(9)), r"response has shape \(9,\), expected \(10,\)"),
+], ids=["sigma", "tol-nan", "max-iter-0", "y-inf", "y-short"])
+def test_group_fit_checks_its_arguments_before_the_qr(monkeypatch, design, bad, fragment):
+    X = _unit_columns(np.random.default_rng(4).normal(size=(10, 6)))
+    part = GroupPartition.from_sizes((1, 2, 3))
+    sp = standardize(X, part)
+    calls = []
+    monkeypatch.setattr(groups, "standardize", lambda *args: calls.append(args))
+    args = {**dict(y=np.ones(10), sigma=1.0, tol=1e-8, max_iter=100), **bad}
+    with pytest.raises(ValueError, match=fragment):
+        solve_group_slope(X if design == "array" else sp, args.pop("y"), part,
+                          np.ones(3), **args)
+    assert calls == []
+
+
+@pytest.mark.parametrize("weights", [None, (1.0, 2.0)], ids=["equal", "unequal"])
+def test_identity_fit_refuses_an_overflowing_block_norm(weights):
+    # y is finite; the norm of its first block, sqrt(2e400), is not
+    part = GroupPartition.from_sizes((2, 2), None if weights is None else np.array(weights))
+    y = np.array([1e200, 1e200, 1.0, 1.0])
+    with pytest.raises(ValueError, match="block norm overflows in group 0"):
+        solve_group_slope(None, y, part, np.ones(2))
 
 
 def test_unequal_weights_fold_into_the_design(monkeypatch):
