@@ -9,6 +9,7 @@ import functools
 import hashlib
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -73,30 +74,29 @@ def _guarded(f):
     return wrapper
 
 
-def _read_matrix(path):
+def _read_matrix(path, kind="matrix"):
+    """A numeric CSV file as a non-empty 2-d array of finite numbers; kind
+    names it in a refusal.  loadtxt's own warning on an empty file is
+    silenced, so the refusal is the only message."""
     try:
-        X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except Exception as exc:
-        raise ValueError(f"{path}: could not parse as a numeric CSV matrix ({exc})")
+        raise ValueError(f"{path}: could not parse as a numeric CSV {kind} ({exc})")
+    if X.size == 0:
+        raise ValueError(f"{path}: empty {kind}")
     if not np.all(np.isfinite(X)):
-        raise ValueError(f"{path}: matrix contains non-finite entries")
+        raise ValueError(f"{path}: {kind} contains non-finite entries")
     return X
 
 
 def _read_vector(path):
     """One row or one column of finite numbers, as a 1-d array."""
-    try:
-        v = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    except Exception as exc:
-        raise ValueError(f"{path}: could not parse as a numeric CSV vector ({exc})")
+    v = _read_matrix(path, "vector")
     if min(v.shape) > 1:
         raise ValueError(f"{path}: expected one row or one column, got {v.shape[0]}x{v.shape[1]}")
-    v = v.ravel()
-    if v.size == 0:
-        raise ValueError(f"{path}: empty vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{path}: vector contains non-finite entries")
-    return v
+    return v.ravel()
 
 
 def _sizes_option(ctx, param, text):

@@ -470,16 +470,15 @@ def solve_group_slope(design, y, partition, lam, sigma=1.0, tol=1e-8, max_iter=2
         if folded:
             c = c / col_w
     norms = _block_norms(c, offsets)
+    chosen = np.flatnonzero(norms).tolist()
     beta = np.zeros(partition.num_features)
     if design is None:
         beta[order] = c
     else:
-        for gi, g in enumerate(partition.groups):
-            if norms[gi] != 0.0:
-                coef, *_ = np.linalg.lstsq(sp.r_factors[gi], c[sp.block(gi)], rcond=None)
-                beta[list(g)] = coef
-    selected = {int(i) for i in np.flatnonzero(norms)}
-    return GroupFitResult(beta, norms, selected, *stats)
+        for gi in chosen:
+            coef, *_ = np.linalg.lstsq(sp.r_factors[gi], c[sp.block(gi)], rcond=None)
+            beta[list(partition.groups[gi])] = coef
+    return GroupFitResult(beta, norms, set(chosen), *stats)
 
 
 def group_support_metrics(fit, truth, k, gamma):

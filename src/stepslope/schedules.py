@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, check_count, check_index, check_level, check_scale
+from .errors import NumericalError, _real, check_count, check_index, check_level, check_scale
 from .quantiles import ChiMixture, chi_quantile, mixture_quantile, normal_quantile
 from .solver import DesignMatrix
 from .sorted_l1 import _check_order
@@ -502,8 +502,9 @@ def schedule_from_json(path):
     """Rebuild a LambdaSchedule written by schedule_to_json, bit-exact.
 
     Any other document is a ValueError naming path: one that is not a JSON
-    object, lacks a key, or has params other than an object or values other
-    than numbers.
+    object, lacks a key, has params other than an object or values other
+    than a list of JSON numbers (booleans and strings included), or that
+    LambdaSchedule refuses.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -516,8 +517,10 @@ def schedule_from_json(path):
             raise ValueError(f"{path}: missing key {key!r}")
     if not isinstance(doc["params"], dict):
         raise ValueError(f"{path}: params must be a JSON object")
-    try:
-        values = np.array(doc["values"], dtype=float)
-    except (TypeError, ValueError):
+    values = doc["values"]
+    if not (isinstance(values, list) and all(map(_real, values))):
         raise ValueError(f"{path}: values must be a list of numbers")
-    return LambdaSchedule(values, doc["rule"], doc["params"])
+    try:  # an int past the float range overflows the cast
+        return LambdaSchedule(np.array(values, dtype=float), doc["rule"], doc["params"])
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

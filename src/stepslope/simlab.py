@@ -36,6 +36,7 @@ from .solver import (
     DesignMatrix,
     SupportMetrics,
     _DiagonalPlusConstant,
+    operator_norm_sq,
     solve_slope,
     support_metrics,
 )
@@ -402,17 +403,13 @@ def gen_correlated_means(config, rep):
     against the design W, whose columns are deliberately not unit-norm.  W
     and the root of Sigma are _DiagonalPlusConstant operators, so no n x n
     matrix is formed, and W is returned as the design.  mu's nonzero value
-    is scaled by the norm of W's first column, built as the dense matrix
-    held it, so that the effective per-column signal matches the named
-    strength.  Draw order: support, then noise.
+    is scaled by the norm of W's columns, so that the effective per-column
+    signal matches the named strength.  Draw order: support, then noise.
     """
     rng = _rep_rng(config.seed, rep)
     n = config.m
     W, root = _equicorr_matrices(n, config.rho)
-    first = np.full(n, W.shift)
-    first[0] += W.diag
-    col = float(math.sqrt((first * first).sum()))
-    amp = resolve_signal(config) / col
+    amp = resolve_signal(config) / math.sqrt(operator_norm_sq(W))
     support = rng.choice(n, size=config.t, replace=False)
     mu = np.zeros(n)
     mu[support] = amp
@@ -427,9 +424,8 @@ def _group_signal(config, rng, X):
     groups, no stats.
 
     Relevant group g gets uniform [0.1, 1.1] coefficients rescaled so the
-    image norm ||X_g beta_g|| equals amplitude * sqrt(|g|).  On the identity
-    the image norm is still summed over a length-m image vector, as the
-    product with a dense identity was, so the drawn bytes are the same.
+    image norm ||X_g beta_g|| equals amplitude * sqrt(|g|); on the identity
+    that image is u itself.
     """
     part = config.partition()
     amp = resolve_signal(config)
@@ -438,11 +434,7 @@ def _group_signal(config, rng, X):
     for g in sorted(int(i) for i in relevant):
         idx = list(part.groups[g])
         u = rng.uniform(0.1, 1.1, size=len(idx))
-        if X is None:
-            img = np.zeros(config.m)
-            img[idx] = u
-        else:
-            img = X[:, idx] @ u
+        img = u if X is None else X[:, idx] @ u
         norm = float(np.sqrt((img ** 2).sum()))
         beta[idx] = u * (amp * math.sqrt(len(idx)) / norm)
     y = _response(config, rng, X, beta)
@@ -611,57 +603,18 @@ def run_experiment(config, threads=1, resolved=None):
     return report
 
 
-_REPORT_COLUMNS = (
-    "config_id",
-    "design",
-    "method",
-    "n",
-    "m",
-    "t",
-    "k",
-    "alpha",
-    "gamma",
-    "q",
-    "signal",
-    "replications",
-    "seed",
-    "metric",
-    "estimate",
-    "se",
-)
-
-
-def report_rows(report):
-    """One CSV row dict per aggregate metric."""
-    c = report.config
-    base = {
-        "config_id": c.config_id(),
-        "design": c.design,
-        "method": c.method,
-        "n": c.n,
-        "m": c.m,
-        "t": c.t,
-        "k": c.k,
-        "alpha": f"{c.alpha:.17g}",
-        "gamma": f"{c.gamma:.17g}",
-        "q": f"{c.q:.17g}",
-        "signal": f"{report.extras['signal_value']:.17g}",
-        "replications": c.replications,
-        "seed": c.seed,
-    }
-    rows = []
-    for metric in ("kfwer", "prob_fdp", "fdr", "power"):
-        est, se = report.aggregates[metric]
-        rows.append(dict(base, metric=metric, estimate=f"{est:.17g}", se=f"{se:.17g}"))
-    return rows
-
-
 def write_report_csv(reports, path):
     """Summary table: one row per (config, metric), 17 significant digits."""
-    lines = [",".join(_REPORT_COLUMNS)]
+    lines = ["config_id,design,method,n,m,t,k,alpha,gamma,q,signal,replications,seed,"
+             "metric,estimate,se"]
     for rep in reports:
-        for row in report_rows(rep):
-            lines.append(",".join(str(row[col]) for col in _REPORT_COLUMNS))
+        c = rep.config
+        head = (f"{c.config_id()},{c.design},{c.method},{c.n},{c.m},{c.t},{c.k},"
+                f"{c.alpha:.17g},{c.gamma:.17g},{c.q:.17g},"
+                f"{rep.extras['signal_value']:.17g},{c.replications},{c.seed}")
+        for metric in ("kfwer", "prob_fdp", "fdr", "power"):
+            est, se = rep.aggregates[metric]
+            lines.append(f"{head},{metric},{est:.17g},{se:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -83,5 +83,4 @@ def two_sided_pvalues(z, scale=1.0):
     if not np.all(np.isfinite(z)):
         raise ValueError("statistics contain non-finite values")
     flat = np.abs(z).ravel() / (scale * math.sqrt(2.0))
-    out = np.array([math.erfc(x) for x in flat])
-    return out.reshape(z.shape)
+    return np.fromiter(map(math.erfc, flat.tolist()), float, flat.size).reshape(z.shape)

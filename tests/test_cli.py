@@ -2,7 +2,11 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,7 +246,14 @@ def test_solve_json_schedule_file(runner, tmp_path):
     (None, "expected a JSON object, got NoneType"),
     ({"rule": "BH", "params": [1, 2], "values": [1.0]}, "params must be a JSON object"),
     ({"rule": "BH", "params": {}, "values": {"a": 1}}, "values must be a list of numbers"),
-], ids=["null", "params-list", "values-object"])
+    ({"rule": "BH", "params": {}, "values": [True, False]}, "values must be a list of numbers"),
+    ({"rule": "BH", "params": {}, "values": ["3", "1"]}, "values must be a list of numbers"),
+    ({"rule": "BH", "params": {}, "values": []}, "schedule needs at least one entry"),
+    ({"rule": "BH", "params": {}, "values": [1.0, float("nan")]}, "sorted-L1 weights must be"),
+    ({"rule": "BH", "params": {}, "values": [1.0, 2.0]}, "sorted-L1 weights must be"),
+    ({"rule": "BH", "params": {}, "values": [10**400]}, "int too large to convert"),
+], ids=["null", "params-list", "values-object", "values-bools", "values-strings",
+        "values-empty", "values-nan", "values-rise", "values-int-overflow"])
 def test_solve_malformed_json_schedule_exits_2_naming_the_file(runner, tmp_path, doc,
                                                                 fragment):
     design, response, _ = _identity_problem(tmp_path)
@@ -252,6 +263,33 @@ def test_solve_malformed_json_schedule_exits_2_naming_the_file(runner, tmp_path,
                                "--schedule", str(sched)])
     assert res.exit_code == 2, res.output
     assert f"{sched}: {fragment}" in res.output
+
+
+@pytest.mark.parametrize("empty, kind", [
+    ("design", "matrix"), ("response", "vector"), ("pvalues", "vector"),
+])
+def test_empty_input_file_is_refused_without_a_numpy_warning(tmp_path, empty, kind):
+    # a new interpreter, so loadtxt's warning would reach stderr as Python
+    # shows it outside pytest's warning capture
+    files = {name: _write_csv(tmp_path / f"{name}.csv", np.full(4, 0.5))
+             for name in ("response", "pvalues")}
+    files["design"] = _write_csv(tmp_path / "design.csv", np.eye(4))
+    files[empty] = str(tmp_path / "empty.csv")
+    Path(files[empty]).write_text("")
+    if empty == "pvalues":
+        args = ["stepdown", "--pvalues", files["pvalues"], "--rule", "kfwer", "--k", "1",
+                "--alpha", "0.1"]
+    else:
+        args = ["solve", "--design", files["design"], "--response", files["response"],
+                "--rule", "bh", "--q", "0.1"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "stepslope.cli", *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 2, res.stderr
+    assert f"{files[empty]}: empty {kind}" in res.stderr
+    assert "UserWarning" not in res.stderr and "loadtxt" not in res.stderr
 
 
 def test_solve_singleton_groups_match_feature_fit(runner, tmp_path):

@@ -8,9 +8,10 @@ simlab's generators draw.  The group amplitude is a norm of the image
 X_g beta_g, so a change of how that norm is summed shows up here, as does
 any change of the random stream's draw order.  Correlated-means entries
 hash the mean, the whitened response and the raw observation ybar, all
-three drawn through the O(n) equicorrelation operators; they were frozen
-when those replaced the dense matrices, whose products rounded
-differently.
+three drawn through the O(n) equicorrelation operators, with the mean
+scaled by the whitener's column norm in operator_norm_sq's closed form.
+The dense matrices these operators replaced rounded differently.
+scripts/freeze_golden.py rewrites the files from the *_golden_doc functions.
 
 Gaussian entries hash the design X, beta and y that gen_gaussian and the
 group-Gaussian gen_group draw, and for group designs the bytes of
@@ -21,6 +22,7 @@ x_tilde has fewer columns than X.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from stepslope.simlab import (
 )
 from stepslope.solver import DesignMatrix
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "data" / "orthogonal_data_golden.json"
 GAUSSIAN_GOLDEN = Path(__file__).parent / "data" / "gaussian_data_golden.json"
 
@@ -142,3 +145,16 @@ def test_gaussian_data_bytes_match_golden():
 def test_orthogonal_data_bytes_match_golden():
     want = json.loads(GOLDEN.read_text())
     assert orthogonal_data_golden_doc() == want
+
+
+def test_freeze_golden_writes_each_file_in_its_format():
+    # scripts/freeze_golden.py rewrites the three files from the *_golden_doc
+    # functions; a file it would rewrite without a changed entry shows here
+    spec = importlib.util.spec_from_file_location("freeze_golden",
+                                                  ROOT / "scripts" / "freeze_golden.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert len(script.DOCS) == 3
+    for name in script.DOCS:
+        text = (GOLDEN.parent / name).read_text()
+        assert script.golden_text(json.loads(text)) == text

@@ -27,7 +27,7 @@ from stepslope.simlab import (
     write_details_json,
     write_report_csv,
 )
-from stepslope.solver import DesignMatrix
+from stepslope.solver import DesignMatrix, operator_norm_sq
 from stepslope.stepdown import fdp_thresholds, kfwer_thresholds
 
 
@@ -339,13 +339,17 @@ def test_gen_correlated_means_whitens():
 
 @pytest.mark.parametrize("rho,seed", [(0.5, 11003), (0.2, 7), (0.9, 4207)])
 def test_gen_correlated_means_matches_dense_products(rho, seed):
-    # the generator before the operators: dense root @ z and W @ ybar
+    # the generator before the operators: dense root @ z and W @ ybar, with mu
+    # scaled by the whitener's column norm in the closed form operator_norm_sq
+    # holds, which the dense first column reproduces to rounding
     c = ExperimentConfig(design="correlated-means", method="k-slope", n=1000, m=1000,
                          t=10, k=6, rho=rho, seed=seed, replications=3)
     W, root = _dense_equicorr(c.m, rho)
+    col = math.sqrt(operator_norm_sq(_equicorr_matrices(c.m, rho)[0]))
+    assert col == pytest.approx(math.sqrt(float((W[:, 0] * W[:, 0]).sum())), rel=1e-15)
+    amp = resolve_signal(c) / col
     for rep in range(c.replications):
         rng = simlab._rep_rng(seed, rep)
-        amp = resolve_signal(c) / float(math.sqrt((W[:, 0] * W[:, 0]).sum()))
         support = rng.choice(c.m, size=c.t, replace=False)
         mu_ref = np.zeros(c.m)
         mu_ref[support] = amp

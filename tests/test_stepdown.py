@@ -145,6 +145,20 @@ def test_two_sided_pvalues_scale():
         two_sided_pvalues(z, scale=0.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.7])
+def test_two_sided_pvalues_equal_per_element_erfc_bitwise(scale):
+    rng = np.random.default_rng(29)
+    z = np.concatenate([rng.standard_normal(500) * 4.0, [0.0, -0.0, 5e-324, -1e-300,
+                                                          1e-17, 38.0, -1e3, 1e300]])
+    want = [math.erfc(abs(v) / (scale * math.sqrt(2.0))) for v in z.tolist()]
+    got = two_sided_pvalues(z, scale)
+    assert got.dtype == np.float64 and got.shape == z.shape
+    assert got.tobytes() == np.array(want).tobytes()
+    # the shape of the statistics is kept
+    square = two_sided_pvalues(z[:16].reshape(4, 4), scale)
+    assert square.tobytes() == np.array(want[:16]).tobytes() and square.shape == (4, 4)
+
+
 def test_two_sided_pvalues_refuse_an_infinite_scale():
     # every p-value was 1
     with pytest.raises(ValueError, match="scale must be positive and finite, got inf"):
