@@ -1,14 +1,16 @@
-"""Check that a simulate run directory reproduces byte for byte.
+"""Check that simulate run directories reproduce byte for byte.
 
-    python3 scripts/check_run.py RUN_DIR
+    python3 scripts/check_run.py RUN_DIR [RUN_DIR ...]
 
-replays RUN_DIR/manifest.json through `stepslope simulate --config` at the
-manifest's thread count, into a temporary directory, and compares the bytes
-of every output the manifest lists (report.csv, details.json and, for a run
-with a kfwer grid, kfwer_grid.csv) with RUN_DIR's.  Prints "ok" and exits 0
-when every file matches; exits 1 naming the first file that differs or that
-the replay did not write, and 2 when RUN_DIR has no manifest or the replay
-itself fails.  The replay imports stepslope from this checkout's src/.
+replays each RUN_DIR/manifest.json through `stepslope simulate --config` at
+the manifest's thread count, into a temporary directory, and compares the
+bytes of every output the manifest lists (report.csv, details.json and, for
+a run with a kfwer grid, kfwer_grid.csv) with RUN_DIR's.  Prints one line
+per directory, "RUN_DIR: ok" when every file matches, or naming the first
+file that differs or that the replay did not write, or the failed replay.
+Exits with the worst status: 0 same bytes, 1 a file differs, 2 a replay
+failed; and 2 with this text, replaying nothing, when a RUN_DIR has no
+manifest.  The replays import stepslope from this checkout's src/.
 """
 
 import json
@@ -22,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def check_run(run_dir):
-    """Exit status of the check: 0 same bytes, 1 a file differs, 2 no replay."""
+    """(status, message) of the check: 0 same bytes, 1 a file differs, 2 no replay."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
@@ -34,22 +36,24 @@ def check_run(run_dir):
              "--threads", str(manifest["threads"]), "--out", out_root],
             env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            print(f"replay failed (exit {proc.returncode}): {proc.stderr.strip()}")
-            return 2
+            return 2, f"replay failed (exit {proc.returncode}): {proc.stderr.strip()}"
         (replay,) = Path(out_root).iterdir()
         for name in manifest["outputs"].values():
             if not (replay / name).is_file():
-                print(f"{name} missing from the replay")
-                return 1
+                return 1, f"{name} missing from the replay"
             if (replay / name).read_bytes() != (run_dir / name).read_bytes():
-                print(f"{name} differs")
-                return 1
-    print("ok")
-    return 0
+                return 1, f"{name} differs"
+    return 0, "ok"
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or not (Path(sys.argv[1]) / "manifest.json").is_file():
+    dirs = sys.argv[1:]
+    if not dirs or not all((Path(d) / "manifest.json").is_file() for d in dirs):
         print(__doc__, file=sys.stderr)
         sys.exit(2)
-    sys.exit(check_run(sys.argv[1]))
+    worst = 0
+    for d in dirs:
+        status, message = check_run(d)
+        print(f"{d}: {message}", flush=True)
+        worst = max(worst, status)
+    sys.exit(worst)

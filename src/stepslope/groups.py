@@ -122,6 +122,7 @@ class GroupPartition:
 
         Groups are ordered by sorted group id.  A weight column, when
         present, must be positive, finite and constant within each group.
+        A row of other values is a ValueError naming path and the row.
         """
         lines = Path(path).read_text().strip().splitlines()
         if not lines:
@@ -131,14 +132,18 @@ class GroupPartition:
             lines = lines[1:]
         by_gid = {}
         wts = {}
-        for line in lines:
+        for row, line in enumerate(lines, start=1):
             parts = [p.strip() for p in line.split(",")]
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}: expected 2 or 3 columns, got {line!r}")
-            idx, gid = int(parts[0]), int(parts[1])
+            try:
+                idx, gid = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else None
+            except ValueError:
+                raise ValueError(f"{path}: row {row} {line!r}: not int,int[,float]") from None
             by_gid.setdefault(gid, []).append(idx)
-            if len(parts) == 3:
-                w = check_scale(f"{path}: group {gid} weight", float(parts[2]))
+            if w is not None:
+                w = check_scale(f"{path}: group {gid} weight", w)
                 if wts.setdefault(gid, w) != w:
                     raise ValueError(f"{path}: group {gid} has conflicting weights")
         gids = sorted(by_gid)
@@ -193,29 +198,6 @@ def get_lapack_funcs(names, dtype):
     return lapack.get_lapack_funcs(names, dtype=dtype)
 
 
-def _in_place(routine, name, gi, lworks, a, *args):
-    """LAPACK routine(a, *args) with overwrite_a=1 and the optimal workspace.
-
-    Like scipy.linalg's safecall, the workspace size is the optimum a
-    query (lwork=-1) returns, so LAPACK takes the same blocked or unblocked
-    path as scipy.linalg.qr; the query runs once per routine and block
-    shape, cached in lworks.  Returns the outputs but info.
-
-    Raises
-    ------
-    NumericalError
-        When LAPACK reports a non-zero info, naming group gi and the routine.
-    """
-    key = (name, a.shape)
-    if key not in lworks:
-        *_, work, info = routine(a, *args, lwork=-1, overwrite_a=1)
-        _check_info(info, name, gi)
-        lworks[key] = int(work[0])
-    *out, info = routine(a, *args, lwork=lworks[key], overwrite_a=1)
-    _check_info(info, name, gi)
-    return out
-
-
 def _check_info(info, name, gi):
     if info != 0:
         raise NumericalError(f"group {gi}: LAPACK {name} failed with info={info}")
@@ -241,17 +223,19 @@ def standardize(design, partition):
     copied straight into its slot of one Fortran-ordered n x m buffer (a
     slice of X for a contiguous group, a gather otherwise) and factored
     there in place by the LAPACK routines scipy.linalg.qr(mode="economic",
-    pivoting=True) wraps: geqp3, then orgqr on the reflectors, both with the
-    optimal workspace, queried once per block shape (_in_place).  The rank
-    and the R factor are read off the factored slot before orgqr overwrites
-    it with the basis, and the next block's slot starts after the rank
-    columns kept, so a rank-deficient block's surplus columns are
-    overwritten.  The bytes are those of scipy.linalg.qr's wrapper, without
-    its per-call checks, workspace queries and copies.  x_tilde is the
-    buffer's first sum-of-ranks columns, a Fortran-contiguous view (the
-    layout fixes the fit's rounding; see StandardizedProblem): no list of
-    bases and no concatenated copy are kept, so standardization allocates
-    one design-sized array.
+    pivoting=True) wraps: geqp3, then orgqr on the reflectors, each with the
+    optimal workspace of the widest block, queried once (lwork=-1) on a view
+    of the buffer; a routine leaves scipy.linalg.qr's blocked or unblocked
+    path only below its optimum, which grows with width, so the bytes are
+    those of scipy.linalg.qr's wrapper.  The rank and R (through one
+    upper-triangle mask, bitwise np.triu) are read off the factored slot
+    before orgqr overwrites it with the basis, and the next block's slot
+    starts after the rank columns kept, so a rank-deficient block's surplus
+    columns are overwritten.  x_tilde is the buffer's first sum-of-ranks
+    columns, a Fortran-contiguous view (the layout fixes the fit's
+    rounding; see StandardizedProblem): no list of bases and no
+    concatenated copy are kept, so standardization allocates one
+    design-sized array.
 
     Raises
     ------
@@ -274,7 +258,14 @@ def standardize(design, partition):
     n = X.shape[0]
     x_tilde = np.empty(X.shape, order="F")
     geqp3, orgqr = get_lapack_funcs(("geqp3", "orgqr"), dtype=np.float64)
-    lworks = {}
+    widest = max(partition.sizes)
+    wi, k = partition.sizes.index(widest), min(n, widest)
+    *_, work, info = geqp3(x_tilde[:, :widest], lwork=-1, overwrite_a=1)
+    _check_info(info, "geqp3", wi)
+    _, orgqr_work, info = orgqr(x_tilde[:, :k], np.zeros(k), lwork=-1, overwrite_a=1)
+    _check_info(info, "orgqr", wi)
+    geqp3_lwork, orgqr_lwork = int(work[0]), int(orgqr_work[0])
+    upper = np.triu(np.ones((k, widest), dtype=bool))
     factors = []
     ranks = []
     col = 0
@@ -285,18 +276,18 @@ def standardize(design, partition):
             slot[...] = X[:, g[0]:g[0] + size]
         else:
             slot[...] = X[:, g]
-        qr, jpvt, tau, _ = _in_place(geqp3, "geqp3", gi, lworks, slot)
+        qr, jpvt, tau, _, info = geqp3(slot, lwork=geqp3_lwork, overwrite_a=1)
+        _check_info(info, "geqp3", gi)
         d = np.abs(qr.diagonal())
         if d[0] == 0.0:
             raise ValueError(f"group {gi} has an all-zero design block")
         rank = int(np.count_nonzero(d >= 1e-10 * d[0]))
         # R is read before orgqr overwrites the slot
         unpivoted = np.zeros((rank, size))
-        unpivoted[:, jpvt - 1] = np.triu(qr[:rank])
-        # a wide block (n < size) has only n reflectors and basis columns
-        q, _ = _in_place(orgqr, "orgqr", gi, lworks, qr[:, :min(n, size)], tau)
-        if not np.shares_memory(q, slot):
-            slot[:, :rank] = q[:, :rank]
+        unpivoted[:, jpvt - 1] = np.where(upper[:rank, :size], qr[:rank], 0.0)
+        # in place on the Fortran view; a wide block (n < size) has n reflectors and columns
+        info = orgqr(qr[:, :min(n, size)], tau, lwork=orgqr_lwork, overwrite_a=1)[-1]
+        _check_info(info, "orgqr", gi)
         col += rank
         factors.append(unpivoted)
         ranks.append(rank)

@@ -467,7 +467,8 @@ def schedule_values_from_csv(path):
     """Read back values written by schedule_to_csv, bit-exact.
 
     The CSV carries no provenance, so this returns a bare array rather
-    than a LambdaSchedule.
+    than a LambdaSchedule.  Any other file is a ValueError naming path and
+    the row, also for values out of LambdaSchedule's order.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0].strip() != "index,value":
@@ -475,9 +476,14 @@ def schedule_values_from_csv(path):
     vals = []
     for row, line in enumerate(lines[1:], start=1):
         idx, _, val = line.partition(",")
-        if int(idx) != row:
+        try:
+            idx, val = int(idx), float(val)
+            _check_order(np.array(vals[-1:] + [val]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row} {line!r}: {exc}") from None
+        if idx != row:
             raise ValueError(f"{path}: indices must run 1..m, got {idx} at row {row}")
-        vals.append(float(val))
+        vals.append(val)
     if not vals:
         raise ValueError(f"{path}: no schedule entries")
     return np.array(vals)

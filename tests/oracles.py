@@ -8,6 +8,7 @@ file imports from ``stepslope``.
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -505,3 +506,53 @@ def stepdown_stepup_counts(mags, thresholds):
         r_sd += 1
     r_su = max((j + 1 for j in range(len(a)) if above[j]), default=0)
     return r_sd, r_su
+
+
+def _all_above(bounds):
+    """P(U_(i) > b_i for every i) for len(bounds) iid uniforms, exactly.
+
+    bounds: non-decreasing Fractions in [0, 1].  Split the complement at the
+    last i with U_(i) <= b_i: exactly i points fall in [0, b_i] and the rest
+    clear the later bounds.  With H(i) the probability that the m - i points
+    beyond b_i clear b_{i+1}, ..., b_m, times (1 - b_i)^(m - i),
+        H(i) = (1 - b_i)^(m - i) - sum_{j > i} C(m - i, j - i) (b_j - b_i)^(j - i) H(j),
+    H(m) = 1, and the answer is H(0) at b_0 = 0 (Bolshev's recursion).  On
+    a common denominator D, with b_i = B_i / D, K(i) = H(i) D^(m - i) is the
+    same recursion in the integers B_i and D, so no step divides.
+    """
+    m = len(bounds)
+    d = math.lcm(*(x.denominator for x in bounds))
+    b = [0] + [x.numerator * (d // x.denominator) for x in bounds]
+    h = [0] * m + [1]
+    for i in range(m - 1, -1, -1):
+        total = (d - b[i]) ** (m - i)
+        for j in range(i + 1, m + 1):
+            if b[j] > b[i]:
+                total -= math.comb(m - i, j - i) * (b[j] - b[i]) ** (j - i) * h[j]
+        h[i] = total
+    return Fraction(h[0], d ** m)
+
+
+def null_rejection_probability(levels, m, k, side):
+    """P(R >= k) for m iid uniform p-values and non-decreasing p-levels
+    a_1 <= ... <= a_m, exactly (a Fraction; float levels are taken at
+    their exact binary values).
+
+    side "step-down": R_SD is the largest r with p_(j) <= a_j for every
+    j <= r, so R_SD >= k is p_(j) <= a_j for j <= k.  side "step-up": R_SU
+    is the largest r with p_(r) <= a_r, so R_SU < k is p_(r) > a_r for
+    r >= k.  On the identity design under the global null, the levels of a
+    schedule lam are erfc(lam_i / sqrt(2)), and the sorted-L1 selection
+    count R lies between the two (Bogdan et al., AoAS 2015), so
+    P(R_SD >= k) <= P(R >= k) <= P(R_SU >= k).  Both are rectangle
+    probabilities of uniform order statistics (Steck, Ann. Math. Statist.
+    1971); by U -> 1 - U the step-down one is a lower-boundary one too.
+    """
+    a = [Fraction(x) for x in levels]
+    if len(a) != m or not 1 <= k <= m or any(x > y for x, y in zip(a, a[1:])):
+        raise ValueError("need m non-decreasing levels and 1 <= k <= m")
+    if side == "step-down":
+        return _all_above([Fraction(0)] * (m - k) + [1 - x for x in reversed(a[:k])])
+    if side == "step-up":
+        return 1 - _all_above([Fraction(0)] * (k - 1) + a[k - 1:])
+    raise ValueError(f"unknown side {side!r}")

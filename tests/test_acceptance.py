@@ -18,8 +18,14 @@ the same critical values: under an orthogonal design with equal group
 weights the sorted-L1 selection contains the stepdown rejections (Bogdan
 et al., SLOPE, Ann. Appl. Stat. 2015, in its group form), and that is what
 the power test checks, replication by replication.
+
+Under the global null on the identity design the sorted-L1 selection count
+R lies between the step-down and step-up counts at the schedule's p-levels,
+so each null cell's error rate is checked against the exact bracket
+[P(R_SD >= k), P(R_SU >= k)] of tests/oracles.null_rejection_probability.
 """
 import json
+import math
 import time
 from importlib import resources
 
@@ -41,7 +47,12 @@ from stepslope.solver import DesignMatrix, solve_slope
 from stepslope.sorted_l1 import prox_sorted_l1
 from stepslope.stepdown import fdp_thresholds, kfwer_thresholds, stepdown_reject
 
-from oracles import normal_quantile_bisect, prox_enum, stepdown_bruteforce
+from oracles import (
+    normal_quantile_bisect,
+    null_rejection_probability,
+    prox_enum,
+    stepdown_bruteforce,
+)
 
 
 def test_criterion_01_prox_matches_bruteforce_oracle():
@@ -122,6 +133,28 @@ def test_criterion_05_orthogonal_fdp_control_and_power():
     assert report.aggregates["fdr"][0] <= 0.02
     assert report.aggregates["power"][0] >= 0.98
     assert elapsed < 300.0
+
+
+@pytest.mark.parametrize("method, k", [("k-slope", 2), ("f-slope", 1)])
+def test_orthogonal_global_null_lies_in_the_exact_stepdown_stepup_bracket(method, k):
+    # t = 0: every selection is false, so k-slope's V >= 2 is R >= 2 and
+    # f-slope's FDP > gamma is R >= 1
+    config = ExperimentConfig(
+        design="orthogonal-identity", method=method, n=200, m=200, t=0, k=2,
+        alpha=0.1, gamma=0.1, replications=4000, seed=4212,
+    )
+    mode, schedule, _ = resolve_schedule(config)
+    assert mode == "schedule"
+    levels = [math.erfc(x / math.sqrt(2.0)) for x in schedule.values.tolist()]
+    low = float(null_rejection_probability(levels, config.m, k, "step-down"))
+    high = float(null_rejection_probability(levels, config.m, k, "step-up"))
+    start = time.monotonic()
+    report = run_experiment(config)
+    assert time.monotonic() - start < 10.0
+    hits = int((report.k_hit if method == "k-slope" else report.fdp_exceeds).sum())
+    # one-sided 99% binomial limits on each side of the bracket
+    n = config.replications
+    assert binom.ppf(0.01, n, low) <= hits <= binom.ppf(0.99, n, high), (hits, low, high)
 
 
 def test_criterion_06_singleton_groups_reduce_to_feature_fit():

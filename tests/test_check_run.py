@@ -1,10 +1,11 @@
-"""scripts/check_run.py replays a run directory's manifest and compares bytes.
+"""scripts/check_run.py replays run directories' manifests and compares bytes.
 
 The run has a kfwer grid and puts a config whose schedule takes a k ahead
 of two that do not, so the replay must take the grid from the manifest
 and write kfwer_grid.csv too.
 """
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,15 @@ from stepslope.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _check(run_dir):
+def _check(*run_dirs):
     return subprocess.run([sys.executable, str(ROOT / "scripts" / "check_run.py"),
-                           str(run_dir)], capture_output=True, text=True, timeout=300)
+                           *map(str, run_dirs)], capture_output=True, text=True, timeout=300)
+
+
+def _flip_a_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
 
 
 def _grid_run(tmp_path):
@@ -42,15 +49,26 @@ def test_check_run_passes_a_clean_run_and_names_a_changed_file(tmp_path):
 
     clean = _check(run_dir)
     assert clean.returncode == 0, clean.stdout + clean.stderr
-    assert clean.stdout.strip() == "ok"
+    assert clean.stdout.strip() == f"{run_dir}: ok"
 
-    details = run_dir / "details.json"
-    data = bytearray(details.read_bytes())
-    data[len(data) // 2] ^= 1
-    details.write_bytes(bytes(data))
+    _flip_a_byte(run_dir / "details.json")
     changed = _check(run_dir)
     assert changed.returncode == 1
-    assert changed.stdout.strip() == "details.json differs"
+    assert changed.stdout.strip() == f"{run_dir}: details.json differs"
+
+
+def test_check_run_reports_each_directory_and_exits_with_the_worst(tmp_path):
+    clean = _grid_run(tmp_path)
+    changed = tmp_path / "changed"
+    shutil.copytree(clean, changed)
+    _flip_a_byte(changed / "report.csv")
+    res = _check(clean, changed)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout.splitlines() == [f"{clean}: ok", f"{changed}: report.csv differs"]
+    # a directory without a manifest stops the check before any replay
+    res = _check(clean, tmp_path)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "python3 scripts/check_run.py RUN_DIR" in res.stderr
 
 
 def test_check_run_names_an_output_the_replay_did_not_write(tmp_path):
@@ -62,7 +80,7 @@ def test_check_run_names_an_output_the_replay_did_not_write(tmp_path):
     path.write_text(json.dumps(manifest))
     res = _check(run_dir)
     assert res.returncode == 1
-    assert res.stdout.strip() == "kfwer_grid.csv missing from the replay"
+    assert res.stdout.strip() == f"{run_dir}: kfwer_grid.csv missing from the replay"
 
 
 def test_check_run_without_a_manifest_prints_usage(tmp_path):

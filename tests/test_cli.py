@@ -265,6 +265,41 @@ def test_solve_malformed_json_schedule_exits_2_naming_the_file(runner, tmp_path,
     assert f"{sched}: {fragment}" in res.output
 
 
+@pytest.mark.parametrize("rows, fragment", [
+    (["3", "abc", "1"], "row 2 '2,abc': could not convert string to float"),
+    (["3", "", "1"], "row 2 '': invalid literal for int()"),
+    (["3", "nan", "1"], "row 2 '2,nan': sorted-L1 weights must be"),
+    (["1e999", "2", "1"], "row 1 '1,1e999': sorted-L1 weights must be"),
+    (["3", "2", "-1"], "row 3 '3,-1': sorted-L1 weights must be"),
+    (["3", "1", "2"], "row 3 '3,2': sorted-L1 weights must be"),
+], ids=["non-numeric", "blank-line", "nan", "overflow", "negative", "rise"])
+def test_solve_malformed_csv_schedule_exits_2_naming_the_file_and_row(runner, tmp_path, rows,
+                                                                      fragment):
+    design, response, _ = _identity_problem(tmp_path, m=3)
+    sched = tmp_path / "bad.csv"
+    # a blank row keeps its number: it is the second row, not a gap
+    lines = [f"{i},{v}" if v else "" for i, v in enumerate(rows, start=1)]
+    sched.write_text("index,value\n" + "\n".join(lines) + "\n")
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--schedule", str(sched)])
+    assert res.exit_code == 2, res.output
+    assert f"{sched}: {fragment}" in res.output
+
+
+@pytest.mark.parametrize("row", ["x,0,1.0", "0,g,1.0", "0.5,0", "0,0,heavy"],
+                         ids=["feature-index", "group-id", "float-index", "weight"])
+def test_solve_malformed_partition_exits_2_naming_the_file_and_row(runner, tmp_path, row):
+    design, response, _ = _identity_problem(tmp_path, m=3)
+    sched = tmp_path / "s.csv"
+    sched.write_text("index,value\n1,2.0\n2,1.0\n3,0.5\n")
+    groups = tmp_path / "groups.csv"
+    groups.write_text(f"feature_index,group_id,weight\n1,0,1.0\n{row}\n2,1,1.0\n")
+    res = runner.invoke(main, ["solve", "--design", design, "--response", response,
+                               "--schedule", str(sched), "--groups", str(groups)])
+    assert res.exit_code == 2, res.output
+    assert f"{groups}: row 2 {row!r}: not int,int[,float]" in res.output
+
+
 @pytest.mark.parametrize("empty, kind", [
     ("design", "matrix"), ("response", "vector"), ("pvalues", "vector"),
 ])

@@ -231,6 +231,27 @@ def test_standardize_raises_on_a_lapack_failure(monkeypatch, routine):
         standardize(X, GroupPartition.from_sizes((3, 2, 2)))
 
 
+def test_standardize_queries_each_workspace_once(monkeypatch):
+    # five block widths; a query per width and routine would make ten
+    real = groups.get_lapack_funcs
+    queries = []
+
+    def spying(names, *args, **kwargs):
+        def wrap(name, func):
+            def call(*a, **kw):
+                if kw["lwork"] == -1:
+                    queries.append(name)
+                return func(*a, **kw)
+            return call
+
+        return tuple(wrap(name, func) for name, func in zip(names, real(names, *args, **kwargs)))
+
+    monkeypatch.setattr(groups, "get_lapack_funcs", spying)
+    X, part = _oracle_case("mixed-contiguous")
+    standardize(X, part)
+    assert sorted(queries) == ["geqp3", "orgqr"]
+
+
 def test_standardize_shuffled_partition_allocates_one_design():
     # the gather path copies each block straight into its slot of x_tilde
     n, sizes = 650, (3, 4, 5, 6, 7) * 36

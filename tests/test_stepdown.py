@@ -1,5 +1,6 @@
 """Stepdown thresholds and rejection rule against exhaustive references."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from stepslope.stepdown import (
     two_sided_pvalues,
 )
 
-from oracles import normal_cdf, stepdown_bruteforce
+from oracles import normal_cdf, null_rejection_probability, stepdown_bruteforce
 
 
 def test_kfwer_threshold_values():
@@ -70,6 +71,27 @@ def test_float32_inputs_give_float64_levels():
     assert kfwer_schedule(10, 2, a32).values.tobytes() == (
         kfwer_schedule(10, 2, a).values.tobytes()
     )
+
+
+def test_null_rejection_probability_matches_closed_forms():
+    # the first k levels of kFWER are all t = k * alpha / m, so
+    # P(R_SD >= 2) = P(at least two p-values <= t)
+    m, k = 200, 2
+    levels = kfwer_thresholds(m, k, 0.1).tolist()
+    assert levels[0] == levels[1] == 2 * 0.1 / m
+    t = Fraction(levels[0])
+    closed = 1 - (1 - t) ** m - m * t * (1 - t) ** (m - 1)
+    sd = null_rejection_probability(levels, m, k, "step-down")
+    su = null_rejection_probability(levels, m, k, "step-up")
+    assert sd == closed
+    assert closed <= su and round(float(su), 5) == round(float(closed), 5) == 0.01746
+    # Simes: the step-up count at the BH levels i * q / m is >= 1 with
+    # probability q; step-down needs p_(1) <= q / m, and R_SU >= m is p_(m) <= q
+    m, q = 40, Fraction(1, 10)
+    bh = [q * i / m for i in range(1, m + 1)]
+    assert null_rejection_probability(bh, m, 1, "step-up") == q
+    assert null_rejection_probability(bh, m, 1, "step-down") == 1 - (1 - q / m) ** m
+    assert null_rejection_probability(bh, m, m, "step-up") == q ** m
 
 
 def test_reject_matches_bruteforce_randomized():
