@@ -7,10 +7,11 @@ the manifest's thread count, into a temporary directory, and compares the
 bytes of every output the manifest lists (report.csv, details.json and, for
 a run with a kfwer grid, kfwer_grid.csv) with RUN_DIR's.  Prints one line
 per directory, "RUN_DIR: ok" when every file matches, or naming the first
-file that differs or that the replay did not write, or the failed replay.
-Exits with the worst status: 0 same bytes, 1 a file differs, 2 a replay
-failed; and 2 with this text, replaying nothing, when a RUN_DIR has no
-manifest.  The replays import stepslope from this checkout's src/.
+file that differs or that the replay did not write, the failed replay, or
+a malformed manifest.  Exits with the worst status: 0 same bytes, 1 a file
+differs, 2 a replay failed or a manifest is malformed; and 2 with this
+text, replaying nothing, when a RUN_DIR has no manifest.  The replays
+import stepslope from this checkout's src/.
 """
 
 import json
@@ -23,22 +24,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def simulate(src, *args):
+    """Run `stepslope simulate ARGS` importing stepslope from SRC; the CompletedProcess."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "stepslope.cli", "simulate", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
 def check_run(run_dir):
-    """(status, message) of the check: 0 same bytes, 1 a file differs, 2 no replay."""
+    """(status, message) of the check: 0 same bytes, 1 a file differs, 2 no replay
+    (a malformed manifest or a failed one)."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        threads, outputs = manifest["threads"], list(manifest["outputs"].values())
+    # not UTF-8 or not JSON; not an object, or without threads or an outputs object
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        return 2, f"malformed manifest ({type(exc).__name__}: {exc})"
     with tempfile.TemporaryDirectory() as out_root:
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "stepslope.cli", "simulate", "--config", str(manifest_path),
-             "--threads", str(manifest["threads"]), "--out", out_root],
-            env=env, capture_output=True, text=True)
+        proc = simulate(ROOT / "src", "--config", manifest_path, "--threads", threads,
+                        "--out", out_root)
         if proc.returncode != 0:
             return 2, f"replay failed (exit {proc.returncode}): {proc.stderr.strip()}"
         (replay,) = Path(out_root).iterdir()
-        for name in manifest["outputs"].values():
+        for name in outputs:
             if not (replay / name).is_file():
                 return 1, f"{name} missing from the replay"
             if (replay / name).read_bytes() != (run_dir / name).read_bytes():

@@ -17,8 +17,9 @@ binomial standard error of the estimate (for fdr, of the mean FDP).  z is
 (estimate - level) / sqrt(level * (1 - level) / replications), the
 estimate's distance above the level in standard errors at the level, so a
 cell that never errs still has one.  all_converged is the run's
-details.json flag; no details.json is kept.  The runs import stepslope
-from this checkout's src/.
+details.json flag; no details.json is kept.  An unknown PRESET exits 2,
+listing the bundled ones, before any run.  The runs import stepslope from
+this checkout's src/.
 """
 
 import argparse
@@ -26,13 +27,11 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from check_run import ROOT, simulate
 
 # method -> (report.csv metric it controls, config field holding its level)
 CONTROLLED = {
@@ -69,18 +68,23 @@ def record_rows(preset, run_dir):
     return rows
 
 
-def run_preset(preset, reps, threads, out_root):
-    """Run one preset through simulate; return its run directory."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+def available_presets(src):
+    """The names of the presets bundled under the source tree SRC."""
+    return sorted(p.stem for p in (Path(src) / "stepslope" / "presets").glob("*.json"))
+
+
+def run_preset(preset, reps, threads, out_root, src=ROOT / "src"):
+    """Run one preset through SRC's simulate; return its run directory.
+
+    Raises RuntimeError with simulate's exit status and stderr when it fails.
+    """
     out = Path(out_root) / preset
-    cmd = [sys.executable, "-m", "stepslope.cli", "simulate", "--preset", preset,
-           "--threads", str(threads), "--out", str(out)]
+    args = ["--preset", preset, "--threads", threads, "--out", out]
     if reps is not None:
-        cmd += ["--reps", str(reps)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        args += ["--reps", reps]
+    proc = simulate(src, *args)
     if proc.returncode != 0:
-        sys.exit(f"{preset}: simulate failed (exit {proc.returncode}): {proc.stderr.strip()}")
+        raise RuntimeError(f"simulate failed (exit {proc.returncode}): {proc.stderr.strip()}")
     (run_dir,) = out.iterdir()
     return run_dir
 
@@ -94,8 +98,11 @@ def main():
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default=None, help="CSV file to write (default: stdout)")
     args = parser.parse_args()
-    presets = args.presets or sorted(
-        p.stem for p in (ROOT / "src" / "stepslope" / "presets").glob("*.json"))
+    available = available_presets(ROOT / "src")
+    unknown = sorted(set(args.presets) - set(available))
+    if unknown:
+        parser.error(f"unknown presets {unknown}; available: {', '.join(available)}")
+    presets = args.presets or available
 
     # written once every preset has run, so a failed run leaves no partial file
     text = io.StringIO()
@@ -103,8 +110,11 @@ def main():
     writer.writeheader()
     with tempfile.TemporaryDirectory() as out_root:
         for preset in presets:
-            writer.writerows(record_rows(preset, run_preset(preset, args.reps, args.threads,
-                                                            out_root)))
+            try:
+                run_dir = run_preset(preset, args.reps, args.threads, out_root)
+            except RuntimeError as exc:
+                sys.exit(f"{preset}: {exc}")
+            writer.writerows(record_rows(preset, run_dir))
     if args.out is None:
         sys.stdout.write(text.getvalue())
     else:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from stepslope.cli import main
@@ -87,4 +88,21 @@ def test_check_run_without_a_manifest_prints_usage(tmp_path):
     res = _check(tmp_path)
     assert res.returncode == 2
     assert "python3 scripts/check_run.py RUN_DIR" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{not json", "Expecting property name enclosed in double quotes"),
+    ('{"outputs": {}}', "KeyError: 'threads'"),
+], ids=["not-json", "no-threads"])
+def test_check_run_names_a_malformed_manifest_and_checks_the_rest(tmp_path, text, reason):
+    clean = _grid_run(tmp_path)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_text(text)
+    res = _check(bad, clean)
+    assert res.returncode == 2, res.stdout + res.stderr
+    first, second = res.stdout.splitlines()
+    assert first.startswith(f"{bad}: malformed manifest (") and reason in first
+    assert second == f"{clean}: ok"
     assert "Traceback" not in res.stderr

@@ -48,3 +48,13 @@ def test_record_rows_equal_the_runs_report_aggregates(tmp_path):
         assert row["all_converged"] == str(doc["extras"]["all_converged"]).lower()
         z = (float(want["estimate"]) - level) / math.sqrt(level * (1 - level) / 2)
         assert float(row["z"]) == round(z, 3)
+
+
+def test_unknown_preset_is_refused_before_any_run(tmp_path):
+    out = tmp_path / "record.csv"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "full_scale_record.py"),
+                           "table2", "nosuch", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "unknown presets ['nosuch']; available: fig1, fig4," in proc.stderr
+    assert not out.exists()
