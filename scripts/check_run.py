@@ -7,11 +7,11 @@ the manifest's thread count, into a temporary directory, and compares the
 bytes of every output the manifest lists (report.csv, details.json and, for
 a run with a kfwer grid, kfwer_grid.csv) with RUN_DIR's.  Prints one line
 per directory, "RUN_DIR: ok" when every file matches, or naming the first
-file that differs or that the replay did not write, the failed replay, or
-a malformed manifest.  Exits with the worst status: 0 same bytes, 1 a file
-differs, 2 a replay failed or a manifest is malformed; and 2 with this
-text, replaying nothing, when a RUN_DIR has no manifest.  The replays
-import stepslope from this checkout's src/.
+file that differs or that the replay or RUN_DIR lacks, the failed replay,
+or a malformed manifest.  Exits with the worst status: 0 same bytes, 1 a
+file differs or is missing, 2 a replay failed or a manifest is malformed;
+and 2 with this text, replaying nothing, when a RUN_DIR has no manifest.
+The replays import stepslope from this checkout's src/.
 """
 
 import json
@@ -33,8 +33,8 @@ def simulate(src, *args):
 
 
 def check_run(run_dir):
-    """(status, message) of the check: 0 same bytes, 1 a file differs, 2 no replay
-    (a malformed manifest or a failed one)."""
+    """(status, message) of the check: 0 same bytes, 1 a file differs or is
+    missing, 2 no replay (a malformed manifest or a failed one)."""
     run_dir = Path(run_dir)
     manifest_path = run_dir / "manifest.json"
     try:
@@ -52,6 +52,8 @@ def check_run(run_dir):
         for name in outputs:
             if not (replay / name).is_file():
                 return 1, f"{name} missing from the replay"
+            if not (run_dir / name).is_file():
+                return 1, f"{name} missing from RUN_DIR"
             if (replay / name).read_bytes() != (run_dir / name).read_bytes():
                 return 1, f"{name} differs"
     return 0, "ok"

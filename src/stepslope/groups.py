@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, check_count, check_scale
-from .solver import (DesignMatrix, _checked, _DiagonalPlusConstant, _working_set, solve_slope,
+from .solver import (_checked, _DiagonalPlusConstant, _fit_design, _working_set, solve_slope,
                      support_metrics)
 from .sorted_l1 import _weights, prox_sorted_l1, sorted_l1_norm
 
@@ -203,14 +203,6 @@ def _check_info(info, name, gi):
         raise NumericalError(f"group {gi}: LAPACK {name} failed with info={info}")
 
 
-def _design_matrix(design):
-    """A DesignMatrix as it is; a raw array checked as one without the
-    unit-column rule, which a group fit never needs."""
-    if isinstance(design, DesignMatrix):
-        return design
-    return DesignMatrix(design, require_unit_columns=False)
-
-
 def standardize(design, partition):
     """Orthonormalize each group's design block by pivoted QR.
 
@@ -218,8 +210,9 @@ def standardize(design, partition):
     least 1e-10 times the largest one.  An all-zero block is a degenerate
     group and rejected.  The partition's weights are never read.
 
-    A DesignMatrix was validated when it was built; a raw array is checked
-    as DesignMatrix(design, require_unit_columns=False).  Each block is
+    solver._fit_design reads the design: a DesignMatrix as it was built,
+    anything else (None and the O(n) operator refused) checked as one
+    without the unit-column rule.  Each block is
     copied straight into its slot of one Fortran-ordered n x m buffer (a
     slice of X for a contiguous group, a gather otherwise) and factored
     there in place by the LAPACK routines scipy.linalg.qr(mode="economic",
@@ -250,7 +243,7 @@ def standardize(design, partition):
     -------
     StandardizedProblem
     """
-    X = _design_matrix(design).entries
+    X = _fit_design(design, False, matrix_free=False).entries
     if partition.num_features != X.shape[1]:
         raise ValueError(
             f"partition covers {partition.num_features} features, design has {X.shape[1]}"
@@ -328,11 +321,12 @@ def group_prox(v, lam, step):
     step : float
         Non-negative, finite prox scaling; NaN and inf are refused.
 
-    This is the sorted-L1 prox of v against step*lam, clipped at zero.  A
-    group weight w shared by every group is part of the step, since
-    J_lam(w * g) = w * J_lam(g); solve_group_slope folds unequal weights
-    into a design, and fits the identity design's block norms as a feature
-    problem, so no prox here sees them.
+    This is the sorted-L1 prox of v against step*lam, which needs no clip:
+    each entry is a fit >= 0 times sign(v_i) >= 0.  A group weight w shared
+    by every group is part of the step, since J_lam(w * g) = w * J_lam(g);
+    solve_group_slope folds unequal weights into a design, and fits the
+    identity design's block norms as a feature problem, so no prox here
+    sees them.
     """
     v = np.asarray(v, dtype=float)
     lamv = _weights(lam, v.size)
@@ -340,7 +334,7 @@ def group_prox(v, lam, step):
         raise ValueError("group prox targets must be non-negative")
     if not 0.0 <= step < np.inf:
         raise ValueError(f"step must be non-negative and finite, got {step!r}")
-    return np.maximum(prox_sorted_l1(v, step * lamv), 0.0)
+    return prox_sorted_l1(v, step * lamv)
 
 
 def _block_norms(vec, offsets):
@@ -392,7 +386,8 @@ def solve_group_slope(design, y, partition, lam, sigma=1.0, tol=1e-8, max_iter=2
         least squares of v on the O(t) diagonal diag(1/w) in u = w * g,
         fitted at tol and max_iter.  The counters, gap and objective are
         solve_slope's.  Groups need not be contiguous, and a block norm of
-        y that overflows is refused.  A matrix is standardized here and
+        y that overflows is refused.  A matrix, a raw array checked as a
+        DesignMatrix without the unit-column rule, is standardized here and
         folded in place.  A StandardizedProblem of the partition's groups
         (its weights may differ) is reused without a QR, folded on a copy.
 
@@ -409,11 +404,9 @@ def solve_group_slope(design, y, partition, lam, sigma=1.0, tol=1e-8, max_iter=2
         if design.partition.groups != partition.groups:
             raise ValueError("the standardization covers other groups than the partition")
         n = design.x_tilde.shape[0]
-    elif design is None:
-        n = partition.num_features
     else:
-        design = _design_matrix(design)
-        n = design.shape[0]
+        design = _fit_design(design, False)
+        n = partition.num_features if design is None else design.shape[0]
     y, sigma = _checked(n, y, sigma, tol, max_iter)
     if design is None:
         order = partition.order

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericalError, _real, check_count, check_index, check_level, check_scale
 from .quantiles import ChiMixture, chi_quantile, mixture_quantile, normal_quantile
-from .solver import DesignMatrix
+from .solver import _fit_design
 from .sorted_l1 import _check_order
 from .stepdown import fdp_thresholds, kfwer_thresholds
 
@@ -195,9 +195,7 @@ def monte_carlo_corrected_schedule(base, design, replicates=100, seed=0):
         an entry's rise is proven is never taken.
     """
     rule = _corrected_rule(base, "-MonteCarlo", "Monte Carlo")
-    if not isinstance(design, DesignMatrix):
-        design = DesignMatrix(design, require_unit_columns=False)
-    X = design.entries
+    X = _fit_design(design, False, matrix_free=False).entries
     replicates = check_count("replicates", replicates)
     seed = check_index("seed", seed)
     m_cols = X.shape[1]

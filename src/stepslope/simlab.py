@@ -355,30 +355,30 @@ def _design(config, rng):
     """The design draw: None on a fixed design, which draws nothing; else
     N(0, 1/n) entries scaled to exactly unit columns in place, in one n x m
     buffer (divided by sqrt(n), then by the column norms), so no second
-    design-sized array is made."""
+    design-sized array is made, and checked here once as a DesignMatrix."""
     if _DESIGNS[config.design].fixed:
         return None
     X = rng.standard_normal((config.n, config.m))
     X /= math.sqrt(config.n)
     X /= np.sqrt(np.einsum("ij,ij->j", X, X))
-    return X
+    return DesignMatrix(X)
 
 
-def _response(config, rng, X, beta):
-    """beta (X None, the identity) or X beta, plus sigma times a noise draw."""
-    mean = beta if X is None else X @ beta
+def _response(config, rng, design, beta):
+    """beta (design None, the identity) or X beta, plus sigma times a noise draw."""
+    mean = beta if design is None else design.entries @ beta
     return mean + config.sigma * rng.standard_normal(mean.size)
 
 
-def _feature_signal(config, rng, X):
-    """The signal draw of a feature design X (None, the identity): support,
-    then beta at the amplitude, then y.  The identity's y is its stats."""
+def _feature_signal(config, rng, design):
+    """The signal draw of a feature design, None (the identity) or _design's
+    DesignMatrix: support, beta at the amplitude, then y (the identity's stats)."""
     support = rng.choice(config.m, size=config.t, replace=False)
     beta = np.zeros(config.m)
     beta[support] = resolve_signal(config)
-    y = _response(config, rng, X, beta)
-    design, stats = (None, y) if X is None else (DesignMatrix(X), None)
-    return Replication(design, None, beta, y, {int(i) for i in support}, stats)
+    y = _response(config, rng, design, beta)
+    return Replication(design, None, beta, y, {int(i) for i in support},
+                       y if design is None else None)
 
 
 def gen_orthogonal(config, rep):
@@ -418,10 +418,10 @@ def gen_correlated_means(config, rep):
     return Replication(W, None, mu, y, {int(i) for i in support}, ybar)
 
 
-def _group_signal(config, rng, X):
-    """The signal draw of a group design X (None, the identity): relevant
-    groups, per-group coefficients in sorted group order, then y; truth holds
-    groups, no stats.
+def _group_signal(config, rng, design):
+    """The signal draw of a group design (None, the identity; else _design's
+    DesignMatrix): relevant groups, per-group coefficients in sorted group
+    order, then y; truth holds groups, no stats.
 
     Relevant group g gets uniform [0.1, 1.1] coefficients rescaled so the
     image norm ||X_g beta_g|| equals amplitude * sqrt(|g|); on the identity
@@ -434,11 +434,10 @@ def _group_signal(config, rng, X):
     for g in sorted(int(i) for i in relevant):
         idx = list(part.groups[g])
         u = rng.uniform(0.1, 1.1, size=len(idx))
-        img = u if X is None else X[:, idx] @ u
+        img = u if design is None else design.entries[:, idx] @ u
         norm = float(np.sqrt((img ** 2).sum()))
         beta[idx] = u * (amp * math.sqrt(len(idx)) / norm)
-    y = _response(config, rng, X, beta)
-    design = None if X is None else DesignMatrix(X)
+    y = _response(config, rng, design, beta)
     return Replication(design, part, beta, y, {int(i) for i in relevant}, None)
 
 

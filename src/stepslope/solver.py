@@ -155,11 +155,22 @@ def operator_norm_sq(X):
     return float(np.einsum("ij,ij->j", X, X).max())
 
 
+def _fit_design(design, unit_columns, matrix_free=True):
+    """A design argument as a fit reads it: None (the identity) and a
+    _DiagonalPlusConstant as they are, unless matrix_free is False (the QR
+    and the Monte Carlo correction, where DesignMatrix refuses them); a
+    DesignMatrix as it is; else DesignMatrix(design, unit_columns)."""
+    if matrix_free and (design is None or isinstance(design, _DiagonalPlusConstant)):
+        return design
+    return design if isinstance(design, DesignMatrix) else DesignMatrix(design, unit_columns)
+
+
 def slope_objective(design, y, beta, lam, sigma=1.0):
     """0.5*||y - X beta||^2 + sigma * J_lam(beta) for any design solve_slope
-    takes: None is the identity, r = y - beta, and a raw array is read
-    without the unit-column check."""
-    X = design.entries if isinstance(design, DesignMatrix) else design
+    takes: None is the identity, r = y - beta, and a raw array is checked
+    as a DesignMatrix without the unit-column rule."""
+    X = _fit_design(design, False)
+    X = X.entries if isinstance(X, DesignMatrix) else X
     beta = np.asarray(beta, float)
     r = np.asarray(y, float) - (beta if X is None else X @ beta)
     return 0.5 * float(r @ r) + sigma * sorted_l1_norm(beta, lam)
@@ -480,10 +491,8 @@ def solve_slope(design, y, lam, sigma=1.0, tol=1e-8, max_iter=20000):
         beta is the last prox output, so its zeros are exact and support
         is read off literally.
     """
-    if design is None or isinstance(design, _DiagonalPlusConstant):
-        X = design
-    else:
-        X = (design if isinstance(design, DesignMatrix) else DesignMatrix(design)).entries
+    X = _fit_design(design, True)
+    X = X.entries if isinstance(X, DesignMatrix) else X
     w = _weights(lam, np.size(y) if X is None else X.shape[1])
 
     def problem(units):

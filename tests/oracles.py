@@ -556,3 +556,51 @@ def null_rejection_probability(levels, m, k, side):
     if side == "step-up":
         return 1 - _all_above([Fraction(0)] * (k - 1) + a[k - 1:])
     raise ValueError(f"unknown side {side!r}")
+
+
+def stepup_rejection_probability(levels, k):
+    """P(R_SU >= k) for len(levels) iid uniform p-values at the
+    non-decreasing p-levels b_1 <= ... <= b_M, in floats.
+
+    R_SU < k is N(b_r) <= r - 1 for every r >= k, N(x) the count of
+    p-values <= x.  Walk the levels b_k, ..., b_M carrying the distribution
+    of N at the current level a on the runs that have not broken that cap
+    yet: given c points below a, the other M - c are uniform above it, so
+    the next level b adds Binomial(M - c, (b - a) / (1 - a)) points.  The
+    mass that lands on a count >= r is a step-up rejection of r >= k, and
+    the answer is the sum of those masses, positive terms only.  On the
+    identity design with every signal rejected first, the nulls'
+    P(V_SU >= k) is this at the levels past the t signals, levels[t:]
+    (ROADMAP item 14).
+
+    The binomial terms of one level run up in j by the ratio
+    (M - c - j) / (j + 1) * odds.  They are dropped once j + 1 >= 2 M odds,
+    where every ratio is below 1/2, and the largest term is below 1e-30:
+    the rest of each c's terms then sums to less than 2e-30, so a level
+    drops less than 2e-30 M, ~1e-24 over a thousand levels.  Without the
+    cut the terms run until they underflow, ~6x the time at M = 950.
+    """
+    b = [float(x) for x in levels]
+    M = len(b)
+    if not 1 <= k <= M or any(x > y for x, y in zip(b, b[1:])):
+        raise ValueError("need non-decreasing levels and 1 <= k <= len(levels)")
+    dist = np.ones(1)  # P(N(a) = c, no cap broken), c = 0, 1, ...
+    a = total = 0.0
+    for r in range(k, M + 1):
+        p = (b[r - 1] - a) / (1.0 - a)
+        odds = p / (1.0 - p)
+        a = b[r - 1]
+        n = M - np.arange(dist.size, dtype=float)
+        term = dist * np.exp(n * math.log1p(-p))  # j = 0 new points
+        kept = np.zeros(r)  # counts c + j <= r - 1 stay under the cap
+        j = 0
+        while True:
+            stay = max(0, min(term.size, r - j))
+            kept[j:j + stay] += term[:stay]
+            total += float(term[stay:].sum())
+            if j + 1 >= 2.0 * M * odds and term.max() < 1e-30:
+                break
+            term *= (n - j) * (odds / (j + 1))
+            j += 1
+        dist = kept
+    return total

@@ -23,11 +23,16 @@ Under the global null on the identity design the sorted-L1 selection count
 R lies between the step-down and step-up counts at the schedule's p-levels,
 so each null cell's error rate is checked against the exact bracket
 [P(R_SD >= k), P(R_SU >= k)] of tests/oracles.null_rejection_probability.
+At any signal strength, each table2 k-slope cell's k-FWER is at most the
+exact step-up bound of tests/oracles.stepup_rejection_probability, which
+is checked against alpha and against the cell's count in the record.
 """
+import csv
 import json
 import math
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,7 +57,10 @@ from oracles import (
     null_rejection_probability,
     prox_enum,
     stepdown_bruteforce,
+    stepup_rejection_probability,
 )
+
+RECORD = Path(__file__).resolve().parent.parent / "records" / "full_scale_record.csv"
 
 
 def test_criterion_01_prox_matches_bruteforce_oracle():
@@ -155,6 +163,33 @@ def test_orthogonal_global_null_lies_in_the_exact_stepdown_stepup_bracket(method
     # one-sided 99% binomial limits on each side of the bracket
     n = config.replications
     assert binom.ppf(0.01, n, low) <= hits <= binom.ppf(0.99, n, high), (hits, low, high)
+
+
+def test_table2_kslope_cells_hold_the_exact_orthogonal_kfwer_bound():
+    # On the identity design the selections lie within the step-up
+    # rejections, and the nulls among those are largest with every signal's
+    # p-value at 0, so P(V >= k) <= P(V_SU >= k | all t signals rejected first)
+    # at any signal strength (ROADMAP item 14): exact, with no simulation.
+    with RECORD.open() as f:
+        estimates = {row["config_id"]: float(row["estimate"]) for row in csv.DictReader(f)
+                     if row["preset"] == "table2" and row["method"] == "k-slope"}
+    doc = json.loads(resources.files("stepslope").joinpath("presets/table2.json").read_text())
+    configs = [ExperimentConfig.from_dict(d) for d in doc["experiments"]
+               if d["method"] == "k-slope"]
+    assert len(configs) == len(estimates) == 6
+    start = time.monotonic()
+    for config in configs:
+        mode, schedule, _ = resolve_schedule(config)
+        assert mode == "schedule" and config.design == "orthogonal-identity"
+        levels = [math.erfc(x / math.sqrt(2.0)) for x in schedule.values.tolist()]
+        bound = stepup_rejection_probability(levels[config.t:], config.k)
+        label = f"t={config.t} k={config.k}: bound {bound:.6g}"
+        assert bound <= config.alpha, label
+        # the record's count under the one-sided 99% binomial limit at the bound
+        n = config.replications
+        count = round(estimates[config.config_id()] * n)
+        assert count <= binom.ppf(0.99, n, bound), (label, count)
+    assert time.monotonic() - start < 5.0
 
 
 def test_criterion_06_singleton_groups_reduce_to_feature_fit():

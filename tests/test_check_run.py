@@ -84,6 +84,19 @@ def test_check_run_names_an_output_the_replay_did_not_write(tmp_path):
     assert res.stdout.strip() == f"{run_dir}: kfwer_grid.csv missing from the replay"
 
 
+def test_check_run_names_an_output_missing_from_the_run_directory(tmp_path):
+    # the manifest lists report.csv, but the directory lost it
+    clean = _grid_run(tmp_path)
+    missing = tmp_path / "missing"
+    shutil.copytree(clean, missing)
+    (missing / "report.csv").unlink()
+    res = _check(missing, clean)
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert res.stdout.splitlines() == [f"{missing}: report.csv missing from RUN_DIR",
+                                       f"{clean}: ok"]
+    assert "Traceback" not in res.stderr
+
+
 def test_check_run_without_a_manifest_prints_usage(tmp_path):
     res = _check(tmp_path)
     assert res.returncode == 2

@@ -268,6 +268,19 @@ def test_standardize_shuffled_partition_allocates_one_design():
     assert peak < 1.1 * design.entries.nbytes
 
 
+@pytest.mark.parametrize("design, error, match", [
+    (None, ValueError, "2-d array"),
+    (solver._DiagonalPlusConstant(4, 1.0, 0.0), TypeError, "_DiagonalPlusConstant"),
+], ids=["identity", "operator"])
+def test_the_qr_refuses_a_matrix_free_design(design, error, match):
+    part = GroupPartition.from_sizes((2, 2))
+    with pytest.raises(error, match=match):
+        standardize(design, part)
+    if design is not None:
+        with pytest.raises(error, match=match):
+            solve_group_slope(design, np.ones(4), part, np.ones(2))
+
+
 def test_group_prox_equal_weights_closed_form():
     # a weight w shared by every group enters as the step: J(w g) = w J(g)
     v = np.array([3.0, 1.0, 0.2])
@@ -275,6 +288,24 @@ def test_group_prox_equal_weights_closed_form():
     got = group_prox(v, lam, step=0.3 * 2.0)
     want = np.maximum(prox_sorted_l1(v, 0.3 * 2.0 * lam), 0.0)
     assert np.array_equal(got, want)
+
+
+def test_group_prox_needs_no_clip_on_non_negative_targets():
+    # each prox entry is a clipped fit >= 0 times sign(v_i) >= 0, so a clip at
+    # zero changes no byte; targets with zeros and -0.0, constant weights
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        t = int(rng.integers(1, 12))
+        v = rng.exponential(size=t) * rng.choice([1e-3, 1.0, 1e3])
+        v[rng.random(t) < 0.3] = 0.0
+        v[rng.random(t) < 0.2] = -0.0
+        lam = np.sort(rng.uniform(0.0, 2.0, size=t))[::-1]
+        if rng.random() < 0.3:
+            lam[:] = lam[0]
+        step = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        got = group_prox(v, lam, step)
+        clipped = np.maximum(prox_sorted_l1(v, step * lam), 0.0)
+        assert got.tobytes() == clipped.tobytes(), (v, lam, step)
 
 
 def test_group_prox_matches_grid_oracle_unequal_weights():

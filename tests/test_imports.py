@@ -62,6 +62,29 @@ def test_serial_feature_run_loads_no_scipy_and_no_process_pool(cell):
     assert _loaded(code, DEFERRED) == []
 
 
+@pytest.mark.parametrize(
+    "sizes, groups, m, equal", [((5,), 12, 60, True), ((3, 4, 5, 6, 7), 10, 50, False)],
+    ids=["one-prox", "unequal-weight-diagonal"],
+)
+def test_serial_group_orthogonal_run_loads_no_scipy_and_no_process_pool(sizes, groups, m, equal):
+    # the identity group fit needs no QR: one prox for equal weights, the
+    # feature fit on diag(1/w) for unequal ones; scipy.linalg alone would
+    # add ~23 MB resident to a run of such cells
+    code = (
+        "import numpy as np\n"
+        "from stepslope import simlab\n"
+        "config = simlab.ExperimentConfig(design='group-orthogonal', method='gk-slope',\n"
+        f"                                 n={m}, m={m}, t=3, k=2, num_groups={groups},\n"
+        f"                                 group_sizes={sizes}, replications=2, seed=3)\n"
+        "w = config.partition().weights\n"
+        "print(f'equal={bool(np.all(w == w[0]))}')\n"
+        "simlab.run_experiment(config, threads=1, resolved=simlab.resolve_schedule(config))\n"
+    )
+    flag, *loaded = _loaded(code, DEFERRED)
+    assert flag == f"equal={equal}"
+    assert loaded == []
+
+
 def test_group_schedule_resolution_loads_no_scipy():
     code = (
         "from stepslope import simlab\n"

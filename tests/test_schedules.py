@@ -24,7 +24,7 @@ from stepslope.schedules import (
     schedule_to_json,
     schedule_values_from_csv,
 )
-from stepslope.solver import DesignMatrix
+from stepslope.solver import DesignMatrix, _DiagonalPlusConstant
 
 from oracles import chi_quantile_bisect, monte_carlo_reference, normal_quantile_bisect
 
@@ -219,6 +219,15 @@ def test_monte_carlo_takes_a_validated_design_matrix():
         monte_carlo_corrected_schedule(base, X, replicates=15, seed=4)
     with pytest.raises(ValueError, match="2-d"):
         monte_carlo_corrected_schedule(base, np.ones(12), replicates=15, seed=4)
+
+
+@pytest.mark.parametrize("design, error, match", [
+    (None, ValueError, "2-d array"),
+    (_DiagonalPlusConstant(10, 1.0, 0.0), TypeError, "_DiagonalPlusConstant"),
+], ids=["identity", "operator"])
+def test_monte_carlo_refuses_a_matrix_free_design(design, error, match):
+    with pytest.raises(error, match=match):
+        monte_carlo_corrected_schedule(kfwer_schedule(10, 2, 0.1), design, replicates=5)
 
 
 def test_monte_carlo_errors():

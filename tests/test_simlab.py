@@ -485,6 +485,28 @@ def test_signal_draw_continues_from_the_state_the_design_draw_leaves(design, ext
             assert got.truth == want.truth
 
 
+@pytest.mark.parametrize("extra", [
+    dict(design="gaussian", method="k-slope", n=40, m=60, t=4, k=2),
+    dict(design="gaussian", method="f-slope", n=40, m=30, t=3, correction="monte-carlo",
+         mc_replicates=5),
+    dict(design="group-gaussian", method="gk-slope", n=40, m=25, t=3, k=2, num_groups=10,
+         group_sizes=(2, 3)),
+], ids=["gaussian", "monte-carlo", "group-gaussian"])
+def test_a_drawn_design_is_checked_once_per_replication(monkeypatch, extra):
+    # _design wraps the draw; the signal draw, the Monte Carlo correction,
+    # the QR and the fit read that DesignMatrix as it is
+    config = ExperimentConfig(replications=3, seed=7, **extra)
+    mode, payload, _ = resolve_schedule(config)
+    checks = []
+    post_init = DesignMatrix.__post_init__
+    monkeypatch.setattr(DesignMatrix, "__post_init__",
+                        lambda self: checks.append(post_init(self)))
+    for rep in range(config.replications):
+        _rep_worker((config, rep, mode, payload))
+    assert len(checks) == config.replications
+    assert mode == ("mc" if config.correction == "monte-carlo" else "schedule")
+
+
 def test_package_builds_no_dense_identity():
     src = Path(simlab.__file__).parent
     hits = [p.name for p in sorted(src.glob("*.py"))

@@ -1,4 +1,7 @@
 """Feature-level solver: exactness on orthogonal designs, duality, references."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -522,6 +525,28 @@ def test_design_matrix_overflowing_finite_column_fails_only_the_unit_norm_check(
         DesignMatrix(X)
     waived = DesignMatrix(X, require_unit_columns=False)
     assert np.array_equal(waived.entries, X)
+
+
+def test_slope_objective_checks_a_raw_design():
+    # a raw array is checked as a DesignMatrix without the unit-column rule,
+    # as every fit checks it; a non-finite entry gave a NaN objective
+    X = 2.0 * np.eye(3)
+    y, beta, lam = np.ones(3), np.array([0.5, 0.0, -0.25]), np.array([0.3, 0.2, 0.1])
+    assert slope_objective(X, y, beta, lam) == slope_objective(
+        DesignMatrix(X, require_unit_columns=False), y, beta, lam)
+    X[0, 1] = np.nan
+    with pytest.raises(ValueError, match="design contains non-finite entries"):
+        slope_objective(X, y, beta, lam)
+    with pytest.raises(ValueError, match="2-d"):
+        slope_objective(np.ones(3), y, beta, lam)
+
+
+def test_only_the_solver_asks_whether_a_design_is_a_design_matrix():
+    # solver._fit_design is the one door from a design argument to a fit
+    src = Path(solver.__file__).parent
+    hits = [p.name for p in sorted(src.glob("*.py"))
+            if re.search(r"isinstance\(.*DesignMatrix", p.read_text())]
+    assert hits == ["solver.py"]
 
 
 def test_solve_input_validation():

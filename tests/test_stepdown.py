@@ -15,7 +15,12 @@ from stepslope.stepdown import (
     two_sided_pvalues,
 )
 
-from oracles import normal_cdf, null_rejection_probability, stepdown_bruteforce
+from oracles import (
+    normal_cdf,
+    null_rejection_probability,
+    stepdown_bruteforce,
+    stepup_rejection_probability,
+)
 
 
 def test_kfwer_threshold_values():
@@ -92,6 +97,28 @@ def test_null_rejection_probability_matches_closed_forms():
     assert null_rejection_probability(bh, m, 1, "step-up") == q
     assert null_rejection_probability(bh, m, 1, "step-down") == 1 - (1 - q / m) ** m
     assert null_rejection_probability(bh, m, m, "step-up") == q ** m
+
+
+def _kfwer_levels(m, k, alpha):
+    """The p-levels of the k-FWER schedule: erfc(lam_i / sqrt(2))."""
+    return [math.erfc(x / math.sqrt(2.0)) for x in kfwer_schedule(m, k, alpha).values.tolist()]
+
+
+def test_float_stepup_probability_matches_the_exact_oracle():
+    levels = _kfwer_levels(200, 2, 0.1)
+    exact = null_rejection_probability(levels, 200, 2, "step-up")
+    got = stepup_rejection_probability(levels, 2)
+    assert got == pytest.approx(float(exact), rel=1e-12)
+    assert round(got, 7) == 0.0174576
+    # a later slice of the levels, as the bound with t signals reads them
+    exact = null_rejection_probability(levels[20:], 180, 3, "step-up")
+    assert stepup_rejection_probability(levels[20:], 3) == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_float_stepup_probability_matches_the_roadmap_bound():
+    # k-slope, m = 1000, k = 5, t = 50: the Fraction oracle gave 1.70664e-4
+    got = stepup_rejection_probability(_kfwer_levels(1000, 5, 0.1)[50:], 5)
+    assert round(got, 9) == 1.70664e-4
 
 
 def test_reject_matches_bruteforce_randomized():
